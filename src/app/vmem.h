@@ -66,9 +66,6 @@ class VMem {
   }
 
  private:
-  // Ensures [va] is accessible for `access`, taking and waiting out faults.
-  // This is a coroutine body shared by the public entry points via macro-free
-  // inclusion: see ResolvePage in vmem.cc.
   DriverEnv env_;
   Domain& domain_;
   MmEntry& mm_entry_;

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/intrusive_list.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
@@ -37,87 +38,105 @@ class Condition {
   explicit Condition(Simulator& sim) : sim_(&sim) {}
   Condition(const Condition&) = delete;
   Condition& operator=(const Condition&) = delete;
+  // Tasks still waiting here stay suspended for good: they leave the queue
+  // and lose their timeouts, so neither a later timeout nor the teardown of
+  // their frames touches this object.
+  ~Condition() {
+    while (!waiters_.empty()) {
+      WaitAwaiter* w = waiters_.PopFront();
+      CancelTimeout(w);
+    }
+  }
 
-  struct Waiter {
-    std::shared_ptr<TaskState> st;
-    bool notified = false;
-    uint64_t timer_id = 0;
-    bool has_timer = false;
-  };
+  // Awaitable for Wait and WaitFor. The awaiter is the task's wait-queue
+  // entry: it lives in the suspended coroutine's frame, so waiting never
+  // allocates. A task killed mid-wait has its frame, and with it the awaiter,
+  // destroyed; the awaiter then leaves the queue and cancels its timeout.
+  class WaitAwaiter {
+   public:
+    WaitAwaiter(Condition* cv, SimDuration timeout) : cv_(cv), timeout_(timeout) {}
+    WaitAwaiter(const WaitAwaiter&) = delete;
+    WaitAwaiter& operator=(const WaitAwaiter&) = delete;
+    // Only a queued waiter can have a pending timeout, and only a queued
+    // waiter may touch cv_: the Condition may be gone once it is dequeued.
+    ~WaitAwaiter() {
+      if (node_.InContainer()) {
+        cv_->waiters_.Remove(this);
+        cv_->CancelTimeout(this);
+      }
+    }
 
-  struct WaitAwaiter {
-    Condition* cv;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<Task::promise_type> h) {
-      cv->waiters_.push_back(std::make_shared<Waiter>(Waiter{StateOf(h)}));
+      st_ = StateOf(h);
+      if (timeout_ >= 0) {
+        // The timeout fires on the waiter's shard so the resumed code runs in
+        // its own lane, same as a notification would.
+        timer_id_ = cv_->sim_->CallAfterOn(st_->shard, timeout_, [this, st = st_] {
+          // Timed out: drop from the wait list and resume un-notified.
+          timer_id_ = 0;
+          cv_->waiters_.Remove(this);
+          st->Resume();
+        });
+      }
+      cv_->waiters_.PushBack(this);
     }
-    void await_resume() const noexcept {}
+    // True when the wait ended by notification rather than by timeout.
+    bool await_resume() const noexcept { return notified_; }
+
+   private:
+    friend class Condition;
+
+    Condition* cv_;
+    SimDuration timeout_;  // negative: no timeout
+    std::shared_ptr<TaskState> st_;
+    IntrusiveListNode node_;
+    uint64_t timer_id_ = 0;  // pending timeout event; 0 = none (ids are never 0)
+    bool notified_ = false;
   };
 
   // Waits until notified.
-  WaitAwaiter Wait() { return WaitAwaiter{this}; }
+  WaitAwaiter Wait() { return WaitAwaiter(this, -1); }
 
-  // Waits until notified or `timeout` elapses; await_resume returns true when
-  // the wait ended by notification.
-  struct TimedWaitAwaiter {
-    Condition* cv;
-    SimDuration timeout;
-    std::shared_ptr<Waiter> waiter;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<Task::promise_type> h) {
-      waiter = std::make_shared<Waiter>(Waiter{StateOf(h)});
-      waiter->has_timer = true;
-      auto w = waiter;
-      Condition* cond = cv;
-      // The timeout fires on the waiter's shard so the resumed code runs in
-      // its own lane, same as a notification would.
-      waiter->timer_id = cv->sim_->CallAfterOn(waiter->st->shard, timeout, [cond, w] {
-        // Timed out: drop from the wait list and resume un-notified.
-        std::erase(cond->waiters_, w);
-        w->st->Resume();
-      });
-      cv->waiters_.push_back(waiter);
-    }
-    bool await_resume() const noexcept { return waiter->notified; }
-  };
-
-  TimedWaitAwaiter WaitFor(SimDuration timeout) { return TimedWaitAwaiter{this, timeout, nullptr}; }
+  // Waits until notified or `timeout` (>= 0) elapses; co_await yields true
+  // when the wait ended by notification.
+  WaitAwaiter WaitFor(SimDuration timeout) {
+    NEM_ASSERT(timeout >= 0);
+    return WaitAwaiter(this, timeout);
+  }
 
   void NotifyAll() {
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto& w : waiters) {
-      WakeWaiter(w);
+    // Wakeups go through the event queue, so no woken task runs (or waits
+    // again) inside this loop: it drains exactly the tasks waiting now.
+    while (!waiters_.empty()) {
+      Wake(waiters_.PopFront());
     }
   }
 
   void NotifyOne() {
-    while (!waiters_.empty()) {
-      auto w = waiters_.front();
-      waiters_.pop_front();
-      if (TaskDead(w->st)) {
-        continue;
-      }
-      WakeWaiter(w);
-      return;
+    if (!waiters_.empty()) {
+      Wake(waiters_.PopFront());
     }
   }
 
   size_t waiter_count() const { return waiters_.size(); }
 
  private:
-  void WakeWaiter(const std::shared_ptr<Waiter>& w) {
-    w->notified = true;
-    if (w->has_timer) {
-      sim_->Cancel(w->timer_id);
+  void Wake(WaitAwaiter* w) {
+    w->notified_ = true;
+    CancelTimeout(w);
+    sim_->CallAfterOn(w->st_->shard, 0, [st = w->st_] { st->Resume(); });
+  }
+
+  void CancelTimeout(WaitAwaiter* w) {
+    if (w->timer_id_ != 0) {
+      sim_->Cancel(w->timer_id_);
+      w->timer_id_ = 0;
     }
-    auto st = w->st;
-    sim_->CallAfterOn(st->shard, 0, [st] { st->Resume(); });
   }
 
   Simulator* sim_;
-  std::deque<std::shared_ptr<Waiter>> waiters_;
+  IntrusiveList<WaitAwaiter, &WaitAwaiter::node_> waiters_;
 };
 
 // Counting semaphore with direct handoff: V() transfers the token to the

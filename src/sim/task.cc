@@ -43,7 +43,8 @@ void TaskState::Kill() {
 void TaskState::Abandon() {
   NEM_ASSERT_MSG(!running, "cannot abandon a running task");
   killed = true;
-  completion_watchers.clear();
+  first_watcher.fn.Reset();
+  more_watchers.clear();
   DestroyFrame();
 }
 
@@ -55,18 +56,31 @@ void TaskState::DestroyFrame() {
   }
 }
 
+void TaskState::AddCompletionWatcher(SmallFunction<void()> fn, ShardId on) {
+  if (!first_watcher.fn) {
+    first_watcher = Watcher{std::move(fn), on};
+  } else {
+    more_watchers.push_back(Watcher{std::move(fn), on});
+  }
+}
+
 void TaskState::FireCompletionWatchers() {
-  if (completion_watchers.empty()) {
+  if (!first_watcher.fn) {
     return;
   }
-  std::vector<Watcher> watchers;
-  watchers.swap(completion_watchers);
-  for (auto& w : watchers) {
+  Watcher first = std::move(first_watcher);
+  std::vector<Watcher> more;
+  more.swap(more_watchers);
+  auto fire = [this](Watcher& w) {
     if (sim != nullptr) {
       sim->CallAfterOn(w.shard, 0, std::move(w.fn));
     } else {
       w.fn();
     }
+  };
+  fire(first);
+  for (Watcher& w : more) {
+    fire(w);
   }
 }
 
@@ -83,22 +97,6 @@ void Task::promise_type::FinalAwaiter::await_suspend(
   h.promise().state->done = true;
 }
 
-void TaskHandle::OnCompletion(std::function<void()> fn) {
-  NEM_ASSERT(state_ != nullptr);
-  // Watchers fire on the shard that registered them, not on whichever shard
-  // the target happens to complete on.
-  ShardId shard = ShardLane::Current().shard;
-  if (state_->done || state_->destroyed) {
-    if (state_->sim != nullptr) {
-      state_->sim->CallAfterOn(shard, 0, std::move(fn));
-    } else {
-      fn();
-    }
-    return;
-  }
-  state_->completion_watchers.push_back({std::move(fn), shard});
-}
-
 void DelayAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
   auto st = StateOf(h);
   sim->CallAfterOn(st->shard, duration_ns, [st] { st->Resume(); });
@@ -106,7 +104,7 @@ void DelayAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
 
 void JoinAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
   auto st = StateOf(h);
-  target->completion_watchers.push_back({[st] { st->Resume(); }, st->shard});
+  target->AddCompletionWatcher([st] { st->Resume(); }, st->shard);
 }
 
 }  // namespace nemesis

@@ -12,9 +12,9 @@
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,6 +22,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/shard.h"
+#include "src/base/small_function.h"
 
 namespace nemesis {
 
@@ -43,13 +44,18 @@ struct TaskState {
   bool done = false;
   bool killed = false;
   bool destroyed = false;
-  // Callbacks run (via the event queue) when the task completes or is killed.
-  // Each fires on the shard captured at registration time.
+  // Callbacks run (via the event queue), in registration order, when the task
+  // completes or is killed. Each fires on the shard given at registration.
+  // The first is stored inline: a task rarely has more than one joiner, so
+  // registering one never allocates.
   struct Watcher {
-    std::function<void()> fn;
+    SmallFunction<void()> fn;
     ShardId shard = kSystemShard;
   };
-  std::vector<Watcher> completion_watchers;
+  Watcher first_watcher;  // empty fn: no watchers registered
+  std::vector<Watcher> more_watchers;
+
+  void AddCompletionWatcher(SmallFunction<void()> fn, ShardId on);
 
   // Resumes the coroutine if it is still alive; destroys it if it was killed.
   void Resume();
@@ -132,10 +138,6 @@ class TaskHandle {
     }
   }
 
-  // Registers a callback to run (through the event queue) once the task
-  // completes or is killed. Fires immediately if already finished.
-  void OnCompletion(std::function<void()> fn);
-
   std::shared_ptr<TaskState> state() const { return state_; }
 
  private:
@@ -157,8 +159,12 @@ class OwnedTaskSet {
  public:
   // Records `handle` and returns it (so adoption wraps a Spawn in place).
   TaskHandle Adopt(TaskHandle handle) {
-    if (handles_.size() >= kPruneThreshold) {
+    if (handles_.size() >= prune_threshold_) {
+      // The threshold doubles past the survivors, as in
+      // Simulator::RegisterTask, so many live tasks cost amortised O(1) per
+      // adopt rather than a full rescan each time.
       std::erase_if(handles_, [](const TaskHandle& h) { return h.done(); });
+      prune_threshold_ = std::max(kMinPruneThreshold, handles_.size() * 2);
     }
     handles_.push_back(handle);
     return handle;
@@ -170,14 +176,17 @@ class OwnedTaskSet {
       h.Kill();
     }
     handles_.clear();
+    prune_threshold_ = kMinPruneThreshold;
   }
 
+  // Recorded handles, including completed ones not yet pruned.
   size_t size() const { return handles_.size(); }
   bool empty() const { return handles_.empty(); }
 
  private:
-  static constexpr size_t kPruneThreshold = 16;
+  static constexpr size_t kMinPruneThreshold = 16;
   std::vector<TaskHandle> handles_;
+  size_t prune_threshold_ = kMinPruneThreshold;
 };
 
 // Helper used by awaitables: extracts the TaskState of the suspending task.

@@ -212,6 +212,54 @@ TEST(PagedDriver, DataSurvivesPagingCycle) {
   EXPECT_GT(app->paged_driver()->pageouts(), 0u);
 }
 
+// AccessRange's page-touch kernels over an unaligned range that starts and
+// ends mid-page and spans four pages of a two-frame domain, so the written
+// bytes make a round trip through swap before they are summed.
+TEST(VMemTest, AccessRangeKernelsOverUnalignedRange) {
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.name = "kernels";
+  cfg.contract = {2, 0};
+  cfg.driver_max_frames = 2;
+  cfg.stretch_bytes = 8 * kDefaultPageSize;
+  cfg.swap_bytes = kMiB;
+  AppDomain* app = system.CreateApp(cfg);
+  const VirtAddr first = app->stretch()->base() + 100;
+  const VirtAddr end = app->stretch()->base() + 3 * kDefaultPageSize + 17;
+  const size_t len = static_cast<size_t>(end - first);
+
+  struct WriteReadBack {
+    static Task Run(AppDomain* app, VirtAddr va, std::vector<uint8_t>* out, bool* ok) {
+      bool w_ok = false;
+      TaskHandle w = app->SpawnWorkload(
+          app->vmem().AccessRange(va, out->size(), AccessType::kWrite, &w_ok), "write");
+      co_await Join(w);
+      bool r_ok = false;
+      TaskHandle r = app->SpawnWorkload(
+          app->vmem().AccessRange(va, out->size(), AccessType::kRead, &r_ok), "read");
+      co_await Join(r);
+      bool copy_ok = false;
+      TaskHandle c = app->SpawnWorkload(app->vmem().Read(va, *out, &copy_ok), "copy");
+      co_await Join(c);
+      *ok = w_ok && r_ok && copy_ok;
+    }
+  };
+  std::vector<uint8_t> bytes(len);
+  bool ok = false;
+  app->SpawnWorkload(WriteReadBack::Run(app, first, &bytes, &ok), "verify");
+  system.sim().RunUntil(Seconds(30));
+  ASSERT_TRUE(ok);
+  EXPECT_GT(app->paged_driver()->pageouts(), 0u);
+
+  uint64_t expected_sum = 0;
+  for (size_t i = 0; i < len; ++i) {
+    const auto expected = static_cast<uint8_t>((first + i) & 0xFF);
+    ASSERT_EQ(bytes[i], expected) << "byte " << i;
+    expected_sum += expected;
+  }
+  EXPECT_EQ(app->vmem().checksum(), expected_sum);
+}
+
 TEST(PagedDriver, ForgetfulModeNeverPagesIn) {
   System system(SmallSystem());
   AppConfig cfg;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,6 +213,126 @@ TEST(Sync, TimedWaitNotifiedBeforeTimeout) {
   sim.Run();
   EXPECT_TRUE(notified);
   EXPECT_EQ(when, Milliseconds(5));
+}
+
+TEST(Sync, KilledWaiterLeavesConditionBeforeNotifyAll) {
+  Simulator sim;
+  Condition cv(sim);
+  int wakeups = 0;
+  std::vector<TaskHandle> waiters;
+  for (int i = 0; i < 3; ++i) {
+    waiters.push_back(sim.Spawn(WaitOnCondition(cv, &wakeups), "waiter"));
+  }
+  sim.RunUntil(Milliseconds(1));
+  waiters[1].Kill();
+  EXPECT_EQ(cv.waiter_count(), 2u);
+  const uint64_t events_before = sim.events_executed();
+  cv.NotifyAll();
+  sim.Run();
+  EXPECT_EQ(wakeups, 2);
+  // One wakeup event per live waiter; none for the killed one.
+  EXPECT_EQ(sim.events_executed() - events_before, 2u);
+  EXPECT_TRUE(waiters[0].done());
+  EXPECT_TRUE(waiters[1].killed());
+  EXPECT_TRUE(waiters[2].done());
+}
+
+TEST(Sync, TimedWaiterKilledBeforeTimeoutCancelsItsTimer) {
+  Simulator sim;
+  Condition cv(sim);
+  bool notified = false;
+  SimTime when = -1;
+  TaskHandle h = sim.Spawn(TimedWaiter(sim, cv, Milliseconds(25), &notified, &when), "tw");
+  sim.CallAt(Milliseconds(5), [&] { h.Kill(); });
+  sim.Run();
+  EXPECT_TRUE(h.killed());
+  EXPECT_EQ(when, -1);
+  EXPECT_EQ(cv.waiter_count(), 0u);
+  // The timeout was cancelled, so the queue drained at the kill.
+  EXPECT_EQ(sim.Now(), Milliseconds(5));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  cv.NotifyAll();
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+Task RewaitingWaiter(Condition& cv, int rounds, int* wakeups) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await cv.Wait();
+    ++*wakeups;
+  }
+}
+
+TEST(Sync, RewaitAfterWakeupNeedsAFreshNotify) {
+  Simulator sim;
+  Condition cv(sim);
+  int a = 0;
+  int b = 0;
+  sim.Spawn(RewaitingWaiter(cv, 3, &a), "a");
+  sim.Spawn(RewaitingWaiter(cv, 3, &b), "b");
+  sim.RunUntil(Milliseconds(1));
+  cv.NotifyAll();
+  sim.Run();
+  // Each woke once and waits again; the first notify did not wake them twice.
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 1);
+  EXPECT_EQ(cv.waiter_count(), 2u);
+  cv.NotifyAll();
+  sim.Run();
+  EXPECT_EQ(a, 2);
+  EXPECT_EQ(b, 2);
+}
+
+TEST(Sync, DestroyedConditionCancelsPendingTimeouts) {
+  Simulator sim;
+  auto cv = std::make_unique<Condition>(sim);
+  bool notified = false;
+  SimTime when = -1;
+  TaskHandle h = sim.Spawn(TimedWaiter(sim, *cv, Milliseconds(25), &notified, &when), "tw");
+  sim.RunUntil(Milliseconds(1));
+  cv.reset();
+  sim.Run();
+  // The waiter stays suspended; its timeout never fires into the freed object.
+  EXPECT_EQ(when, -1);
+  EXPECT_FALSE(h.done());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+Task WaitForever(Condition& cv) {
+  for (;;) {
+    co_await cv.Wait();
+  }
+}
+
+TEST(Tasks, OwnedTaskSetWithManyLiveTasks) {
+  constexpr size_t kLive = 300;
+  Simulator sim;
+  Condition cv(sim);
+  OwnedTaskSet set;
+  std::vector<TaskHandle> live;
+  for (size_t i = 0; i < kLive; ++i) {
+    live.push_back(set.Adopt(sim.Spawn(WaitForever(cv), "live")));
+  }
+  sim.RunUntil(Milliseconds(1));
+  EXPECT_EQ(set.size(), kLive);
+  EXPECT_EQ(cv.waiter_count(), kLive);
+  // Tasks that finish between adopts are pruned in batches: the set never
+  // holds more than twice its live population.
+  int counter = 0;
+  for (int i = 0; i < 1000; ++i) {
+    set.Adopt(sim.Spawn(SimpleCounter(sim, &counter, 1), "short"));
+    sim.RunUntil(sim.Now() + Milliseconds(10));
+    ASSERT_LE(set.size(), 2 * kLive + 1);
+  }
+  EXPECT_EQ(counter, 1000);
+  EXPECT_GE(set.size(), kLive);
+  set.KillAll();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.empty());
+  for (const TaskHandle& h : live) {
+    EXPECT_TRUE(h.killed());
+    EXPECT_TRUE(h.done());
+  }
+  EXPECT_EQ(cv.waiter_count(), 0u);
 }
 
 Task SemWorker(Simulator& sim, Semaphore& sem, int* active, int* max_active) {

@@ -31,6 +31,10 @@ Publication gate: the obs-disabled fig7 wall-clock must stay within 2% of the
 previously published number when the host block matches (--no-obs-gate
 overrides; a host change skips the comparison).
 
+A bench whose own gate fails (non-zero exit) does not stop the harness: its
+exit code goes into its JSON entry as "exit_code", the other benches still
+run, and the script exits non-zero after writing the JSON.
+
 Wall-clock numbers vary by machine; the committed BENCH_core.json records the
 numbers from the machine that produced it (see "host" in the file).
 """
@@ -157,6 +161,21 @@ def compute_speedups(results):
     return speedups
 
 
+def run_gated_bench(binary, args, build_dir):
+    """Runs a bench binary whose own gates set its exit code.
+
+    A failed gate must not abort the harness: the caller records the exit
+    code in the bench's JSON entry and main() exits non-zero at the end.
+    """
+    proc = subprocess.run([str(binary)] + args, capture_output=True,
+                          text=True, cwd=build_dir)
+    if proc.returncode != 0:
+        print(f"  FAILED {binary.name} (exit {proc.returncode})")
+        sys.stdout.write(proc.stdout)
+        sys.stdout.write(proc.stderr)
+    return proc.stdout, proc.returncode
+
+
 def run_figure(build_dir, name):
     """Runs a simulated-time figure bench and extracts its shape checks."""
     binary = (build_dir / "bench" / name).resolve()
@@ -164,10 +183,10 @@ def run_figure(build_dir, name):
         return {"error": "binary not found"}
     # cwd=build_dir keeps the *_usd_trace.csv side outputs out of the repo root.
     start = time.monotonic()
-    out = subprocess.run([str(binary)], check=True, capture_output=True,
-                         text=True, cwd=build_dir).stdout
+    out, exit_code = run_gated_bench(binary, [], build_dir)
     wall_seconds = time.monotonic() - start
     fig = {
+        "exit_code": exit_code,
         # Observability is compiled in but disabled here; the obs gate diffs
         # this wall-clock against the previously published one.
         "wall_seconds": round(wall_seconds, 3),
@@ -194,9 +213,8 @@ def run_obs_overhead(build_dir):
     binary = (build_dir / "bench" / "bench_obs_overhead").resolve()
     if not binary.exists():
         return {"error": "binary not found"}
-    out = subprocess.run([str(binary)], check=True, capture_output=True,
-                         text=True, cwd=build_dir).stdout
-    obs = {}
+    out, exit_code = run_gated_bench(binary, [], build_dir)
+    obs = {"exit_code": exit_code}
     for key in ("obs_disabled_ms", "obs_enabled_ms", "obs_overhead_pct"):
         m = re.search(rf"{key} ([\d.-]+)", out)
         if m:
@@ -212,9 +230,8 @@ def run_conformance(build_dir):
     binary = (build_dir / "bench" / "bench_obs_conformance").resolve()
     if not binary.exists():
         return {"error": "binary not found"}
-    out = subprocess.run([str(binary), "--smoke"], check=True,
-                         capture_output=True, text=True, cwd=build_dir).stdout
-    conf = {}
+    out, exit_code = run_gated_bench(binary, ["--smoke"], build_dir)
+    conf = {"exit_code": exit_code}
     for key in ("conformance_met", "conformance_degraded",
                 "conformance_violated", "conformance_storm_attributed"):
         m = re.search(rf"{key} (\d+)", out)
@@ -299,6 +316,16 @@ def run_golden(build_dir, golden_dir, capture):
                 sys.exit(f"error: {bench} did not write {side}")
             compare(csv, side.read_bytes())
     return mismatches
+
+
+def failed_benches(doc):
+    """Names of the benches whose run exited non-zero."""
+    entries = dict(doc.get("simulated", {}))
+    if "obs" in doc:
+        entries["obs_overhead"] = doc["obs"]
+        entries["obs_conformance"] = doc["obs"].get("conformance", {})
+    return sorted(name for name, entry in entries.items()
+                  if entry.get("exit_code", 0) != 0)
 
 
 def check_obs_gate(doc, prior, out_path):
@@ -418,6 +445,10 @@ def main():
                   f"{conf.get('violated')} violated, "
                   f"{conf.get('storm_attributed')} storm periods attributed "
                   f"({conf.get('shape_check')})")
+    failed = failed_benches(doc)
+    if failed:
+        sys.exit(f"error: {len(failed)} bench(es) failed their own gates: "
+                 f"{', '.join(failed)} (exit codes recorded in {args.out})")
 
 
 if __name__ == "__main__":
