@@ -49,11 +49,11 @@ void MmEntry::Stop() {
   tasks_.clear();
   // Slow-path tasks joined by the killed workers must die with them: their
   // result pointers live on the workers' (now destroyed) coroutine frames.
+  // The driver IO they await (evict/swap) runs inline and dies with them.
   slow_tasks_.KillAll();
-  // The killed slow paths in turn join driver IO tasks (evict/swap) whose
-  // result pointers live on THEIR frames; quiesce every bound driver so no
-  // orphan completes into a destroyed joiner. Outside full teardown (a hung
-  // domain) nothing else would kill them.
+  // Quiesce every bound driver: its detached pipeline tasks (read-ahead,
+  // writeback) would otherwise keep issuing IO for a domain that has stopped.
+  // Outside full teardown (a hung domain) nothing else would stop them.
   for (auto& [sid, driver] : drivers_) {
     if (driver != nullptr) {
       driver->Quiesce();

@@ -45,11 +45,6 @@ PagedStretchDriver::PagedStretchDriver(DriverEnv env, UsdClient* swap, Extent sw
 PagedStretchDriver::~PagedStretchDriver() { StopPipeline(); }
 
 void PagedStretchDriver::StopPipeline() {
-  // The demand path's in-flight evict/swap tasks die on every teardown,
-  // pipeline or not: they are joined by the MMEntry's slow-path tasks (killed
-  // just before this runs), and an orphan completing later would write its
-  // results into the joiner's destroyed frame.
-  io_tasks_.KillAll();
   if (!pipeline_enabled() || pipeline_stopped_) {
     return;
   }
@@ -491,9 +486,7 @@ Task PagedStretchDriver::EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid) {
       }
     }
     bool write_ok = false;
-    TaskHandle h =
-        io_tasks_.Adopt(env_.sim->Spawn(SwapWrite(*page.blok, pfn, &write_ok, fid), "swap-write"));
-    co_await Join(h);
+    co_await SwapWrite(*page.blok, pfn, &write_ok, fid);
     if (!write_ok) {
       ReleaseReservation(pfn);
       *ok = false;
@@ -773,8 +766,7 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
     }
     Pfn evicted = 0;
     bool ok = false;
-    TaskHandle h = io_tasks_.Adopt(env_.sim->Spawn(EvictOne(&evicted, &ok, fault.id), "evict"));
-    co_await Join(h);
+    co_await EvictOne(&evicted, &ok, fault.id);
     if (!ok) {
       if (pipeline_enabled()) {
         --demand_waiters_;
@@ -796,9 +788,7 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
   if (page.has_disk_copy && !config_.forgetful) {
     NEM_ASSERT(page.blok.has_value());
     bool ok = false;
-    TaskHandle h =
-        io_tasks_.Adopt(env_.sim->Spawn(SwapRead(*page.blok, *pfn, &ok, fault.id), "swap-read"));
-    co_await Join(h);
+    co_await SwapRead(*page.blok, *pfn, &ok, fault.id);
     ReleaseReservation(*pfn);
     if (!ok) {
       *result = FaultResult::kFailure;
@@ -894,9 +884,7 @@ Task PagedStretchDriver::StageTask(size_t index) {
         fifo_.size() >= 2) {
       Pfn evicted = 0;
       bool ok = false;
-      TaskHandle h = io_tasks_.Adopt(
-          env_.sim->Spawn(EvictOne(&evicted, &ok, NextBgId()), "prefetch-evict"));
-      co_await Join(h);
+      co_await EvictOne(&evicted, &ok, NextBgId());
       if (ok) {
         pfn = evicted;
       }
@@ -925,9 +913,7 @@ Task PagedStretchDriver::StageTask(size_t index) {
   Reserve(*pfn);  // reserved until consumed or cancelled
   NEM_ASSERT(pages_[index].blok.has_value());
   bool read_ok = false;
-  TaskHandle h = io_tasks_.Adopt(env_.sim->Spawn(
-      SwapRead(*pages_[index].blok, *pfn, &read_ok, NextBgId()), "stage-swap-read"));
-  co_await Join(h);
+  co_await SwapRead(*pages_[index].blok, *pfn, &read_ok, NextBgId());
   if (pipeline_stopped_ || !read_ok || slot->state != StageSlot::State::kLoading ||
       slot->page != index || slot->abandoned) {
     ReleaseReservation(*pfn);
@@ -998,8 +984,7 @@ Task PagedStretchDriver::RelinquishFrames(uint64_t target, uint64_t* freed) {
     while (*freed < target && !fifo_.empty()) {
       Pfn evicted = 0;
       bool ok = false;
-      TaskHandle h = io_tasks_.Adopt(env_.sim->Spawn(EvictOne(&evicted, &ok), "revoke-evict"));
-      co_await Join(h);
+      co_await EvictOne(&evicted, &ok);
       if (!ok) {
         co_return;
       }
@@ -1042,8 +1027,7 @@ Task PagedStretchDriver::RelinquishFrames(uint64_t target, uint64_t* freed) {
   while (*freed < target && !fifo_.empty()) {
     Pfn evicted = 0;
     bool ok = false;
-    TaskHandle h = io_tasks_.Adopt(env_.sim->Spawn(EvictOne(&evicted, &ok), "revoke-evict"));
-    co_await Join(h);
+    co_await EvictOne(&evicted, &ok);
     if (!ok) {
       break;
     }

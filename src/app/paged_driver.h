@@ -245,11 +245,6 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   uint64_t NextBgId();
   TaskHandle pump_task_;
   std::vector<TaskHandle> pipeline_tasks_;
-  // Demand-path evict/swap tasks, joined by ResolveFault/RelinquishFrames.
-  // Killed by StopPipeline on every teardown (pipeline or not): the joiners
-  // are MMEntry slow-path tasks whose frames hold these tasks' result
-  // pointers.
-  OwnedTaskSet io_tasks_;
   bool pipeline_stopped_ = false;
   // Read-ahead window state.
   size_t last_fault_page_ = SIZE_MAX;

@@ -52,12 +52,11 @@ class StretchDriver {
   NEM_RUNS_ON(system)
   virtual Task RelinquishFrames(uint64_t target, uint64_t* freed) = 0;
 
-  // Kills any in-flight asynchronous driver work (evict/swap tasks) whose
-  // result pointers live in the frames of tasks owned by the MM entry (the
-  // slow-path resolve/relinquish joiners). MmEntry::Stop() calls this when it
-  // kills those joiners outside a full driver teardown — e.g. a domain whose
-  // activation loop dies while faults are mid-eviction — so no orphan
-  // completes into a destroyed frame. Must be safe to call repeatedly.
+  // Stops any detached asynchronous driver work (read-ahead, writeback).
+  // MmEntry::Stop() calls this when it kills its slow-path tasks outside a
+  // full driver teardown — e.g. a domain whose activation loop dies while
+  // faults are mid-eviction. IO awaited inline by a slow path (evict/swap)
+  // already died with it. Must be safe to call repeatedly.
   virtual void Quiesce() {}
 
   // Human-readable driver kind ("nailed", "physical", "paged").

@@ -1,6 +1,8 @@
 #include "src/app/vmem.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "src/base/assert.h"
 #include "src/sim/sync.h"
@@ -11,29 +13,50 @@ namespace {
 
 // The page-touch kernels. They are plain functions rather than loops inside
 // the AccessRange coroutine so the compiler keeps the loop state in registers
-// (a coroutine body spills it to the frame on every byte) and can vectorise.
+// (a coroutine body spills it to the frame on every byte).
 
-// Returns the sum of `bytes`. Each block's sum fits the 32-bit accumulator
-// (kBlock * 255 < 2^32), which is the narrow type that vectorises well.
+// Returns the sum of `bytes`, eight at a time (SWAR): each 64-bit word is
+// split into its even and odd bytes, and their sum lands in four 16-bit lanes
+// of a running accumulator. A lane gains at most 2 * 255 per word, so the
+// lanes are folded into the 64-bit total every kFoldWords words, before any
+// can overflow. Loads go through memcpy: `bytes` need not be word-aligned.
 uint64_t SumBytes(std::span<const uint8_t> bytes) {
-  constexpr size_t kBlock = size_t{1} << 16;
+  constexpr uint64_t kEvenBytes = 0x00FF00FF00FF00FFull;
+  constexpr uint64_t kEvenLanes = 0x0000FFFF0000FFFFull;
+  constexpr size_t kFoldWords = 128;  // 128 * 2 * 255 = 65280 < 2^16
+  const uint8_t* p = bytes.data();
+  size_t left = bytes.size();
   uint64_t total = 0;
-  for (size_t base = 0; base < bytes.size(); base += kBlock) {
-    uint32_t sum = 0;
-    for (const uint8_t b : bytes.subspan(base, std::min(kBlock, bytes.size() - base))) {
-      sum += b;
+  while (left >= sizeof(uint64_t)) {
+    const size_t words = std::min(left / sizeof(uint64_t), kFoldWords);
+    uint64_t lanes = 0;
+    for (size_t i = 0; i < words; ++i) {
+      uint64_t w = 0;
+      std::memcpy(&w, p + i * sizeof(uint64_t), sizeof(w));
+      lanes += (w & kEvenBytes) + ((w >> 8) & kEvenBytes);
     }
-    total += sum;
+    lanes = (lanes & kEvenLanes) + ((lanes >> 16) & kEvenLanes);
+    total += (lanes & 0xFFFFFFFFull) + (lanes >> 32);
+    p += words * sizeof(uint64_t);
+    left -= words * sizeof(uint64_t);
+  }
+  for (; left > 0; --left) {
+    total += *p++;
   }
   return total;
 }
 
 // Writes the low byte of each byte's own virtual address: bytes[i] gets
-// (va + i) & 0xFF.
+// (va + i) & 0xFF. That pattern repeats every 256 bytes, so one period is
+// built and copied across the span.
 void FillAddressBytes(std::span<uint8_t> bytes, VirtAddr va) {
+  std::array<uint8_t, 256> period{};
   const auto first = static_cast<uint8_t>(va);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<uint8_t>(first + i);
+  for (size_t i = 0; i < period.size(); ++i) {
+    period[i] = static_cast<uint8_t>(first + i);
+  }
+  for (size_t at = 0; at < bytes.size(); at += period.size()) {
+    std::memcpy(bytes.data() + at, period.data(), std::min(period.size(), bytes.size() - at));
   }
 }
 
@@ -99,10 +122,7 @@ Task VMem::AccessRange(VirtAddr va, size_t len, AccessType access, bool* ok,
     const size_t chunk = static_cast<size_t>(std::min<VirtAddr>(end, page_end) - cursor);
 
     bool page_ok = false;
-    TaskHandle h = resolve_tasks_.Adopt(
-        env_.sim->Spawn(VMemDetail::ResolvePage(this, cursor, access, &page_ok),
-                        "resolve-page"));
-    co_await Join(h);
+    co_await VMemDetail::ResolvePage(this, cursor, access, &page_ok);
     if (!page_ok) {
       *ok = false;
       co_return;
@@ -142,10 +162,7 @@ Task VMem::Read(VirtAddr va, std::span<uint8_t> out, bool* ok) {
         std::min<VirtAddr>(va + out.size(), page_end) - cursor);
 
     bool page_ok = false;
-    TaskHandle h = resolve_tasks_.Adopt(
-        env_.sim->Spawn(VMemDetail::ResolvePage(this, cursor, AccessType::kRead, &page_ok),
-                        "resolve-page"));
-    co_await Join(h);
+    co_await VMemDetail::ResolvePage(this, cursor, AccessType::kRead, &page_ok);
     if (!page_ok) {
       *ok = false;
       co_return;
@@ -174,10 +191,7 @@ Task VMem::Write(VirtAddr va, std::span<const uint8_t> data, bool* ok) {
         std::min<VirtAddr>(va + data.size(), page_end) - cursor);
 
     bool page_ok = false;
-    TaskHandle h = resolve_tasks_.Adopt(
-        env_.sim->Spawn(VMemDetail::ResolvePage(this, cursor, AccessType::kWrite, &page_ok),
-                        "resolve-page"));
-    co_await Join(h);
+    co_await VMemDetail::ResolvePage(this, cursor, AccessType::kWrite, &page_ok);
     if (!page_ok) {
       *ok = false;
       co_return;

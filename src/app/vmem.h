@@ -48,12 +48,6 @@ class VMem {
   NEM_RUNS_ON(domain) Task Read(VirtAddr va, std::span<uint8_t> out, bool* ok);
   NEM_RUNS_ON(domain) Task Write(VirtAddr va, std::span<const uint8_t> data, bool* ok);
 
-  // Kills any in-flight page-resolution tasks. Called on domain kill (after
-  // the workload tasks that join on them are killed) and from the destructor:
-  // an orphaned ResolvePage would complete into its joiner's destroyed frame.
-  void Stop() { resolve_tasks_.KillAll(); }
-  ~VMem() { Stop(); }
-
   uint64_t faults_taken() const { return faults_taken_.value(); }
   uint64_t checksum() const { return checksum_; }
   // Total simulated time this domain's threads spent stalled on faults (from
@@ -71,7 +65,6 @@ class VMem {
   MmEntry& mm_entry_;
   Mmu& mmu_;
   AppCostModel costs_;
-  OwnedTaskSet resolve_tasks_;  // in-flight ResolvePage tasks (joined by callers)
   StatCounter faults_taken_;
   SimDuration fault_stall_time_ = 0;
   uint64_t checksum_ = 0;  // defeats dead-read elimination; exposed for tests

@@ -338,9 +338,6 @@ void AppDomain::Kill() {
     t.Kill();
   }
   workloads_.clear();
-  // The workloads' in-flight page resolutions die with them: their result
-  // pointers live on the killed workloads' frames.
-  vmem_->Stop();
   mm_entry_->Stop();
   if (PagedStretchDriver* paged = paged_driver(); paged != nullptr) {
     // Stop the reply pump and in-flight prefetch/writeback tasks before the

@@ -6,7 +6,9 @@
 
 namespace nemesis {
 
-Disk::Disk(DiskGeometry geometry) : geometry_(geometry), cache_(geometry.cache_segments) {}
+Disk::Disk(DiskGeometry geometry)
+    : geometry_(geometry), cache_(geometry.cache_segments),
+      chunk_bytes_(kChunkBlocks * geometry.block_size) {}
 
 SimDuration Disk::SeekTime(uint64_t from_cylinder, uint64_t target_cylinder) const {
   if (target_cylinder == from_cylinder) {
@@ -245,28 +247,44 @@ SimDuration Disk::AccessChain(std::span<const DiskRequest> requests, SimTime now
   return eval.total;
 }
 
-void Disk::WriteData(uint64_t lba, std::span<const uint8_t> data) {
-  NEM_ASSERT(data.size() % geometry_.block_size == 0);
-  const uint32_t nblocks = data.size() / geometry_.block_size;
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    auto& block = blocks_[lba + i];
-    block.assign(data.begin() + i * geometry_.block_size,
-                 data.begin() + (i + 1) * geometry_.block_size);
+template <typename Fn>
+void Disk::ForEachChunkPiece(uint64_t lba, size_t bytes, Fn fn) const {
+  NEM_ASSERT(bytes % geometry_.block_size == 0);
+  size_t done = 0;
+  while (done < bytes) {
+    const uint64_t block = lba + done / geometry_.block_size;
+    const size_t offset = (block % kChunkBlocks) * geometry_.block_size;
+    const size_t len = std::min(bytes - done, chunk_bytes_ - offset);
+    fn(block / kChunkBlocks, offset, done, len);
+    done += len;
   }
 }
 
-void Disk::ReadData(uint64_t lba, std::span<uint8_t> out) {
-  NEM_ASSERT(out.size() % geometry_.block_size == 0);
-  const uint32_t nblocks = out.size() / geometry_.block_size;
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    auto it = blocks_.find(lba + i);
-    uint8_t* dst = out.data() + i * geometry_.block_size;
-    if (it == blocks_.end()) {
-      std::memset(dst, 0, geometry_.block_size);
-    } else {
-      std::memcpy(dst, it->second.data(), geometry_.block_size);
+void Disk::WriteData(uint64_t lba, std::span<const uint8_t> data) {
+  ForEachChunkPiece(lba, data.size(), [&](uint64_t chunk, size_t offset, size_t at, size_t len) {
+    if (chunk >= chunks_.size()) {
+      chunks_.resize(chunk + 1);
     }
-  }
+    if (chunks_[chunk] == nullptr) {
+      chunks_[chunk] = std::make_unique<uint8_t[]>(chunk_bytes_);  // zero-filled
+    }
+    std::memcpy(chunks_[chunk].get() + offset, data.data() + at, len);
+  });
+}
+
+std::vector<uint8_t> Disk::ReadData(uint64_t lba, uint32_t nblocks) const {
+  const size_t bytes = static_cast<size_t>(nblocks) * geometry_.block_size;
+  std::vector<uint8_t> out;
+  out.reserve(bytes);
+  ForEachChunkPiece(lba, bytes, [&](uint64_t chunk, size_t offset, size_t, size_t len) {
+    if (chunk < chunks_.size() && chunks_[chunk] != nullptr) {
+      const uint8_t* src = chunks_[chunk].get() + offset;
+      out.insert(out.end(), src, src + len);
+    } else {
+      out.resize(out.size() + len);  // never written: zeros
+    }
+  });
+  return out;
 }
 
 }  // namespace nemesis

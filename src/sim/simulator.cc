@@ -221,8 +221,12 @@ void Simulator::Cancel(uint64_t id) {
 }
 
 TaskHandle Simulator::Spawn(Task task, std::string name, ShardId shard) {
-  auto state = task.TakeState();
-  NEM_ASSERT(state != nullptr);
+  const Task::Handle frame = task.Release();
+  NEM_ASSERT(frame);
+  auto state = std::make_shared<TaskState>();
+  frame.promise().state = state;
+  state->handle = frame;
+  state->leaf = frame;
   ShardLane& lane = ShardLane::Current();
   state->sim = this;
   state->name = std::move(name);

@@ -125,7 +125,9 @@ class Condition {
   void Wake(WaitAwaiter* w) {
     w->notified_ = true;
     CancelTimeout(w);
-    sim_->CallAfterOn(w->st_->shard, 0, [st = w->st_] { st->Resume(); });
+    // The dequeued awaiter never reads st_ again: hand its reference over.
+    const ShardId shard = w->st_->shard;
+    sim_->CallAfterOn(shard, 0, [st = std::move(w->st_)] { st->Resume(); });
   }
 
   void CancelTimeout(WaitAwaiter* w) {

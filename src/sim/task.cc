@@ -14,7 +14,7 @@ void TaskState::Resume() {
     return;
   }
   running = true;
-  handle.resume();
+  leaf.resume();
   running = false;
   if (done) {
     // The coroutine reached final_suspend; the frame can be reclaimed now.
@@ -51,8 +51,11 @@ void TaskState::Abandon() {
 void TaskState::DestroyFrame() {
   if (!destroyed && handle) {
     destroyed = true;
+    // Destroying the root frame destroys every awaited child with it: each
+    // InlineAwaiter, a local of its parent's frame, owns its child.
     handle.destroy();
     handle = nullptr;
+    leaf = nullptr;
   }
 }
 
@@ -94,17 +97,37 @@ TaskState::~TaskState() {
 
 void Task::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<promise_type> h) noexcept {
-  h.promise().state->done = true;
+  promise_type& p = h.promise();
+  TaskState& st = *p.state;
+  if (!p.parent) {
+    st.done = true;
+    return;
+  }
+  // Exit hop: the parent resumes from the event queue, in the slot a Join
+  // watcher's wakeup took when the child was a spawned task of its own.
+  st.leaf = p.parent;
+  st.sim->CallAfterOn(st.shard, 0, [s = p.state] { s->Resume(); });
+}
+
+void Task::InlineAwaiter::await_suspend(Handle parent) {
+  promise_type& p = child_.promise();
+  p.state = parent.promise().state;
+  p.parent = parent;
+  TaskState& st = *p.state;
+  st.leaf = child_;
+  // Entry hop: the child's first resume is queued at the current time on the
+  // task's shard, in the slot a Spawn's first resume took.
+  st.sim->CallAfterOn(st.shard, 0, [s = p.state] { s->Resume(); });
 }
 
 void DelayAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
-  auto st = StateOf(h);
-  sim->CallAfterOn(st->shard, duration_ns, [st] { st->Resume(); });
+  const ShardId shard = h.promise().state->shard;
+  sim->CallAfterOn(shard, duration_ns, [st = StateOf(h)] { st->Resume(); });
 }
 
 void JoinAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
-  auto st = StateOf(h);
-  target->AddCompletionWatcher([st] { st->Resume(); }, st->shard);
+  const ShardId shard = h.promise().state->shard;
+  target->AddCompletionWatcher([st = StateOf(h)] { st->Resume(); }, shard);
 }
 
 }  // namespace nemesis

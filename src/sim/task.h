@@ -5,10 +5,20 @@
 // resumed by the Simulator's run loop — never nested inside another task's
 // execution, which keeps re-entrancy out of the model.
 //
+// A Task runs in one of two ways. Simulator::Spawn makes it the root of a new
+// task (its own TaskState, shard and handle). `co_await SomeTask(...)` runs it
+// as a *child* of the awaiting task instead — a procedure call, as in the
+// paper's worker thread calling into its stretch driver: the child shares the
+// parent's TaskState, its frame is owned by the parent's frame, and killing
+// the task kills the child with it. Entering and leaving a child each cost
+// one scheduling hop at the current time on the task's shard (the slots a
+// Spawn's first resume and a Join's completion wakeup used), so replacing a
+// Spawn-then-Join pair with a co_await moves no event.
+//
 // Tasks can be killed (the Nemesis frames allocator kills domains that do not
-// honour an intrusive revocation deadline). Killing destroys the coroutine
-// frame at the task's next scheduling point; stale wakeups hold the shared
-// TaskState and become no-ops.
+// honour an intrusive revocation deadline). Killing destroys the root frame,
+// and with it every awaited child, at the task's next scheduling point; stale
+// wakeups hold the shared TaskState and become no-ops.
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
@@ -28,10 +38,12 @@ namespace nemesis {
 
 class Simulator;
 
-// Shared between the coroutine promise, the TaskHandle given to the spawner,
-// and every pending wakeup referencing the task.
+// Shared between the coroutine promises (the root's and every awaited
+// child's), the TaskHandle given to the spawner, and every pending wakeup
+// referencing the task.
 struct TaskState {
-  std::coroutine_handle<> handle{};
+  std::coroutine_handle<> handle{};  // root frame; owns any awaited children
+  std::coroutine_handle<> leaf{};    // innermost frame: the one Resume() runs
   Simulator* sim = nullptr;
   std::string name;
   // Affinity shard the task executes on (fixed at Spawn). Every event that
@@ -57,7 +69,8 @@ struct TaskState {
 
   void AddCompletionWatcher(SmallFunction<void()> fn, ShardId on);
 
-  // Resumes the coroutine if it is still alive; destroys it if it was killed.
+  // Resumes the innermost frame if the task is still alive; destroys the
+  // task if it was killed.
   void Resume();
 
   // Requests termination. Safe to call at any time, including from the task
@@ -78,18 +91,24 @@ struct TaskState {
   void FireCompletionWatchers();
 };
 
-// Coroutine return object. Move-only; pass it to Simulator::Spawn to run it.
+// Coroutine return object. Move-only; it owns the coroutine frame until it is
+// either passed to Simulator::Spawn (a new task) or co_awaited (a child run
+// inline in the awaiting task). A Task dropped unstarted destroys its frame.
 class Task {
  public:
   struct promise_type {
-    std::shared_ptr<TaskState> state = std::make_shared<TaskState>();
+    // Null until Spawn (a fresh state) or co_await (the parent's state).
+    std::shared_ptr<TaskState> state;
+    // The awaiting frame a child returns to; null for a spawned root.
+    std::coroutine_handle<promise_type> parent{};
 
     Task get_return_object() {
-      state->handle = std::coroutine_handle<promise_type>::from_promise(*this);
-      return Task(state);
+      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
 
+    // A root marks its task done; a child schedules its parent's resume (the
+    // exit hop) and stays suspended until the parent destroys it.
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept;
@@ -104,17 +123,58 @@ class Task {
       NEM_UNREACHABLE("exception escaped a sim::Task");
     }
   };
+  using Handle = std::coroutine_handle<promise_type>;
 
-  explicit Task(std::shared_ptr<TaskState> state) : state_(std::move(state)) {}
-  Task(Task&&) = default;
-  Task& operator=(Task&&) = default;
+  // `co_await task`: runs the task as a child of the awaiting one. The entry
+  // hop schedules the child's first resume; the awaiter owns the child frame,
+  // so the frame dies when the parent resumes past the co_await — or when the
+  // parent's own frame is destroyed.
+  class InlineAwaiter {
+   public:
+    explicit InlineAwaiter(Handle child) : child_(child) {}
+    InlineAwaiter(const InlineAwaiter&) = delete;
+    InlineAwaiter& operator=(const InlineAwaiter&) = delete;
+    ~InlineAwaiter() {
+      if (child_) {
+        child_.destroy();
+      }
+    }
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(Handle parent);
+    void await_resume() const noexcept {}
+
+   private:
+    Handle child_;
+  };
+
+  explicit Task(Handle handle) : handle_(handle) {}
+  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
+  Task& operator=(Task&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      handle_ = std::exchange(other.handle_, {});
+    }
+    return *this;
+  }
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
+  ~Task() { Reset(); }
 
-  std::shared_ptr<TaskState> TakeState() { return std::move(state_); }
+  // Hands the frame over to a new owner (Spawn or an InlineAwaiter).
+  Handle Release() { return std::exchange(handle_, {}); }
+
+  InlineAwaiter operator co_await() && { return InlineAwaiter(Release()); }
 
  private:
-  std::shared_ptr<TaskState> state_;
+  void Reset() {
+    if (handle_) {
+      handle_.destroy();
+      handle_ = {};
+    }
+  }
+
+  Handle handle_;
 };
 
 // Observer/controller for a spawned task.
@@ -189,7 +249,8 @@ class OwnedTaskSet {
   size_t prune_threshold_ = kMinPruneThreshold;
 };
 
-// Helper used by awaitables: extracts the TaskState of the suspending task.
+// Helper used by awaitables: extracts the TaskState of the suspending task
+// (for an awaited child, the state it shares with its parent).
 inline std::shared_ptr<TaskState> StateOf(std::coroutine_handle<Task::promise_type> h) {
   return h.promise().state;
 }

@@ -202,8 +202,7 @@ Task Usd::ServiceLoop() {
           if (request.is_write) {
             disk_.WriteData(request.lba, request.data);
           } else {
-            reply.data.resize(static_cast<size_t>(request.nblocks) * disk_.geometry().block_size);
-            disk_.ReadData(request.lba, reply.data);
+            reply.data = disk_.ReadData(request.lba, request.nblocks);
           }
           // Slack time is free: no charge against the guarantee.
           transactions_.Inc();
@@ -293,8 +292,7 @@ Task Usd::ServiceLoop() {
       if (request.is_write) {
         disk_.WriteData(request.lba, request.data);
       } else {
-        reply.data.resize(static_cast<size_t>(request.nblocks) * disk_.geometry().block_size);
-        disk_.ReadData(request.lba, reply.data);
+        reply.data = disk_.ReadData(request.lba, request.nblocks);
       }
       transactions_.Inc();
       client->transactions_.Inc();

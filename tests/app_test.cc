@@ -260,6 +260,39 @@ TEST(VMemTest, AccessRangeKernelsOverUnalignedRange) {
   EXPECT_EQ(app->vmem().checksum(), expected_sum);
 }
 
+// All-0xFF bytes are the worst case for the read kernel's 16-bit lanes: the
+// checksum must still be the exact byte sum.
+TEST(VMemTest, AccessRangeSumsAFullPageOfOnesExactly) {
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.name = "ones";
+  cfg.contract = {2, 0};
+  cfg.driver_max_frames = 2;
+  cfg.stretch_bytes = 4 * kDefaultPageSize;
+  cfg.swap_bytes = kMiB;
+  AppDomain* app = system.CreateApp(cfg);
+  const VirtAddr va = app->stretch()->base();
+  const std::vector<uint8_t> ones(kDefaultPageSize, 0xFF);
+
+  struct WriteThenSum {
+    static Task Run(AppDomain* app, VirtAddr va, const std::vector<uint8_t>* data, bool* ok) {
+      bool w_ok = false;
+      TaskHandle w = app->SpawnWorkload(app->vmem().Write(va, *data, &w_ok), "write");
+      co_await Join(w);
+      bool r_ok = false;
+      TaskHandle r = app->SpawnWorkload(
+          app->vmem().AccessRange(va, data->size(), AccessType::kRead, &r_ok), "sum");
+      co_await Join(r);
+      *ok = w_ok && r_ok;
+    }
+  };
+  bool ok = false;
+  app->SpawnWorkload(WriteThenSum::Run(app, va, &ones, &ok), "verify");
+  system.sim().RunUntil(Seconds(30));
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(app->vmem().checksum(), uint64_t{255} * kDefaultPageSize);
+}
+
 TEST(PagedDriver, ForgetfulModeNeverPagesIn) {
   System system(SmallSystem());
   AppConfig cfg;

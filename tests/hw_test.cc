@@ -2,6 +2,7 @@
 // MMU fault taxonomy, and the disk mechanism/cache model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -448,19 +449,75 @@ TEST(DiskModel, GeometryDerivedQuantities) {
 
 TEST(DiskModel, DataRoundTrip) {
   Disk disk;
-  std::vector<uint8_t> out(1024), in(1024);
+  std::vector<uint8_t> in(1024);
   std::iota(in.begin(), in.end(), 0);
   disk.WriteData(1000, in);
-  disk.ReadData(1000, out);
-  EXPECT_EQ(in, out);
+  EXPECT_EQ(disk.ReadData(1000, 2), in);
 }
 
 TEST(DiskModel, UnwrittenBlocksReadZero) {
   Disk disk;
-  std::vector<uint8_t> out(512, 0xFF);
-  disk.ReadData(99, out);
+  const std::vector<uint8_t> out = disk.ReadData(99, 1);
+  ASSERT_EQ(out.size(), 512u);
   for (uint8_t b : out) {
     EXPECT_EQ(b, 0);
+  }
+}
+
+// The store keeps 128-block chunks: blocks 120-135 straddle the boundary
+// between chunks 0 and 1.
+TEST(DiskModel, RoundTripAcrossChunkBoundary) {
+  Disk disk;
+  std::vector<uint8_t> in(16 * 512);
+  for (size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  disk.WriteData(120, in);
+  EXPECT_EQ(disk.ReadData(120, 16), in);
+  // Each half reads back on its own, too.
+  const std::vector<uint8_t> tail = disk.ReadData(128, 8);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), in.begin() + 8 * 512));
+}
+
+TEST(DiskModel, UnwrittenBlockInWrittenChunkReadsZero) {
+  Disk disk;
+  std::vector<uint8_t> in(512, 0xAB);
+  disk.WriteData(10, in);
+  // Blocks 9 (unwritten), 10 (written), 11 (unwritten).
+  const std::vector<uint8_t> out = disk.ReadData(9, 3);
+  ASSERT_EQ(out.size(), 3u * 512);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const uint8_t expected = (i >= 512 && i < 1024) ? 0xAB : 0;
+    ASSERT_EQ(out[i], expected) << "byte " << i;
+  }
+}
+
+TEST(DiskModel, ReadSpanningWrittenAndUnwrittenChunks) {
+  Disk disk;
+  std::vector<uint8_t> in(4 * 512, 0x5A);
+  disk.WriteData(124, in);  // the last four blocks of chunk 0
+  // Blocks 124-131: chunk 0's written tail, then chunk 1, never written.
+  const std::vector<uint8_t> out = disk.ReadData(124, 8);
+  ASSERT_EQ(out.size(), 8u * 512);
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < 4 * 512 ? 0x5A : 0) << "byte " << i;
+  }
+  // A read far beyond every written chunk is all zeros as well.
+  const std::vector<uint8_t> far = disk.ReadData(4000000, 1);
+  EXPECT_TRUE(std::all_of(far.begin(), far.end(), [](uint8_t b) { return b == 0; }));
+}
+
+TEST(DiskModel, OverwriteReplacesOnlyTheWrittenBlocks) {
+  Disk disk;
+  std::vector<uint8_t> first(4 * 512, 0x11);
+  disk.WriteData(126, first);  // 126-129, across the chunk boundary
+  std::vector<uint8_t> second(2 * 512, 0x22);
+  disk.WriteData(127, second);  // 127-128
+  const std::vector<uint8_t> out = disk.ReadData(126, 4);
+  ASSERT_EQ(out.size(), 4u * 512);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const uint8_t expected = (i >= 512 && i < 3 * 512) ? 0x22 : 0x11;
+    ASSERT_EQ(out[i], expected) << "byte " << i;
   }
 }
 

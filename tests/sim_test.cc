@@ -335,6 +335,224 @@ TEST(Tasks, OwnedTaskSetWithManyLiveTasks) {
   EXPECT_EQ(cv.waiter_count(), 0u);
 }
 
+// Sets *flag when destroyed; moving hands the duty to the new object, so a
+// coroutine parameter signals exactly when its frame dies.
+class DestructionFlag {
+ public:
+  explicit DestructionFlag(bool* flag) : flag_(flag) {}
+  DestructionFlag(DestructionFlag&& other) noexcept : flag_(std::exchange(other.flag_, nullptr)) {}
+  DestructionFlag& operator=(DestructionFlag&&) = delete;
+  ~DestructionFlag() {
+    if (flag_ != nullptr) {
+      *flag_ = true;
+    }
+  }
+
+ private:
+  bool* flag_;
+};
+
+Task HoldsFlag([[maybe_unused]] DestructionFlag flag) { co_return; }
+
+TEST(Tasks, DroppedUnspawnedTaskDestroysItsFrame) {
+  bool destroyed = false;
+  {
+    Task task = HoldsFlag(DestructionFlag(&destroyed));
+    EXPECT_FALSE(destroyed);
+  }
+  EXPECT_TRUE(destroyed);
+}
+
+// --- Inline sub-tasks (co_await of a Task) -----------------------------------
+
+// Logs its steps and, just before it returns, queues a same-time event: the
+// exit hop must run the parent after that event, as a Join wakeup did.
+Task LoggingChild(Simulator& sim, std::vector<std::string>* log) {
+  log->push_back("child runs");
+  sim.CallAfter(0, [log] { log->push_back("event queued by child"); });
+  co_return;
+}
+
+// Queues a same-time event, then runs LoggingChild inline or as a spawned
+// task it joins: the entry hop must run the child after that event, as a
+// spawned task's first resume did.
+Task LoggingParent(Simulator& sim, bool inline_child, std::vector<std::string>* log) {
+  log->push_back("parent starts");
+  sim.CallAfter(0, [log] { log->push_back("event queued by parent"); });
+  if (inline_child) {
+    co_await LoggingChild(sim, log);
+  } else {
+    TaskHandle h = sim.Spawn(LoggingChild(sim, log), "child");
+    co_await Join(h);
+  }
+  log->push_back("parent resumes");
+}
+
+TEST(Tasks, InlineChildInterleavesLikeSpawnAndJoin) {
+  std::vector<std::string> logs[2];
+  uint64_t events[2] = {};
+  for (const bool inline_child : {false, true}) {
+    Simulator sim;
+    std::vector<std::string>& log = logs[inline_child];
+    sim.Spawn(LoggingParent(sim, inline_child, &log), "parent");
+    sim.Run();
+    events[inline_child] = sim.events_executed();
+    EXPECT_EQ(sim.task_registry_size(), inline_child ? 1u : 2u);
+  }
+  EXPECT_EQ(logs[1], logs[0]);
+  EXPECT_EQ(logs[1], (std::vector<std::string>{"parent starts", "event queued by parent",
+                                               "child runs", "event queued by child",
+                                               "parent resumes"}));
+  EXPECT_EQ(events[1], events[0]);
+}
+
+Task ChildWaitingOnCondition(Condition& cv, bool* woke) {
+  co_await cv.WaitFor(Milliseconds(5));
+  *woke = true;
+}
+
+Task ChildSleeping(Simulator& sim, bool* woke) {
+  co_await SleepFor(sim, Milliseconds(5));
+  *woke = true;
+}
+
+Task ParentOf(Task child, bool* resumed) {
+  co_await std::move(child);
+  *resumed = true;
+}
+
+TEST(Tasks, InlineKilledParentUnlinksChildConditionWait) {
+  Simulator sim;
+  Condition cv(sim);
+  bool child_woke = false;
+  bool parent_resumed = false;
+  TaskHandle h = sim.Spawn(ParentOf(ChildWaitingOnCondition(cv, &child_woke), &parent_resumed),
+                           "parent");
+  bool joined = false;
+  SimTime joined_at = -1;
+  sim.Spawn(Joiner(sim, h, &joined, &joined_at), "joiner");
+  sim.RunUntil(Milliseconds(1));
+  ASSERT_EQ(cv.waiter_count(), 1u);
+  h.Kill();
+  // Destroying the parent destroyed the child: its wait entry and its
+  // timeout are gone, so nothing fires into the freed frame at 5 ms.
+  EXPECT_EQ(cv.waiter_count(), 0u);
+  sim.Run();
+  EXPECT_TRUE(h.killed());
+  EXPECT_FALSE(child_woke);
+  EXPECT_FALSE(parent_resumed);
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(joined_at, Milliseconds(1));
+  EXPECT_EQ(sim.Now(), Milliseconds(1));
+  cv.NotifyAll();
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Tasks, InlineKilledParentTurnsChildDelayIntoNoOp) {
+  Simulator sim;
+  bool child_woke = false;
+  bool parent_resumed = false;
+  TaskHandle h = sim.Spawn(ParentOf(ChildSleeping(sim, &child_woke), &parent_resumed), "parent");
+  bool joined = false;
+  SimTime joined_at = -1;
+  sim.Spawn(Joiner(sim, h, &joined, &joined_at), "joiner");
+  sim.CallAt(Milliseconds(1), [&] { h.Kill(); });
+  sim.Run();  // the child's 5 ms timer still fires, into a dead task
+  EXPECT_TRUE(h.killed());
+  EXPECT_FALSE(child_woke);
+  EXPECT_FALSE(parent_resumed);
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(joined_at, Milliseconds(1));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+Task SelfKillingChild(Simulator& sim, const TaskHandle* self, bool* before, bool* after) {
+  co_await SleepFor(sim, Milliseconds(1));
+  self->state()->Kill();  // takes effect at the next suspension
+  *before = true;
+  co_await SleepFor(sim, Milliseconds(1));
+  *after = true;
+}
+
+TEST(Tasks, InlineChildKillsItsOwnTask) {
+  Simulator sim;
+  TaskHandle self;
+  bool before = false;
+  bool after = false;
+  bool parent_resumed = false;
+  self = sim.Spawn(ParentOf(SelfKillingChild(sim, &self, &before, &after), &parent_resumed),
+                   "parent");
+  bool joined = false;
+  SimTime joined_at = -1;
+  sim.Spawn(Joiner(sim, self, &joined, &joined_at), "joiner");
+  sim.Run();
+  EXPECT_TRUE(self.killed());
+  EXPECT_TRUE(self.done());
+  EXPECT_TRUE(before);
+  EXPECT_FALSE(after);
+  EXPECT_FALSE(parent_resumed);
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(joined_at, Milliseconds(1));
+}
+
+struct Nest {
+  Simulator* sim;
+  Condition* cv;
+  Mailbox<int>* box;
+  std::vector<std::string>* log;
+
+  void Note(const std::string& what) const {
+    log->push_back(what + " @" + std::to_string(sim->Now() / Microseconds(1)));
+  }
+};
+
+Task Leaf(Nest n) {
+  co_await SleepFor(*n.sim, Microseconds(10));
+  n.Note("leaf slept");
+  co_await n.cv->Wait();
+  n.Note("leaf notified");
+  const int v = co_await n.box->Recv();
+  n.Note("leaf got " + std::to_string(v));
+}
+
+Task Middle(Nest n) {
+  co_await n.cv->Wait();
+  n.Note("middle notified");
+  co_await Leaf(n);
+  n.Note("middle back");
+  co_await SleepFor(*n.sim, Microseconds(5));
+  n.Note("middle slept");
+}
+
+Task Top(Nest n) {
+  co_await SleepFor(*n.sim, Microseconds(1));
+  n.Note("top slept");
+  co_await Middle(n);
+  const int v = co_await n.box->Recv();
+  n.Note("top got " + std::to_string(v));
+}
+
+TEST(Tasks, InlineThreeLevelsResumeThroughEveryWaitKind) {
+  Simulator sim;
+  Condition cv(sim);
+  Mailbox<int> box(sim, 1);
+  std::vector<std::string> log;
+  const Nest n{&sim, &cv, &box, &log};
+  TaskHandle h = sim.Spawn(Top(n), "top");
+  sim.CallAt(Microseconds(2), [&] { cv.NotifyAll(); });
+  sim.CallAt(Microseconds(20), [&] { cv.NotifyAll(); });
+  sim.CallAt(Microseconds(30), [&] { EXPECT_TRUE(box.TrySend(7)); });
+  sim.CallAt(Microseconds(40), [&] { EXPECT_TRUE(box.TrySend(8)); });
+  sim.Run();
+  EXPECT_TRUE(h.done());
+  EXPECT_FALSE(h.killed());
+  EXPECT_EQ(log, (std::vector<std::string>{"top slept @1", "middle notified @2",
+                                           "leaf slept @12", "leaf notified @20",
+                                           "leaf got 7 @30", "middle back @30",
+                                           "middle slept @35", "top got 8 @40"}));
+  EXPECT_EQ(sim.task_registry_size(), 1u);
+}
+
 Task SemWorker(Simulator& sim, Semaphore& sem, int* active, int* max_active) {
   co_await sem.Acquire();
   ++*active;

@@ -369,8 +369,7 @@ TEST_F(UsdTest, BatchedWritesLandOnDisk) {
   sim_.RunUntil(Seconds(2));
   ASSERT_EQ(ids.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    std::vector<uint8_t> out(16 * 512);
-    disk_.ReadData(2000 + static_cast<uint64_t>(i) * 16, out);
+    const std::vector<uint8_t> out = disk_.ReadData(2000 + static_cast<uint64_t>(i) * 16, 16);
     for (uint8_t byte : out) {
       ASSERT_EQ(byte, static_cast<uint8_t>(i + 1));
     }
@@ -608,8 +607,7 @@ TEST_F(UsdTest, WriteDataCommitsAtCompletionNotSubmission) {
   struct MidServiceProbe {
     static Task Run(Simulator& sim, Disk* disk, bool* saw_zeros) {
       co_await SleepFor(sim, Milliseconds(1));  // mid-service: txn takes several ms
-      std::vector<uint8_t> out(16 * 512, 0xFF);
-      disk->ReadData(3000, out);
+      const std::vector<uint8_t> out = disk->ReadData(3000, 16);
       *saw_zeros = true;
       for (uint8_t byte : out) {
         if (byte != 0) {
@@ -624,8 +622,7 @@ TEST_F(UsdTest, WriteDataCommitsAtCompletionNotSubmission) {
   sim_.RunUntil(Seconds(1));
   EXPECT_TRUE(saw_zeros);  // mid-service, the write is not visible yet
   ASSERT_EQ(ids.size(), 1u);
-  std::vector<uint8_t> out(16 * 512);
-  disk_.ReadData(3000, out);
+  const std::vector<uint8_t> out = disk_.ReadData(3000, 16);
   for (uint8_t byte : out) {
     ASSERT_EQ(byte, 1);  // after completion, it is
   }

@@ -85,17 +85,23 @@ QOS_RUNS = [
 ]
 
 # Golden byte-compare (--capture-golden / --check-golden): the figure
-# benches' stdout and side-channel trace CSVs must be byte-identical run to
-# run — the static-analysis layer (tools/analyze.py, the NEM_* annotations)
-# is build-time-only and must never perturb simulated output. fig9 only
-# writes its span trace under NEMESIS_OBS=1, so it runs a second time with
-# the env var set just to produce the CSV; the stdout compare always uses
-# the plain run (the observed run appends "written to ..." lines).
+# benches' stdout and side-channel trace CSVs, the scenario fuzzer's verdicts
+# and a 100-tenant storm's fault/revocation/kill counts must be byte-identical
+# run to run — host-side changes (the static-analysis layer, the NEM_*
+# annotations, hot-path optimizations) must never perturb simulated output.
+# fig9 only writes its span trace under NEMESIS_OBS=1, so it runs a second
+# time with the env var set just to produce the CSV; the stdout compare
+# always uses the plain run (the observed run appends "written to ..." lines).
+# (binary, args, stdout golden, side-channel CSVs, needs an NEMESIS_OBS rerun)
 GOLDEN_RUNS = [
-    ("bench_fig7_paging_in", "fig7.stdout", ["fig7_usd_trace.csv"], False),
-    ("bench_fig8_paging_out", "fig8.stdout", ["fig8_usd_trace.csv"], False),
-    ("bench_fig9_fs_isolation", "fig9.stdout", ["fig9_trace.csv"], True),
+    ("bench_fig7_paging_in", [], "fig7.stdout", ["fig7_usd_trace.csv"], False),
+    ("bench_fig8_paging_out", [], "fig8.stdout", ["fig8_usd_trace.csv"], False),
+    ("bench_fig9_fs_isolation", [], "fig9.stdout", ["fig9_trace.csv"], True),
+    ("scenario_fuzz", ["--seeds", "20"], "fuzz_seeds20.stdout", [], False),
+    ("scenario_fuzz", ["--tenants", "100", "--seed", "3"],
+     "storm_tenants100_seed3.stdout", [], False),
 ]
+GOLDEN_TARGETS = ["scenario_fuzz"]
 
 # (benchmark prefix, baseline template arg, optimized template arg)
 SPEEDUP_PAIRS = [
@@ -116,8 +122,8 @@ def read_build_type(build_dir):
     return m.group(1).strip() if m else None
 
 
-def ensure_release_build(source_dir, build_dir):
-    """Configures (if needed) and builds the bench targets in Release mode."""
+def ensure_release_build(source_dir, build_dir, targets):
+    """Configures (if needed) and builds `targets` in Release mode."""
     if read_build_type(build_dir) != "Release":
         subprocess.run(
             ["cmake", "-B", str(build_dir), "-S", str(source_dir),
@@ -125,7 +131,7 @@ def ensure_release_build(source_dir, build_dir):
             check=True)
     subprocess.run(
         ["cmake", "--build", str(build_dir), "-j", str(os.cpu_count() or 1),
-         "--target"] + BENCH_TARGETS,
+         "--target"] + targets,
         check=True)
 
 
@@ -276,7 +282,7 @@ def run_qos_reports(build_dir, source_dir):
 
 
 def run_golden(build_dir, golden_dir, capture):
-    """Byte-compares (or captures) the figure benches' deterministic output.
+    """Byte-compares (or captures) the GOLDEN_RUNS' deterministic output.
 
     Returns the number of mismatches; capture mode always returns 0.
     """
@@ -299,16 +305,16 @@ def run_golden(build_dir, golden_dir, capture):
         else:
             print(f"  match {name}")
 
-    for bench, stdout_name, csvs, needs_obs in GOLDEN_RUNS:
+    for bench, bench_args, stdout_name, csvs, needs_obs in GOLDEN_RUNS:
         binary = (build_dir / "bench" / bench).resolve()
         if not binary.exists():
             sys.exit(f"error: {binary} not found; build the bench targets first")
-        out = subprocess.run([str(binary)], check=True, capture_output=True,
-                             cwd=build_dir)
+        out = subprocess.run([str(binary)] + bench_args, check=True,
+                             capture_output=True, cwd=build_dir)
         compare(stdout_name, out.stdout)
         if needs_obs:
-            subprocess.run([str(binary)], check=True, capture_output=True,
-                           cwd=build_dir,
+            subprocess.run([str(binary)] + bench_args, check=True,
+                           capture_output=True, cwd=build_dir,
                            env=dict(os.environ, NEMESIS_OBS="1"))
         for csv in csvs:
             side = build_dir / csv
@@ -362,23 +368,26 @@ def main():
                     help="publish even if the obs-disabled fig7 wall-clock "
                          "regressed > 2%% vs the existing --out file")
     ap.add_argument("--capture-golden", type=Path, metavar="DIR",
-                    help="record fig7/8/9 stdout and trace CSVs into DIR, "
-                         "then exit (no JSON published)")
+                    help="record fig7/8/9 stdout and trace CSVs plus the "
+                         "scenario_fuzz and storm stdout into DIR, then exit "
+                         "(no JSON published)")
     ap.add_argument("--check-golden", type=Path, metavar="DIR",
-                    help="rerun fig7/8/9 and fail unless stdout and trace "
-                         "CSVs are byte-identical to DIR, then exit")
+                    help="rerun the --capture-golden set and fail unless "
+                         "every output is byte-identical to DIR, then exit")
     args = ap.parse_args()
 
+    golden = args.capture_golden or args.check_golden
     if not args.skip_build:
-        ensure_release_build(args.source, args.build)
+        ensure_release_build(args.source, args.build,
+                             BENCH_TARGETS + (GOLDEN_TARGETS if golden else []))
 
-    if args.capture_golden or args.check_golden:
+    if golden:
         capture = args.capture_golden is not None
         golden_dir = args.capture_golden if capture else args.check_golden
         bad = run_golden(args.build, golden_dir, capture)
         if bad:
             sys.exit(f"error: {bad} golden mismatch(es) — simulated output "
-                     "moved; the analysis layer must be build-time-only")
+                     "moved; host-side changes must leave it untouched")
         print(f"golden {'capture' if capture else 'check'}: ok ({golden_dir})")
         return
     build_type = read_build_type(args.build)
