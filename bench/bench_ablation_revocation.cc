@@ -25,7 +25,6 @@ int main() {
 
   SystemConfig sys_cfg;
   sys_cfg.phys_frames = 48;
-  sys_cfg.parallel_sim = ParallelSimFromEnv();
   sys_cfg.observe = ObserveFromEnv();
   System system(sys_cfg);
 

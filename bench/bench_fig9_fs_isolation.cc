@@ -30,7 +30,6 @@ AppConfig Pager(const char* name, int64_t slice_ms) {
 // Prints the per-5s bandwidth series and returns the average MB/s.
 double RunFs(bool with_pagers, SimDuration measure) {
   SystemConfig syscfg;
-  syscfg.parallel_sim = ParallelSimFromEnv();
   syscfg.observe = ObserveFromEnv();
   System system(syscfg);
   auto fs = system.usd().OpenClient(

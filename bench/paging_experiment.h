@@ -47,7 +47,6 @@ struct PagingExperimentResult {
 // the shape of the paper's figures.
 inline PagingExperimentResult RunPagingExperiment(const PagingExperimentConfig& config) {
   SystemConfig syscfg;
-  syscfg.parallel_sim = ParallelSimFromEnv();
   syscfg.observe = ObserveFromEnv();
   System system(syscfg);
   const size_t n = config.apps.size();

@@ -18,7 +18,6 @@
 
 #include "src/kernel/domain.h"
 #include "src/kernel/kernel.h"
-#include "src/base/thread_annotations.h"
 #include "src/sim/sync.h"
 
 namespace nemesis {
@@ -49,7 +48,7 @@ class Entry {
 
  private:
   Task ActivationLoop();
-  NEM_RUNS_ON(domain) Task Worker();
+  Task Worker();
 
   Simulator& sim_;
   Domain& domain_;

@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "src/app/entry.h"
-#include "src/base/shard.h"
 #include "src/kernel/kernel.h"
 #include "src/sim/sync.h"
 
@@ -88,16 +87,6 @@ class IdcService {
   };
 
   void Submit(Binding* binding, Req request) {
-    // The request queue belongs to the server domain's shard. A client calling
-    // from another domain's worker lane defers the whole submission (enqueue +
-    // event) to the batch barrier, where it replays in serial FIFO order.
-    ShardLane& lane = ShardLane::Current();
-    if (lane.sink != nullptr && lane.shard != ShardId{domain_.id()}) [[unlikely]] {
-      lane.sink->Defer([this, binding, request = std::move(request)]() {
-        Submit(binding, request);
-      });
-      return;
-    }
     queue_.push_back(Pending{binding, std::move(request)});
     // The event transmission that activates the server domain.
     kernel_.SendEvent(domain_.id(), request_ep_);

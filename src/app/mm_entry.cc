@@ -32,25 +32,19 @@ void MmEntry::Start() {
                                  [this](EndpointId, uint64_t) { OnFaultEvent(); });
   domain_.SetNotificationHandler(revoke_endpoint_,
                                  [this](EndpointId, uint64_t) { OnRevokeEvent(); });
-  // The entry's tasks are the domain's parallel payload: they run on the
-  // domain's affinity shard (self-paging means this work touches only the
-  // domain's own state on the fast path).
-  const ShardId shard = domain_.id();
-  tasks_.push_back(env_.sim->Spawn(ActivationLoop(), domain_.name() + "/activations", shard));
+  tasks_.push_back(env_.sim->Spawn(ActivationLoop(), domain_.name() + "/activations"));
   for (size_t i = 0; i < num_workers_; ++i) {
-    tasks_.push_back(env_.sim->Spawn(Worker(), domain_.name() + "/mm-worker", shard));
+    tasks_.push_back(env_.sim->Spawn(Worker(), domain_.name() + "/mm-worker"));
   }
 }
 
 void MmEntry::Stop() {
+  // Killing a worker destroys its frame and, with it, any driver slow path
+  // (ResolveFault / RelinquishFrames) it is awaiting.
   for (auto& t : tasks_) {
     t.Kill();
   }
   tasks_.clear();
-  // Slow-path tasks joined by the killed workers must die with them: their
-  // result pointers live on the workers' (now destroyed) coroutine frames.
-  // The driver IO they await (evict/swap) runs inline and dies with them.
-  slow_tasks_.KillAll();
   // Quiesce every bound driver: its detached pipeline tasks (read-ahead,
   // writeback) would otherwise keep issuing IO for a domain that has stopped.
   // Outside full teardown (a hung domain) nothing else would stop them.
@@ -60,10 +54,6 @@ void MmEntry::Stop() {
     }
   }
   started_ = false;
-}
-
-TaskHandle MmEntry::SpawnSlow(Task task, const std::string& label) {
-  return slow_tasks_.Adopt(env_.sim->Spawn(std::move(task), label, kSystemShard));
 }
 
 void MmEntry::BindDriver(Stretch* stretch, StretchDriver* driver) {
@@ -244,14 +234,9 @@ Task MmEntry::Worker() {
           p->queue_wait->Record(wait);
         }
       }
-      // The driver's slow path runs as its own task so that it can perform
-      // IDC (frames negotiation, USD transactions). Those are system-shard
-      // interactions — central frame lists, the USD head, evicted-page unmaps
-      // — so the slow path runs serially on the system shard; the worker hops
-      // back onto the domain shard when the join completes.
-      TaskHandle h = SpawnSlow(job.driver->ResolveFault(job.fault, job.stretch, &result),
-                               domain_.name() + "/resolve");
-      co_await Join(h);
+      // The driver's slow path runs on this worker, where it may perform IDC
+      // (frames negotiation, USD transactions).
+      co_await job.driver->ResolveFault(job.fault, job.stretch, &result);
       faults_worker_.Inc();
       if (observing) {
         const SimDuration took = env_.sim->Now() - start;
@@ -271,11 +256,7 @@ Task MmEntry::Worker() {
         if (driver == nullptr || freed >= job.revoke_k || !seen.insert(driver).second) {
           continue;
         }
-        // Relinquish unmaps frames and returns them to the central allocator:
-        // system-shard work, like the fault slow path above.
-        TaskHandle h = SpawnSlow(driver->RelinquishFrames(job.revoke_k - freed, &freed),
-                                 domain_.name() + "/relinquish");
-        co_await Join(h);
+        co_await driver->RelinquishFrames(job.revoke_k - freed, &freed);
       }
       revocations_handled_.Inc();
       env_.frames->RevocationComplete(domain_.id());

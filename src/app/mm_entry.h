@@ -24,7 +24,6 @@
 
 #include "src/app/driver_env.h"
 #include "src/app/stretch_driver.h"
-#include "src/base/thread_annotations.h"
 #include "src/kernel/domain.h"
 #include "src/mm/stretch_allocator.h"
 #include "src/sim/sync.h"
@@ -87,16 +86,11 @@ class MmEntry {
     SimTime enqueued_at = 0;  // for the queue-wait span
   };
 
-  NEM_RUNS_ON(domain) void OnFaultEvent();
-  NEM_RUNS_ON(domain) void OnRevokeEvent();
+  void OnFaultEvent();
+  void OnRevokeEvent();
   Task ActivationLoop();
-  NEM_RUNS_ON(domain) Task Worker();
-  NEM_RUNS_ON(domain) void CompleteFault(Vpn vpn, FaultResult result);
-  // Spawns a driver slow-path task (fault resolve / relinquish) and records
-  // the handle so Stop() can kill it with its worker. A slow-path task
-  // outliving the worker writes results into the worker's destroyed frame if
-  // anything ever wakes it — the async pager's teardown NotifyAll does.
-  TaskHandle SpawnSlow(Task task, const std::string& label);
+  Task Worker();
+  void CompleteFault(Vpn vpn, FaultResult result);
 
   DriverEnv env_;
   Domain& domain_;
@@ -117,7 +111,6 @@ class MmEntry {
   Condition work_cv_;
 
   std::vector<TaskHandle> tasks_;
-  OwnedTaskSet slow_tasks_;  // in-flight resolve/relinquish tasks
   bool started_ = false;
 
   StatCounter faults_fast_path_;

@@ -9,7 +9,6 @@
 
 #include "src/app/driver_env.h"
 #include "src/app/stretch_driver.h"
-#include "src/base/thread_annotations.h"
 
 namespace nemesis {
 
@@ -21,10 +20,10 @@ class NailedStretchDriver : public StretchDriver {
   // Fails if the domain's frame contract cannot cover the stretch right now.
   Status<VmError> Bind(Stretch* stretch) override;
 
-  NEM_RUNS_ON(domain) FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override;
-  NEM_RUNS_ON(system) Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
+  FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override;
+  Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
   // Nailed frames are immune to revocation: relinquishes nothing.
-  NEM_RUNS_ON(system) Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
+  Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
 
   const char* kind() const override { return "nailed"; }
 

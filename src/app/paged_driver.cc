@@ -38,7 +38,7 @@ PagedStretchDriver::PagedStretchDriver(DriverEnv env, UsdClient* swap, Extent sw
     // With depth > 1 transactions in flight, replies must be routed by
     // request id: the channel's FIFO hands replies to receivers in Recv
     // order, which need not match issue order across concurrent tasks.
-    pump_task_ = env_.sim->Spawn(PumpReplies(), "swap-reply-pump", kSystemShard);
+    pump_task_ = env_.sim->Spawn(PumpReplies(), "swap-reply-pump");
   }
 }
 
@@ -935,8 +935,8 @@ void PagedStretchDriver::MaybeScheduleCleaning() {
   if (pool_.size() < config_.max_frames || FindUnusedPoolFrame().has_value()) {
     return;  // headroom exists (or can be grown) without evicting
   }
-  // Conditions re-checked by the task on the system shard: this is also
-  // reached from the domain-shard fast path, where unmapping is off-limits.
+  // Conditions re-checked by the task, which cleans concurrently with the
+  // caller: this is also reached from the fast path, which may not block.
   SpawnPipelineTask(CleaningTask(), "clean-batch");
 }
 
@@ -958,7 +958,7 @@ void PagedStretchDriver::SpawnPipelineTask(Task task, const char* label) {
   if (pipeline_tasks_.size() >= 64) {
     std::erase_if(pipeline_tasks_, [](const TaskHandle& h) { return TaskDead(h.state()); });
   }
-  pipeline_tasks_.push_back(env_.sim->Spawn(std::move(task), label, kSystemShard));
+  pipeline_tasks_.push_back(env_.sim->Spawn(std::move(task), label));
 }
 
 // --- Revocation --------------------------------------------------------------

@@ -39,8 +39,7 @@
 //
 // Concurrency: the driver assumes its slow paths are serialised (the MMEntry
 // runs one worker per domain), matching the paper's single paging thread;
-// pipeline tasks all run on the system shard and interleave only at co_await
-// points.
+// pipeline tasks interleave with it only at co_await points.
 #ifndef SRC_APP_PAGED_DRIVER_H_
 #define SRC_APP_PAGED_DRIVER_H_
 
@@ -54,7 +53,6 @@
 #include "src/app/blok_allocator.h"
 #include "src/app/physical_driver.h"
 #include "src/base/random.h"
-#include "src/base/thread_annotations.h"
 #include "src/sim/sync.h"
 #include "src/usd/usd.h"
 
@@ -99,9 +97,9 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   ~PagedStretchDriver() override;
 
   Status<VmError> Bind(Stretch* stretch) override;
-  NEM_RUNS_ON(domain) FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override;
-  NEM_RUNS_ON(system) Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
-  NEM_RUNS_ON(system) Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
+  FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override;
+  Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
+  Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
 
   // Stops the reply pump and every in-flight prefetch/writeback task and
   // releases staged frames. Called on domain kill and teardown BEFORE the
@@ -193,33 +191,33 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   // current window, the staging table and the channel depth.
   void TopUpReadAhead(size_t index);
   // Speculative page-in of `index` into its (pre-claimed) staging slot.
-  NEM_RUNS_ON(system) Task StageTask(size_t index);
+  Task StageTask(size_t index);
   // Routes every swap reply to its ticket by request id. Only runs (and only
   // may run — it consumes all replies) while the pipeline is enabled.
-  NEM_RUNS_ON(system) Task PumpReplies();
+  Task PumpReplies();
   // Unmaps up to `max_victims` victims at once; clean frames are released
   // immediately, dirty ones handed to one WritebackChainTask. Returns the
   // number of frames that are (or will become) reusable.
   size_t StartEvictBatch(size_t max_victims);
-  NEM_RUNS_ON(system) Task WritebackChainTask(std::vector<WritebackItem> items);
+  Task WritebackChainTask(std::vector<WritebackItem> items);
   // Keeps free-frame headroom ahead of demand: schedules a CleaningTask when
   // the pool has no unused frame left and no cleaning is already in flight.
   void MaybeScheduleCleaning();
-  NEM_RUNS_ON(system) Task CleaningTask();
-  // Spawns a pipeline task on the system shard and tracks its handle so
-  // StopPipeline / the destructor can kill it.
+  Task CleaningTask();
+  // Spawns a pipeline task and tracks its handle so StopPipeline / the
+  // destructor can kill it.
   void SpawnPipelineTask(Task task, const char* label);
 
   // Evicts the FIFO-oldest resident page, cleaning it to swap if dirty.
   // Writes the freed frame to *out_pfn; *ok=false on swap exhaustion.
   // `fid` is the fault trace id driving the eviction (0 outside a fault).
-  NEM_RUNS_ON(system) Task EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid = 0);
+  Task EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid = 0);
 
   // Swap IO (worker context): whole-page write/read through the USD channel.
   // `fid` threads the fault trace id into the UsdRequest (0 = untraced).
   // With the pipeline enabled these route their replies through the pump.
-  NEM_RUNS_ON(system) Task SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
-  NEM_RUNS_ON(system) Task SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
+  Task SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
+  Task SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
 
   UsdClient* swap_;
   Extent swap_extent_;

@@ -13,7 +13,6 @@
 
 #include "src/app/driver_env.h"
 #include "src/app/stretch_driver.h"
-#include "src/base/thread_annotations.h"
 
 namespace nemesis {
 
@@ -22,9 +21,9 @@ class PhysicalStretchDriver : public StretchDriver {
   explicit PhysicalStretchDriver(DriverEnv env) : env_(env) {}
 
   Status<VmError> Bind(Stretch* stretch) override;
-  NEM_RUNS_ON(domain) FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override;
-  NEM_RUNS_ON(system) Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
-  NEM_RUNS_ON(system) Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
+  FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override;
+  Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
+  Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
 
   const char* kind() const override { return "physical"; }
 

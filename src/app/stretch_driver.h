@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "src/base/thread_annotations.h"
 #include "src/kernel/types.h"
 #include "src/mm/stretch.h"
 #include "src/sim/task.h"
@@ -38,25 +37,22 @@ class StretchDriver {
   virtual Status<VmError> Bind(Stretch* stretch) = 0;
 
   // Fast path (notification-handler context; no IDC).
-  NEM_RUNS_ON(domain)
   virtual FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) = 0;
 
   // Slow path (worker-thread context; IDC allowed). Writes the outcome to
   // *result before completing.
-  NEM_RUNS_ON(system)
   virtual Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) = 0;
 
   // Revocation support: release up to `target` frames (unmapping pages and
   // cleaning them to the backing store as necessary), leaving them unused and
   // at the top of the frame stack. Adds the number actually freed to *freed.
-  NEM_RUNS_ON(system)
   virtual Task RelinquishFrames(uint64_t target, uint64_t* freed) = 0;
 
   // Stops any detached asynchronous driver work (read-ahead, writeback).
-  // MmEntry::Stop() calls this when it kills its slow-path tasks outside a
-  // full driver teardown — e.g. a domain whose activation loop dies while
-  // faults are mid-eviction. IO awaited inline by a slow path (evict/swap)
-  // already died with it. Must be safe to call repeatedly.
+  // MmEntry::Stop() calls this when it kills its worker tasks outside a full
+  // driver teardown — e.g. a domain whose activation loop dies while faults
+  // are mid-eviction. IO awaited inline by a slow path (evict/swap) already
+  // died with it. Must be safe to call repeatedly.
   virtual void Quiesce() {}
 
   // Human-readable driver kind ("nailed", "physical", "paged").

@@ -15,7 +15,6 @@
 
 #include "src/app/driver_env.h"
 #include "src/app/mm_entry.h"
-#include "src/base/thread_annotations.h"
 #include "src/hw/mmu.h"
 #include "src/sim/task.h"
 
@@ -40,13 +39,12 @@ class VMem {
   // charging per-byte CPU cost; *ok = false if a fault was unresolvable.
   // *bytes_done (optional) is updated continuously so watcher threads can
   // log progress, as the paper's experiments do.
-  NEM_RUNS_ON(domain)
   Task AccessRange(VirtAddr va, size_t len, AccessType access, bool* ok,
                    uint64_t* bytes_done = nullptr);
 
   // Copies memory out of / into the address space (faulting as needed).
-  NEM_RUNS_ON(domain) Task Read(VirtAddr va, std::span<uint8_t> out, bool* ok);
-  NEM_RUNS_ON(domain) Task Write(VirtAddr va, std::span<const uint8_t> data, bool* ok);
+  Task Read(VirtAddr va, std::span<uint8_t> out, bool* ok);
+  Task Write(VirtAddr va, std::span<const uint8_t> data, bool* ok);
 
   uint64_t faults_taken() const { return faults_taken_.value(); }
   uint64_t checksum() const { return checksum_; }

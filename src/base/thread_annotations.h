@@ -9,17 +9,13 @@
 //     NEM_REQUIRES / ...): expand to clang's thread-safety attributes under
 //     clang — where the CI `analysis` job compiles with `-Wthread-safety
 //     -Werror` — and to nothing under GCC (the default toolchain). The
-//     `Mutex` / `MutexLock` / `CondLock` wrappers below make the annotations
-//     compiler-enforced for the real locks in the tree (the parallel
-//     simulator's pool, the DomainAccessChecker, the central-VM baseline).
+//     `Mutex` / `MutexLock` wrappers below make the annotations
+//     compiler-enforced for the one real lock in the tree (the central-VM
+//     baseline's kernel lock).
 //
-//   * Structural annotations consumed by `tools/analyze.py` (NEM_RUNS_ON /
-//     NEM_DETACHED / NEM_CROSSES_DOMAINS): these record the shard-affinity
-//     and task-ownership contracts that the runtime checkers (shard lanes,
-//     DomainAccessChecker) enforce dynamically, so the analyzer can enforce
-//     them statically — without running anything. Under clang they also
-//     expand to `annotate` attributes, making them visible to libclang AST
-//     tools; under GCC they expand to nothing and cost nothing.
+//   * NEM_DETACHED, consumed by `tools/analyze.py`'s task-lifetime rule: it
+//     records that a spawned task is deliberately unowned, so the analyzer
+//     can check task ownership statically, without running anything.
 #ifndef SRC_BASE_THREAD_ANNOTATIONS_H_
 #define SRC_BASE_THREAD_ANNOTATIONS_H_
 
@@ -43,44 +39,23 @@
 #define NEM_ASSERT_CAPABILITY(...) NEM_THREAD_ANNOTATION_(assert_capability(__VA_ARGS__))
 #define NEM_NO_THREAD_SAFETY_ANALYSIS NEM_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
-// --- Structural annotations (tools/analyze.py vocabulary) -------------------
-//
-// NEM_RUNS_ON(shard): declares the execution context a function is confined
-// to. `shard` is `system` (the serialized system shard: frames-allocator
-// mutation, USD service paths, paged-driver slow paths) or `domain` (a
-// domain's own shard lane: MMEntry dispatch, fault fast paths, workload
-// accessors). The analyzer's shard-affinity rule walks the call graph and
-// rejects any path from a `domain` function into a `system` function that
-// does not cross a spawn boundary (the coroutine argument of Spawn /
-// SpawnSlow / SpawnPipelineTask runs on the *target* shard, not the
-// caller's) or a sanctioned CrossDomainSection bridge.
-//
-// NEM_CROSSES_DOMAINS: marks a function as a sanctioned bridge even though
-// it does not lexically construct a CrossDomainSection (e.g. the section is
-// opened by a callee, or the runtime sanction lives in the access checker's
-// owned-write rules). Use sparingly; every use is an auditable claim.
-//
 // NEM_DETACHED(expr): evaluates (and discards) a Spawn expression whose
-// TaskHandle is deliberately unowned. The task-lifetime rule flags every
-// discarded Spawn/SpawnSlow result unless it is wrapped in NEM_DETACHED;
+// TaskHandle is deliberately unowned. tools/analyze.py's task-lifetime rule
+// flags every discarded Spawn result unless it is wrapped in NEM_DETACHED;
 // each use must carry a one-line justification comment explaining why the
 // task cannot outlive anything it captures.
-#define NEM_RUNS_ON(shard) NEM_THREAD_ANNOTATION_(annotate("nem_runs_on:" #shard))
-#define NEM_CROSSES_DOMAINS NEM_THREAD_ANNOTATION_(annotate("nem_crosses_domains"))
 #define NEM_DETACHED(...) (void)(__VA_ARGS__)
 
 namespace nemesis {
 
 // Phantom capability standing in for "executing inside the system domain's
-// serialized section". That section is the single-threaded event loop (and,
-// under the parallel simulator, the driving thread plus the checker-enforced
-// worker-lane discipline): every system-shard event callback runs with the
-// capability implicitly held. There is no runtime lock to acquire, so the
-// authorities that touch NEM_GUARDED_BY(g_system_domain) state — the frames
-// allocator and the translation syscalls — call AssertHeld() at their entry
-// points: under clang's analysis the assertion introduces the capability,
-// and the *runtime* guarantee is supplied by the event loop's serialization
-// plus the DomainAccessChecker's shard-confinement rules.
+// serialized section". That section is the single-threaded event loop: every
+// event callback runs with the capability implicitly held. There is no
+// runtime lock to acquire, so the authorities that touch
+// NEM_GUARDED_BY(g_system_domain) state — the frames allocator and the
+// translation syscalls — call AssertHeld() at their entry points: under
+// clang's analysis the assertion introduces the capability, and the
+// *runtime* guarantee is supplied by the event loop's serialization.
 class NEM_CAPABILITY("system_domain") SystemDomainCapability {
  public:
   void Acquire() NEM_ACQUIRE() {}
@@ -95,8 +70,7 @@ inline SystemDomainCapability g_system_domain;
 
 // Capability-annotated mutex: a std::mutex whose acquire/release are visible
 // to clang's thread-safety analysis, so NEM_GUARDED_BY(mu_) on the fields it
-// protects is compiler-enforced in the CI analysis job. Use with MutexLock
-// (scoped) or CondLock (condition-variable waits).
+// protects is compiler-enforced in the CI analysis job. Use with MutexLock.
 class NEM_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -105,10 +79,6 @@ class NEM_CAPABILITY("mutex") Mutex {
 
   void Lock() NEM_ACQUIRE() { mu_.lock(); }
   void Unlock() NEM_RELEASE() { mu_.unlock(); }
-
-  // The underlying handle, for std::condition_variable interop only; go
-  // through CondLock so the analysis sees the acquire.
-  std::mutex& native_handle() { return mu_; }
 
  private:
   std::mutex mu_;
@@ -124,24 +94,6 @@ class NEM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Scoped lock exposing a std::unique_lock for condition_variable::wait. The
-// wait itself releases and reacquires the mutex invisibly to the analysis —
-// the standard limitation of annotating std primitives — so predicates that
-// read guarded state from inside wait loops still check out: the capability
-// is held whenever the predicate actually runs.
-class NEM_SCOPED_CAPABILITY CondLock {
- public:
-  explicit CondLock(Mutex& mu) NEM_ACQUIRE(mu) : lock_(mu.native_handle()) {}
-  ~CondLock() NEM_RELEASE() = default;
-  CondLock(const CondLock&) = delete;
-  CondLock& operator=(const CondLock&) = delete;
-
-  std::unique_lock<std::mutex>& native() { return lock_; }
-
- private:
-  std::unique_lock<std::mutex> lock_;
 };
 
 }  // namespace nemesis

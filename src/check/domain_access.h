@@ -1,58 +1,33 @@
 // DomainAccessChecker: the runtime half of the ownership/race layer (the
 // static half is src/base/thread_annotations.h).
 //
-// The parallel simulator runs each domain's events on its own worker lane
-// (src/base/shard.h), so every access to a shared memory-system structure
-// (the frames allocator's accounting, the RamTab, the page table, the TLB,
-// the per-domain frame stacks) must either stay within one domain between
-// synchronization points or go through one of the sanctioned cross-domain
-// interfaces: the USD request path and the frames allocator's
-// frame-stealing/revocation path. The checker enforces that contract in two
-// modes:
+// Every access to a shared memory-system structure (the frames allocator's
+// accounting, the RamTab, the page table, the TLB) must either stay within
+// one domain between synchronization points or go through one of the
+// sanctioned cross-domain interfaces: the USD request path and the frames
+// allocator's frame-stealing/revocation path.
 //
-//   * Serial windows (driving thread): Record(structure, domain) notes that
-//     `domain` touched `structure` in the current window; SyncPoint() closes
-//     the window after every event callback. Two different non-system
-//     domains touching the same structure inside one window is a violation —
-//     it would be a data race under the threaded design.
-//   * Lane enforcement (parallel worker lanes): while an event executes on a
-//     worker inside a multi-shard segment, the touching domain must be the
-//     lane's own shard. The window array is shared state, so workers never
-//     touch it; the lane check is strictly stronger within a segment.
-//
-//   * RecordOwnedWrite(structure, owner) marks a mutation of an entry with a
-//     known owning domain (a RamTab entry, a frame-stack slot). A write
-//     whose executing shard is neither the owner nor the system shard is
-//     logged (mutex-guarded, so worker lanes may report concurrently) and
-//     consumed by the invariant auditor's `shard-confinement` rule at the
-//     next batch barrier. Writer attribution uses ShardLane::Current().shard,
-//     which the simulator maintains for inline (serial) events too — so the
-//     rule behaves identically in serial and parallel runs.
+//   * Windows: Record(structure, domain) notes that `domain` touched
+//     `structure` in the current window; SyncPoint() closes the window after
+//     every event callback. Two different non-system domains touching the
+//     same structure inside one window is a violation — one event acting on
+//     behalf of two domains' private state outside a sanctioned interface.
 //   * CrossDomainSection marks the sanctioned interfaces: while one is open,
 //     accesses on behalf of another domain are legal (e.g. the allocator
-//     popping a victim's frame stack during revocation). On a worker lane the
-//     depth nests in the lane (the checker's counter is shared state).
+//     popping a victim's frame stack during revocation).
 //
-// By default a window/lane violation NEM_ASSERTs; tests flip
-// abort_on_violation off and count instead. Owned-write violations never
-// abort here — they surface through the auditor, which has the batch-barrier
-// context the rule is defined at.
+// By default a violation NEM_ASSERTs; tests flip abort_on_violation off and
+// count instead.
 //
 // Header-only on purpose: kernel/ and mm/ code calls Record() from layers
 // below the check library, so this must not add a link-time dependency.
 #ifndef SRC_CHECK_DOMAIN_ACCESS_H_
 #define SRC_CHECK_DOMAIN_ACCESS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 #include "src/base/assert.h"
-#include "src/base/shard.h"
-#include "src/base/thread_annotations.h"
 
 namespace nemesis {
 
@@ -61,7 +36,6 @@ enum class SharedStructure : uint8_t {
   kRamTab,
   kPageTable,
   kTlb,
-  kFrameStack,
   kCount,
 };
 
@@ -75,8 +49,6 @@ inline const char* SharedStructureName(SharedStructure s) {
       return "page-table";
     case SharedStructure::kTlb:
       return "tlb";
-    case SharedStructure::kFrameStack:
-      return "frame-stack";
     case SharedStructure::kCount:
       break;
   }
@@ -86,39 +58,12 @@ inline const char* SharedStructureName(SharedStructure s) {
 class DomainAccessChecker {
  public:
   // Matches DomainId / kNoDomain in src/kernel/types.h; plain integers here
-  // keep this header below the kernel layer. kSystem == kSystemShard: domain
-  // ids and shard ids share the same space by construction.
+  // keep this header below the kernel layer.
   using Domain = uint32_t;
   static constexpr Domain kSystem = 0;
 
-  // A mutation of a domain-owned entry performed by a different domain's
-  // shard, outside every sanctioned interface. Consumed by the invariant
-  // auditor's shard-confinement rule.
-  struct OwnedWriteViolation {
-    SharedStructure structure;
-    Domain owner;
-    Domain writer;
-  };
-
   void Record(SharedStructure structure, Domain domain) {
-    ShardLane& lane = ShardLane::Current();
-    if (domain == kSystem || lane.cross_domain_depth > 0 || cross_domain_depth_ > 0) {
-      return;
-    }
-    if (lane.sink != nullptr) {
-      // Worker lane: the window array is shared state — enforce against the
-      // lane instead. An event may only touch structures on behalf of the
-      // shard it is running on.
-      if (domain != lane.shard) {
-        violations_.fetch_add(1, std::memory_order_relaxed);
-        if (abort_on_violation_) {
-          std::fprintf(stderr,
-                       "DomainAccessChecker: domain %u touched %s on worker lane %u "
-                       "(no cross-domain section open)\n",
-                       domain, SharedStructureName(structure), lane.shard);
-          NEM_ASSERT_MSG(false, "cross-lane access outside sanctioned interfaces");
-        }
-      }
+    if (domain == kSystem || cross_domain_depth_ > 0) {
       return;
     }
     Domain& owner = window_owner_[static_cast<size_t>(structure)];
@@ -127,7 +72,7 @@ class DomainAccessChecker {
       return;
     }
     if (owner != domain) {
-      violations_.fetch_add(1, std::memory_order_relaxed);
+      ++violations_;
       if (abort_on_violation_) {
         std::fprintf(stderr,
                      "DomainAccessChecker: domain %u touched %s while domain %u owns the "
@@ -138,67 +83,27 @@ class DomainAccessChecker {
     }
   }
 
-  // Marks a mutation of an `owner`-owned entry (RamTab entry, frame-stack
-  // slot) by the currently executing shard. Cheap when clean: one lane read
-  // and two compares; only violations take the mutex.
-  void RecordOwnedWrite(SharedStructure structure, Domain owner) {
-    ShardLane& lane = ShardLane::Current();
-    if (lane.cross_domain_depth > 0 || cross_domain_depth_ > 0) {
-      return;
-    }
-    const Domain writer = lane.shard;
-    if (writer == kSystem || writer == owner) {
-      return;
-    }
-    violations_.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(owned_mu_);
-    owned_violations_.push_back(OwnedWriteViolation{structure, owner, writer});
-  }
-
-  // Drains the owned-write violation log (auditor rule shard-confinement;
-  // called at batch barriers, never concurrently with a segment).
-  std::vector<OwnedWriteViolation> TakeOwnedWriteViolations() {
-    MutexLock lock(owned_mu_);
-    return std::exchange(owned_violations_, {});
-  }
-
-  // Closes the current access window (called after every event callback —
-  // and once per parallel segment, at the barrier).
+  // Closes the current access window (called after every event callback).
   void SyncPoint() {
     for (Domain& owner : window_owner_) {
       owner = kSystem;
     }
   }
 
-  void EnterCrossDomainSection() {
-    ShardLane& lane = ShardLane::Current();
-    if (lane.sink != nullptr) {
-      ++lane.cross_domain_depth;
-      return;
-    }
-    ++cross_domain_depth_;
-  }
+  void EnterCrossDomainSection() { ++cross_domain_depth_; }
   void LeaveCrossDomainSection() {
-    ShardLane& lane = ShardLane::Current();
-    if (lane.sink != nullptr) {
-      NEM_ASSERT_MSG(lane.cross_domain_depth > 0, "unbalanced cross-domain section");
-      --lane.cross_domain_depth;
-      return;
-    }
     NEM_ASSERT_MSG(cross_domain_depth_ > 0, "unbalanced cross-domain section");
     --cross_domain_depth_;
   }
 
   void set_abort_on_violation(bool abort) { abort_on_violation_ = abort; }
-  uint64_t violations() const { return violations_.load(std::memory_order_relaxed); }
+  uint64_t violations() const { return violations_; }
 
  private:
   Domain window_owner_[static_cast<size_t>(SharedStructure::kCount)] = {};
   uint32_t cross_domain_depth_ = 0;
-  std::atomic<uint64_t> violations_{0};
+  uint64_t violations_ = 0;
   bool abort_on_violation_ = true;
-  Mutex owned_mu_;
-  std::vector<OwnedWriteViolation> owned_violations_ NEM_GUARDED_BY(owned_mu_);
 };
 
 // RAII marker for the sanctioned cross-domain interfaces (revocation /

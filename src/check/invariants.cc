@@ -63,7 +63,6 @@ AuditReport InvariantAuditor::Audit(Depth depth) {
   CheckPdomRights(report);
   CheckTlb(report);
   CheckUsdBatchCharge(report);
-  CheckShardConfinement(report);
   if (depth == Depth::kFull) {
     CheckPteLiveness(report);
     CheckIndexedStructures(report);
@@ -83,23 +82,6 @@ void InvariantAuditor::CheckIndexedStructures(AuditReport& report) {
     if (std::string mismatch = sched->AuditIndexes(); !mismatch.empty()) {
       Add(report, "indexed-structures", std::move(mismatch));
     }
-  }
-}
-
-// shard-confinement: a domain shard mutating a RamTab entry or frame-stack
-// slot owned by another domain, outside every sanctioned cross-domain
-// interface, breaks the confinement contract the parallel lanes depend on.
-// The checker logged each such write as it happened; the audit (which runs at
-// batch barriers) drains the log and reports every entry.
-void InvariantAuditor::CheckShardConfinement(AuditReport& report) {
-  if (checker_ == nullptr) {
-    return;
-  }
-  for (const auto& v : checker_->TakeOwnedWriteViolations()) {
-    report.violations.push_back(AuditViolation{
-        "shard-confinement",
-        Format("shard %u wrote a %s entry owned by domain %u", v.writer,
-               SharedStructureName(v.structure), v.owner)});
   }
 }
 

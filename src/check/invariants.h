@@ -38,11 +38,6 @@
 //                    clients for chained (batched) transactions equals the
 //                    disk busy time those chains produced, exactly — batching
 //                    must not create or destroy accounted time.
-//   shard-confinement (only when an access checker is registered) at batch
-//                    barriers no domain shard may have written RamTab entries
-//                    or frame-stack slots owned by another domain — the
-//                    confinement contract the parallel simulator's lanes
-//                    depend on (DESIGN.md "Parallel per-domain execution").
 //
 // Fast-depth audits are O(stretch pages + frames + TLB), cheap enough to run
 // after every event-loop batch in NEMESIS_AUDIT builds.
@@ -91,12 +86,6 @@ class InvariantAuditor {
   // rule). Optional: systems without a USD simply skip the rule.
   void RegisterUsd(const Usd* usd) { usd_ = usd; }
 
-  // Opts the access checker's owned-write log into the audit (the
-  // shard-confinement rule): at batch barriers no domain shard may have
-  // written RamTab entries or frame-stack slots owned by another domain.
-  // Each audit drains the log, so a violation is reported exactly once.
-  void RegisterAccessChecker(DomainAccessChecker* checker) { checker_ = checker; }
-
   // Opts a scheduler's EDF/extra-time indexes into the indexed-structures
   // rule (full depth). May be called once per scheduler instance.
   void RegisterScheduler(const AtroposScheduler* sched) { schedulers_.push_back(sched); }
@@ -121,7 +110,6 @@ class InvariantAuditor {
   void CheckPteLiveness(AuditReport& report);
   void CheckIndexedStructures(AuditReport& report);
   void CheckUsdBatchCharge(AuditReport& report);
-  void CheckShardConfinement(AuditReport& report);
 
   const FramesAllocator& frames_;
   const RamTab& ramtab_;
@@ -129,7 +117,6 @@ class InvariantAuditor {
   const StretchAllocator& stretches_;
   const TranslationSystem& translation_;
   const Usd* usd_ = nullptr;
-  DomainAccessChecker* checker_ = nullptr;  // non-const: audits drain its log
   std::vector<const AtroposScheduler*> schedulers_;
 
   // Scratch, rebuilt per audit (sized to the physical frame count / sid

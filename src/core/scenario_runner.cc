@@ -14,7 +14,7 @@ namespace {
 
 // One Zipf-sampled page touch per op. Each burst owns its PRNG, seeded from
 // (scenario seed, event index): draws are independent of how concurrent
-// bursts interleave, which keeps serial and parallel runs byte-identical.
+// bursts interleave.
 Task BurstTask(AppDomain* app, ScenarioEvent event, ScenarioDomainSpec domain, uint64_t rng_seed) {
   Random rng(rng_seed);
   const ZipfSampler zipf(domain.pages, domain.zipf_s);
@@ -38,7 +38,6 @@ Task BurstTask(AppDomain* app, ScenarioEvent event, ScenarioDomainSpec domain, u
 ScenarioResult RunScenario(const ScenarioSpec& spec, const ScenarioOptions& options) {
   SystemConfig sys_cfg;
   sys_cfg.phys_frames = spec.frames;
-  sys_cfg.parallel_sim = options.parallel_sim;
   sys_cfg.observe = options.observe;
   sys_cfg.indexed_structures = !options.linear_structures;
   if (options.audit >= 0) {
@@ -102,8 +101,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const ScenarioOptions& opti
     sim.CallAt(at, [&admit, d] { admit(d); });
   }
 
-  // Schedule the event script. Callbacks run on the system shard; bursts
-  // spawn onto the target domain's shard via SpawnWorkload.
+  // Schedule the event script; bursts spawn as domain workloads.
   SimTime last_event = 0;
   for (const auto& d : spec.domains) {
     last_event = std::max(last_event, d.admit_at);

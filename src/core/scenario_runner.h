@@ -13,8 +13,7 @@
 namespace nemesis {
 
 struct ScenarioOptions {
-  size_t parallel_sim = 0;  // executors for the sharded batch mode (0 = serial)
-  bool observe = false;     // fault/revocation lifecycle spans
+  bool observe = false;  // fault/revocation lifecycle spans
   // Run with the linear O(n)/O(n·f) scheduler/allocator scans instead of the
   // indexed structures. Picks and traces are byte-identical either way; the
   // equivalence suite byte-compares runs of the same spec across this flag.
@@ -25,7 +24,7 @@ struct ScenarioOptions {
   int audit = -1;
   SimDuration drain = Milliseconds(300);  // run past the last event to settle
   // When non-empty, the full trace is written here as CSV (the determinism
-  // tests byte-compare serial vs parallel runs of the same spec).
+  // tests byte-compare runs of the same spec).
   std::string trace_path;
 };
 

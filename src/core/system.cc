@@ -1,18 +1,12 @@
 #include "src/core/system.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "src/base/assert.h"
 #include "src/base/log.h"
 
 namespace nemesis {
-
-size_t ParallelSimFromEnv() {
-  const char* v = std::getenv("NEMESIS_PARALLEL_SIM");
-  return v != nullptr ? static_cast<size_t>(std::strtoul(v, nullptr, 10)) : 0;
-}
 
 namespace {
 
@@ -41,7 +35,6 @@ System::System(SystemConfig config)
       sfs_(usd_, config.swap_partition),
       auditor_(frames_allocator_, kernel_.ramtab(), mmu_, stretch_allocator_, translation_) {
   auditor_.RegisterUsd(&usd_);
-  auditor_.RegisterAccessChecker(&access_checker_);
   auditor_.RegisterScheduler(&usd_.scheduler());
   // Indexed vs linear hot-path structures: selected before any client is
   // admitted (both setters assert on that).
@@ -49,14 +42,12 @@ System::System(SystemConfig config)
   usd_.scheduler().set_indexed(config_.indexed_structures);
   usd_.Start();
 
-  if (config_.parallel_sim >= 1) {
-    sim_.EnableParallel(config_.parallel_sim);
-  }
+  NEM_ASSERT_MSG(config_.parallel_sim == 0, "parallel_sim is retired; the simulator is serial");
 
   // Observability: the hub is always wired (probes are null-checked and
   // near-free when disabled); the switch decides whether spans/histograms
   // are recorded. System-wide gauges wrap the existing hot counters so a
-  // metrics snapshot carries them without converting them to atomics.
+  // metrics snapshot carries them.
   obs_.set_enabled(config_.observe);
   kernel_.set_obs(&obs_);
   frames_allocator_.set_obs(&obs_);
@@ -64,12 +55,8 @@ System::System(SystemConfig config)
   MetricsRegistry& reg = obs_.registry();
   reg.RegisterGauge("kernel.events_sent", [this] { return kernel_.events_sent(); });
   reg.RegisterGauge("kernel.faults_dispatched", [this] { return kernel_.faults_dispatched(); });
-  // The TLB hit/miss split depends on which shard lane translated first under
-  // parallel_sim; tag the gauges so deterministic-only snapshots exclude them.
-  reg.RegisterGauge("tlb.hits", [this] { return mmu_.tlb().hits(); },
-                    GaugeDeterminism::kNondeterministic);
-  reg.RegisterGauge("tlb.misses", [this] { return mmu_.tlb().misses(); },
-                    GaugeDeterminism::kNondeterministic);
+  reg.RegisterGauge("tlb.hits", [this] { return mmu_.tlb().hits(); });
+  reg.RegisterGauge("tlb.misses", [this] { return mmu_.tlb().misses(); });
   reg.RegisterGauge("frames.revocations_transparent",
                     [this] { return frames_allocator_.revocations_transparent(); });
   reg.RegisterGauge("frames.revocations_intrusive",
@@ -284,8 +271,7 @@ PagedStretchDriver* AppDomain::paged_driver() {
 }
 
 TaskHandle AppDomain::SpawnWorkload(Task task, const std::string& label) {
-  TaskHandle handle = system_.sim().Spawn(std::move(task), config_.name + "/" + label,
-                                          ShardId{domain_->id()});
+  TaskHandle handle = system_.sim().Spawn(std::move(task), config_.name + "/" + label);
   workloads_.push_back(handle);
   return handle;
 }

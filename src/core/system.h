@@ -66,13 +66,7 @@ struct SystemConfig {
 #endif
   uint32_t audit_stride = 1;  // audit every Nth batch (0 behaves as 1)
 
-  // Parallel per-domain execution (DESIGN.md "Parallel per-domain execution").
-  // 0 = serial (default). N >= 1 enables the simulator's sharded same-time
-  // batch mode with N executors (the driving thread counts as one): each app
-  // domain's fault-handling and workload events run on the domain's shard,
-  // kernel/frames-allocator/USD/disk paths stay on the serial system shard,
-  // and all outputs are bit-identical to serial mode. parallel_sim = 1
-  // exercises the full segment/merge machinery without extra threads.
+  // Retired: the simulator is serial, and System's constructor asserts 0.
   size_t parallel_sim = 0;
 
   // Indexed hot-path structures (DESIGN.md "Indexed scheduler and allocator
@@ -92,12 +86,6 @@ struct SystemConfig {
   bool observe = false;
 };
 
-// Executor count from the NEMESIS_PARALLEL_SIM environment variable (0 when
-// unset). Lets the figure benches be A/B-diffed serial vs parallel without a
-// recompile; the determinism acceptance gate runs each fig binary under
-// NEMESIS_PARALLEL_SIM=0/1/2/4 and byte-compares stdout and trace CSVs.
-size_t ParallelSimFromEnv();
-// (ObserveFromEnv, the NEMESIS_OBS analogue, is declared in src/obs/obs.h.)
 
 class AppDomain;
 

@@ -21,15 +21,12 @@ const char* FaultTypeName(FaultType type) {
 }
 
 TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResolver* resolver) {
-  if (ShardLane::Current().sink != nullptr) [[unlikely]] {
-    return TranslateUncached(va, access, resolver);
-  }
   const Vpn vpn = VpnOf(va);
   // The hot loop: one iteration normally; a second only when a stale TLB
   // entry is dropped and the translation retries as a miss (kept as a loop,
   // not recursion, so the fast path stays flat).
   for (;;) {
-    translations_.fetch_add(1, std::memory_order_relaxed);
+    ++translations_;
     Pte* pte;
     // TLB hit path first: rights are re-resolved (through the version-keyed
     // cache) because protection-domain switches do not flush the TLB in this
@@ -47,7 +44,7 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
     } else {
       pte = Walk(vpn);
       if (pte == nullptr) {
-        faults_.fetch_add(1, std::memory_order_relaxed);
+        ++faults_;
         return TranslateResult{FaultType::kFaultUnallocated, 0, kNoSid};
       }
       if (pte->valid) {
@@ -59,11 +56,11 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
     const uint8_t rights = ResolveRights(resolver, sid, pte->rights);
 
     if (!RightsAllow(rights, access)) [[unlikely]] {
-      faults_.fetch_add(1, std::memory_order_relaxed);
+      ++faults_;
       return TranslateResult{FaultType::kFaultAcv, 0, sid};
     }
     if (!pte->valid) [[unlikely]] {
-      faults_.fetch_add(1, std::memory_order_relaxed);
+      ++faults_;
       return TranslateResult{FaultType::kFaultTnv, 0, sid};
     }
 
@@ -72,7 +69,7 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
       pte->fault_on_read = false;
       pte->referenced = true;
       if (deliver_fow_faults_) {
-        faults_.fetch_add(1, std::memory_order_relaxed);
+        ++faults_;
         return TranslateResult{FaultType::kFaultFor, 0, sid};
       }
     }
@@ -81,7 +78,7 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
       pte->dirty = true;
       pte->referenced = true;
       if (deliver_fow_faults_) {
-        faults_.fetch_add(1, std::memory_order_relaxed);
+        ++faults_;
         return TranslateResult{FaultType::kFaultFow, 0, sid};
       }
     }
@@ -92,53 +89,6 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
 
     return TranslateResult{FaultType::kNone, pte->pfn * page_size_ + OffsetOf(va), sid};
   }
-}
-
-TranslateResult Mmu::TranslateUncached(VirtAddr va, AccessType access,
-                                       const RightsResolver* resolver) {
-  translations_.fetch_add(1, std::memory_order_relaxed);
-  Pte* pte = page_table_->Lookup(VpnOf(va));
-  if (pte == nullptr) {
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    return TranslateResult{FaultType::kFaultUnallocated, 0, kNoSid};
-  }
-  const Sid sid = pte->sid;
-  uint8_t rights = pte->rights;
-  if (resolver != nullptr) {
-    if (auto r = resolver->RightsFor(sid); r.has_value()) {
-      rights = *r;
-    }
-  }
-  if (!RightsAllow(rights, access)) [[unlikely]] {
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    return TranslateResult{FaultType::kFaultAcv, 0, sid};
-  }
-  if (!pte->valid) [[unlikely]] {
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    return TranslateResult{FaultType::kFaultTnv, 0, sid};
-  }
-  if (pte->fault_on_read && access == AccessType::kRead) [[unlikely]] {
-    pte->fault_on_read = false;
-    pte->referenced = true;
-    if (deliver_fow_faults_) {
-      faults_.fetch_add(1, std::memory_order_relaxed);
-      return TranslateResult{FaultType::kFaultFor, 0, sid};
-    }
-  }
-  if (pte->fault_on_write && access == AccessType::kWrite) [[unlikely]] {
-    pte->fault_on_write = false;
-    pte->dirty = true;
-    pte->referenced = true;
-    if (deliver_fow_faults_) {
-      faults_.fetch_add(1, std::memory_order_relaxed);
-      return TranslateResult{FaultType::kFaultFow, 0, sid};
-    }
-  }
-  pte->referenced = true;
-  if (access == AccessType::kWrite) {
-    pte->dirty = true;
-  }
-  return TranslateResult{FaultType::kNone, pte->pfn * page_size_ + OffsetOf(va), sid};
 }
 
 TranslateResult Mmu::Probe(VirtAddr va, AccessType access, const RightsResolver* resolver) const {

@@ -12,11 +12,9 @@
 #ifndef SRC_HW_MMU_H_
 #define SRC_HW_MMU_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 
-#include "src/base/shard.h"
 #include "src/base/units.h"
 #include "src/hw/page_table.h"
 #include "src/hw/pte.h"
@@ -104,8 +102,8 @@ class Mmu {
     rights_cache_resolver_ = nullptr;
   }
 
-  uint64_t translations() const { return translations_.load(std::memory_order_relaxed); }
-  uint64_t faults() const { return faults_.load(std::memory_order_relaxed); }
+  uint64_t translations() const { return translations_; }
+  uint64_t faults() const { return faults_; }
 
  private:
   static bool RightsAllow(uint8_t rights, AccessType access) {
@@ -156,22 +154,12 @@ class Mmu {
     return r.has_value() ? *r : pte_rights;
   }
 
-  // Translation on a parallel-worker lane: pure page-table walk, no TLB and
-  // no single-entry caches (all shared mutable state); PTE updates are safe
-  // because a domain's pages are touched only from its own lane. Simulated
-  // outcomes are identical to the cached path — the TLB and the walk/rights
-  // caches are pure caches whose hits never change a translation's result.
-  TranslateResult TranslateUncached(VirtAddr va, AccessType access,
-                                    const RightsResolver* resolver);
-
   PageTable* page_table_;
   size_t page_size_;
   Tlb tlb_;
   bool deliver_fow_faults_ = false;
-  // Relaxed atomics: worker lanes on distinct domains bump them concurrently;
-  // the totals stay exact, only the interleaving is unordered.
-  std::atomic<uint64_t> translations_{0};
-  std::atomic<uint64_t> faults_{0};
+  uint64_t translations_ = 0;
+  uint64_t faults_ = 0;
 
   Vpn last_walk_vpn_ = 0;
   Pte* last_walk_pte_ = nullptr;

@@ -1,7 +1,6 @@
 #include "src/hw/tlb.h"
 
 #include "src/base/assert.h"
-#include "src/base/shard.h"
 
 namespace nemesis {
 
@@ -35,15 +34,6 @@ Tlb::Tlb(size_t entries, size_t ways) {
 }
 
 void Tlb::Invalidate(Vpn vpn) {
-  // The TLB is shared serial-phase state: a domain-lane mapping change (e.g.
-  // the staging-hit Map fast path) defers the shoot-down to the batch barrier.
-  // Worker lanes never read the TLB (Mmu::TranslateUncached bypasses it), and
-  // the serial-path stale-entry check revalidates every hit against the PTE,
-  // so the deferral cannot be observed.
-  if (EffectSink* sink = ShardLane::Current().sink; sink != nullptr) [[unlikely]] {
-    sink->Defer([this, vpn] { Invalidate(vpn); });
-    return;
-  }
   Entry* slot = &slots_[SetBase(vpn)];
   for (size_t w = 0; w < ways_; ++w) {
     if (slot[w].valid && slot[w].vpn == vpn) {

@@ -66,8 +66,8 @@ class Domain {
   std::deque<FaultRecord>& fault_queue() { return fault_queue_; }
 
   // Next fault trace id. Domain-scoped (high 32 bits carry the domain id, low
-  // 32 the per-domain sequence), so ids are deterministic under parallel_sim:
-  // each domain raises its own faults from its own lane in program order.
+  // 32 the per-domain sequence): each domain numbers its own faults in
+  // program order.
   uint64_t NextFaultId() { return (static_cast<uint64_t>(id_) << 32) | ++next_fault_seq_; }
 
   // --- Lifecycle -------------------------------------------------------------

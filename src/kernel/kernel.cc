@@ -4,7 +4,6 @@
 
 #include "src/base/assert.h"
 #include "src/base/log.h"
-#include "src/base/shard.h"
 #include "src/obs/obs.h"
 
 namespace nemesis {
@@ -52,15 +51,6 @@ Domain* Kernel::FindDomain(DomainId id) {
 }
 
 void Kernel::SendEvent(DomainId target, EndpointId ep) {
-  // A send to ANOTHER domain from a worker lane would mutate the target's
-  // endpoint counters and activation condition concurrently with the target's
-  // own lane; defer it to the batch barrier, where effects replay in serial
-  // FIFO order. A domain sending to itself stays inline (shard-owned state).
-  ShardLane& lane = ShardLane::Current();
-  if (lane.sink != nullptr && lane.shard != ShardId{target}) [[unlikely]] {
-    lane.sink->Defer([this, target, ep] { SendEvent(target, ep); });
-    return;
-  }
   Domain* domain = FindDomain(target);
   if (domain == nullptr || !domain->alive()) {
     NEM_LOG_WARN("kernel", "event to missing/dead domain %u dropped", target);
@@ -73,15 +63,6 @@ void Kernel::SendEvent(DomainId target, EndpointId ep) {
 }
 
 uint64_t Kernel::RaiseFault(DomainId id, FaultRecord record) {
-  // Same cross-shard rule as SendEvent: the fault queue belongs to the
-  // faulting domain's shard. (The common case — a domain faulting on its own
-  // lane — stays inline; record.time is stamped here either way, and deferred
-  // replays run at the same batch timestamp, so Now() is unchanged.)
-  ShardLane& lane = ShardLane::Current();
-  if (lane.sink != nullptr && lane.shard != ShardId{id}) [[unlikely]] {
-    lane.sink->Defer([this, id, record] { (void)RaiseFault(id, record); });
-    return 0;
-  }
   Domain* domain = FindDomain(id);
   NEM_ASSERT_MSG(domain != nullptr, "fault raised for unknown domain");
   if (!domain->alive()) {
@@ -90,8 +71,6 @@ uint64_t Kernel::RaiseFault(DomainId id, FaultRecord record) {
   faults_dispatched_.Inc();
   record.time = sim_.Now();
   if (record.id == 0) {
-    // Id assignment happens on the domain's own lane (above check), so the
-    // per-domain sequence is deterministic regardless of executor count.
     record.id = domain->NextFaultId();
   }
   if (obs_ != nullptr) {

@@ -43,8 +43,8 @@ class Kernel {
   // Saves the fault record into the faulting domain's state and sends the
   // fault event. The dispatch latency (send + context save + activation) is
   // borne by the faulting domain, never by a third party. Returns the fault
-  // trace id (assigning one when record.id is 0); returns 0 when the raise
-  // was deferred to the domain's lane or the domain is gone.
+  // trace id (assigning one when record.id is 0); returns 0 when the domain
+  // is gone.
   uint64_t RaiseFault(DomainId domain, FaultRecord record);
 
   // Observability hook; spans are emitted only while obs->enabled().
@@ -62,8 +62,6 @@ class Kernel {
   DomainId next_domain_id_ = 1;
   std::vector<std::unique_ptr<Domain>> domains_;
   Obs* obs_ = nullptr;
-  // Relaxed counters: domain lanes raising their own faults bump these
-  // concurrently; totals stay exact, only the interleaving is unordered.
   StatCounter events_sent_;
   StatCounter faults_dispatched_;
 };

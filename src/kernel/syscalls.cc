@@ -49,7 +49,6 @@ Status<VmError> TranslationSyscalls::Map(DomainId caller, const RightsResolver* 
 
   RecordAccess(SharedStructure::kPageTable, caller);
   RecordAccess(SharedStructure::kRamTab, caller);
-  RecordOwnedWrite(SharedStructure::kRamTab, ramtab_.OwnerOf(pfn));
   pte->valid = true;
   pte->pfn = pfn;
   if (attrs.rights != kRightNone) {
@@ -61,7 +60,7 @@ Status<VmError> TranslationSyscalls::Map(DomainId caller, const RightsResolver* 
   pte->referenced = false;
   ramtab_.SetMapped(pfn, mmu_.VpnOf(va));
   mmu_.tlb().Invalidate(mmu_.VpnOf(va));
-  map_count_.fetch_add(1, std::memory_order_relaxed);
+  ++map_count_;
   return Status<VmError>::Ok();
 }
 
@@ -85,12 +84,11 @@ Status<VmError> TranslationSyscalls::Unmap(DomainId caller, const RightsResolver
   }
   RecordAccess(SharedStructure::kPageTable, caller);
   RecordAccess(SharedStructure::kRamTab, caller);
-  RecordOwnedWrite(SharedStructure::kRamTab, ramtab_.OwnerOf(pfn));
   pte->valid = false;
   pte->pfn = 0;
   ramtab_.SetUnused(pfn);
   mmu_.tlb().Invalidate(mmu_.VpnOf(va));
-  unmap_count_.fetch_add(1, std::memory_order_relaxed);
+  ++unmap_count_;
   if (out_pfn != nullptr) {
     *out_pfn = pfn;
   }
@@ -109,7 +107,6 @@ Status<VmError> TranslationSyscalls::Nail(DomainId caller, Pfn pfn) {
     return MakeUnexpected(VmError::kFrameNailed);
   }
   RecordAccess(SharedStructure::kRamTab, caller);
-  RecordOwnedWrite(SharedStructure::kRamTab, ramtab_.OwnerOf(pfn));
   // SetNailed preserves mapped_vpn, so a nailed-while-mapped frame can return
   // to kMapped on unnail.
   ramtab_.SetNailed(pfn);
@@ -128,7 +125,6 @@ Status<VmError> TranslationSyscalls::Unnail(DomainId caller, Pfn pfn) {
     return MakeUnexpected(VmError::kNotNailed);
   }
   RecordAccess(SharedStructure::kRamTab, caller);
-  RecordOwnedWrite(SharedStructure::kRamTab, ramtab_.OwnerOf(pfn));
   const Vpn vpn = ramtab_.Get(pfn).mapped_vpn;
   const Pte* pte = vpn != 0 ? mmu_.page_table()->Lookup(vpn) : nullptr;
   if (pte != nullptr && pte->valid && pte->pfn == pfn) {
@@ -149,11 +145,10 @@ bool TranslationSyscalls::ForceUnmap(Vpn vpn) {
   pte->valid = false;
   pte->pfn = 0;
   if (ramtab_.ValidPfn(pfn)) {
-    RecordOwnedWrite(SharedStructure::kRamTab, ramtab_.OwnerOf(pfn));
     ramtab_.SetUnused(pfn);
   }
   mmu_.tlb().Invalidate(vpn);
-  unmap_count_.fetch_add(1, std::memory_order_relaxed);
+  ++unmap_count_;
   return true;
 }
 

@@ -9,7 +9,6 @@
 #ifndef SRC_KERNEL_SYSCALLS_H_
 #define SRC_KERNEL_SYSCALLS_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/base/expected.h"
@@ -88,8 +87,8 @@ class TranslationSyscalls {
   // Wires the ownership/race checker (audit builds). Null disables recording.
   void set_access_checker(DomainAccessChecker* checker) { access_checker_ = checker; }
 
-  uint64_t map_count() const { return map_count_.load(std::memory_order_relaxed); }
-  uint64_t unmap_count() const { return unmap_count_.load(std::memory_order_relaxed); }
+  uint64_t map_count() const { return map_count_; }
+  uint64_t unmap_count() const { return unmap_count_; }
 
  private:
   // Common validation: returns the PTE when the caller holds meta on the
@@ -102,21 +101,11 @@ class TranslationSyscalls {
     }
   }
 
-  // Marks a mutation of an `owner`-owned entry for the shard-confinement
-  // rule (auditor rule 10): at batch barriers no domain shard may have
-  // written RamTab entries owned by another domain.
-  void RecordOwnedWrite(SharedStructure structure, DomainId owner) {
-    if (access_checker_ != nullptr) {
-      access_checker_->RecordOwnedWrite(structure, owner);
-    }
-  }
-
   Mmu& mmu_;
   RamTab& ramtab_;
   DomainAccessChecker* access_checker_ = nullptr;
-  // Relaxed atomics: domain lanes map/unmap their own pages concurrently.
-  std::atomic<uint64_t> map_count_{0};
-  std::atomic<uint64_t> unmap_count_{0};
+  uint64_t map_count_ = 0;
+  uint64_t unmap_count_ = 0;
 };
 
 }  // namespace nemesis

@@ -13,21 +13,11 @@
 
 #include "src/base/assert.h"
 #include "src/base/units.h"
-#include "src/check/domain_access.h"
 
 namespace nemesis {
 
 class FrameStack {
  public:
-  // Wires the ownership checker (audit builds): every mutation records an
-  // owned write attributed to `owner` (the stack's domain) so the auditor's
-  // shard-confinement rule can flag another shard reordering this stack.
-  // Null checker disables recording.
-  void BindChecker(DomainAccessChecker* checker, uint32_t owner) {
-    checker_ = checker;
-    owner_ = owner;
-  }
-
   size_t size() const { return frames_.size(); }
   bool empty() const { return frames_.empty(); }
 
@@ -48,24 +38,20 @@ class FrameStack {
   // New frames enter at the top (least important) by default.
   void PushTop(Pfn pfn) {
     NEM_ASSERT_MSG(!Contains(pfn), "frame already on stack");
-    RecordWrite();
     frames_.insert(frames_.begin(), pfn);
   }
 
   void PushBottom(Pfn pfn) {
     NEM_ASSERT_MSG(!Contains(pfn), "frame already on stack");
-    RecordWrite();
     frames_.push_back(pfn);
   }
 
   void MoveToTop(Pfn pfn) {
-    RecordWrite();
     RemoveInternal(pfn);
     frames_.insert(frames_.begin(), pfn);
   }
 
   void MoveToBottom(Pfn pfn) {
-    RecordWrite();
     RemoveInternal(pfn);
     frames_.push_back(pfn);
   }
@@ -79,14 +65,12 @@ class FrameStack {
 
   Pfn PopTop() {
     NEM_ASSERT(!frames_.empty());
-    RecordWrite();
     const Pfn pfn = frames_.front();
     frames_.erase(frames_.begin());
     return pfn;
   }
 
   void Remove(Pfn pfn) {
-    RecordWrite();
     RemoveInternal(pfn);
   }
 
@@ -97,15 +81,7 @@ class FrameStack {
     frames_.erase(it);
   }
 
-  void RecordWrite() {
-    if (checker_ != nullptr) {
-      checker_->RecordOwnedWrite(SharedStructure::kFrameStack, owner_);
-    }
-  }
-
   std::vector<Pfn> frames_;
-  DomainAccessChecker* checker_ = nullptr;
-  uint32_t owner_ = 0;
 };
 
 }  // namespace nemesis

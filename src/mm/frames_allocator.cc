@@ -107,7 +107,6 @@ Status<FramesError> FramesAllocator::AdmitClient(DomainId domain, FramesContract
   client->domain = domain;
   client->contract = contract;
   client->index = static_cast<uint32_t>(clients_.size());
-  client->stack.BindChecker(access_checker_, domain);
   if (domain >= domain_to_index_.size()) {
     domain_to_index_.resize(domain + 1, kNoHeapHandle);
   }
@@ -137,9 +136,6 @@ bool FramesAllocator::IsClient(DomainId domain) const { return Find(domain) != n
 void FramesAllocator::set_access_checker(DomainAccessChecker* checker) {
   g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
   access_checker_ = checker;
-  for (auto& client : clients_) {
-    client->stack.BindChecker(checker, client->domain);
-  }
 }
 
 Pfn FramesAllocator::TakeFreeFrame(Client& client) {

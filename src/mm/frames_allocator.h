@@ -92,8 +92,8 @@ class FramesAllocator {
 
   // --- Client management ---------------------------------------------------
 
-  NEM_RUNS_ON(system) Status<FramesError> AdmitClient(DomainId domain, FramesContract contract);
-  NEM_RUNS_ON(system) Status<FramesError> RemoveClient(DomainId domain);
+  Status<FramesError> AdmitClient(DomainId domain, FramesContract contract);
+  Status<FramesError> RemoveClient(DomainId domain);
   bool IsClient(DomainId domain) const;
 
   // --- Allocation ----------------------------------------------------------
@@ -104,7 +104,7 @@ class FramesAllocator {
   // queue head(s), so every retry makes progress within |queue| revocations
   // even under a storm of concurrent guaranteed requests (no starvation, no
   // newcomer stealing a freed frame from an older waiter).
-  NEM_RUNS_ON(system) Expected<Pfn, FramesError> AllocFrame(DomainId domain);
+  Expected<Pfn, FramesError> AllocFrame(DomainId domain);
 
   // Fine-grained placement (paper §6.2: "A domain may request specific
   // physical frames, or frames within a 'special' region. This allows an
@@ -112,26 +112,22 @@ class FramesAllocator {
   // take advantage of superpage TLB mappings"). Placement requests never
   // trigger revocation: as the paper's footnote notes, fragmentation means
   // such requests may fail even under the guarantee.
-  NEM_RUNS_ON(system) Expected<Pfn, FramesError> AllocSpecificFrame(DomainId domain, Pfn pfn);
-  NEM_RUNS_ON(system)
+  Expected<Pfn, FramesError> AllocSpecificFrame(DomainId domain, Pfn pfn);
   Expected<Pfn, FramesError> AllocFrameInRegion(DomainId domain, Pfn region_base,
                                                 uint64_t region_len);
   // Page-colouring helper: any free frame with pfn % num_colours == colour.
-  NEM_RUNS_ON(system)
   Expected<Pfn, FramesError> AllocFrameWithColour(DomainId domain, uint64_t colour,
                                                   uint64_t num_colours);
 
   // Returns an (unused) frame to the allocator.
-  NEM_RUNS_ON(system) Status<FramesError> FreeFrame(DomainId domain, Pfn pfn);
+  Status<FramesError> FreeFrame(DomainId domain, Pfn pfn);
 
   // --- Revocation protocol -------------------------------------------------
 
   // Application side: called when the victim has arranged for the top k
   // frames of its stack to be unused ("Application B replies that all is now
   // ready").
-  // Designed domain-context upcall: the victim's MMEntry reports revocation
-  // completion from its own shard; the allocator applies it at the barrier.
-  NEM_CROSSES_DOMAINS void RevocationComplete(DomainId domain);
+  void RevocationComplete(DomainId domain);
 
   // Notifier invoked (synchronously) when an intrusive revocation starts;
   // wired by the system to the victim's MMEntry event path.
@@ -188,15 +184,13 @@ class FramesAllocator {
   // The domain PickVictim would choose right now (kNoDomain when none).
   // Read-only: the tenant-density bench and the equivalence suite use it to
   // compare victim choices without running a revocation.
-  NEM_RUNS_ON(system) DomainId PeekVictim();
+  DomainId PeekVictim();
 
   // Observability hook; revoke-* spans (victim as client, aggressor in
   // value_b) are emitted only while obs->enabled().
   void set_obs(Obs* obs) { obs_ = obs; }
 
   // Wires the ownership/race checker (audit builds). Null disables recording.
-  // Existing clients' frame stacks are (re)bound so their mutations record
-  // owned writes for the shard-confinement rule.
   void set_access_checker(DomainAccessChecker* checker);
 
   // Audit cross-check (the invariant auditor's indexed-structures rule):
@@ -242,7 +236,7 @@ class FramesAllocator {
   // Removes a specific frame from the free pool and grants it.
   Expected<Pfn, FramesError> GrantSpecific(Client& client, Pfn pfn);
   // Reclaims up to `k` unused frames from the top of the victim's stack.
-  NEM_RUNS_ON(system) uint64_t ReclaimUnusedTop(Client& victim, uint64_t k);
+  uint64_t ReclaimUnusedTop(Client& victim, uint64_t k);
   // Picks the domain holding the most optimistic frames. Skips the victim of
   // the in-flight revocation and prefers candidates that hold at least one
   // reclaimable (non-nailed) frame; a fully-nailed candidate is only returned
@@ -267,12 +261,12 @@ class FramesAllocator {
   // FIFO prefix, or spare frames exist beyond every queued waiter's claim.
   bool MayTakeFrame(DomainId domain) const;
   // Guaranteed-request slow path: reservation check, queue join, revocation.
-  NEM_RUNS_ON(system) Expected<Pfn, FramesError> AllocGuaranteed(Client& client);
+  Expected<Pfn, FramesError> AllocGuaranteed(Client& client);
   // `aggressor` is the domain whose allocation forced the revocation; it is
   // carried into the revoke-* spans so crosstalk can be attributed.
-  NEM_RUNS_ON(system) void StartIntrusiveRevocation(Client& victim, uint64_t k, DomainId aggressor);
-  NEM_RUNS_ON(system) void FinishRevocation(DomainId victim, bool deadline_expired);
-  NEM_RUNS_ON(system) void KillAndReclaim(Client& victim);
+  void StartIntrusiveRevocation(Client& victim, uint64_t k, DomainId aggressor);
+  void FinishRevocation(DomainId victim, bool deadline_expired);
+  void KillAndReclaim(Client& victim);
 
   void RecordAccess(DomainId domain) {
     if (access_checker_ != nullptr) {

@@ -6,8 +6,7 @@
 // question — did each domain actually receive what it was guaranteed, in
 // every one of its own accounting periods?
 //
-// Probe sites (all on the serial system shard, so verdict streams are
-// byte-identical serial vs parallel):
+// Probe sites:
 //   * Atropos charge/refresh/queue hooks  — every granted CPU or disk slice,
 //     every period boundary, every backlog transition;
 //   * the frames allocator                — frame-holding transitions,

@@ -1,18 +1,15 @@
 // Statistic counter for the observability layer (DESIGN.md "Observability").
 //
 // StatCounter is the one sanctioned shape for event-count statistics outside
-// src/obs/ itself: a relaxed atomic, so shard lanes under the parallel
-// simulator may bump it concurrently without a data race. Totals stay exact
-// (increments commute); only the interleaving is unordered, which no snapshot
-// consumer observes. tools/analyze.py's authority-stats rule points raw
-// `uint64_t foo_count_` members here.
+// src/obs/ itself: a plain counter (the simulation is single-threaded) with
+// a registry-friendly interface. tools/analyze.py's authority-stats rule
+// points raw `uint64_t foo_count_` members here.
 //
 // Header-only and dependency-free so layers below the obs library (the
 // simulator, the hardware models) could adopt it without a link cycle.
 #ifndef SRC_OBS_COUNTER_H_
 #define SRC_OBS_COUNTER_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace nemesis {
@@ -23,20 +20,19 @@ class StatCounter {
   StatCounter(const StatCounter&) = delete;
   StatCounter& operator=(const StatCounter&) = delete;
 
-  void Inc() { v_.fetch_add(1, std::memory_order_relaxed); }
-  void Add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void Inc() { ++v_; }
+  void Add(uint64_t n) { v_ += n; }
+  uint64_t value() const { return v_; }
 
   // For tests and measurement-window resets; not for normal accounting.
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
+  void Reset() { v_ = 0; }
 
  private:
-  std::atomic<uint64_t> v_{0};
+  uint64_t v_ = 0;
 };
 
-// Running-maximum statistic (e.g. a queue-depth high-water mark). Same
-// contract as StatCounter: relaxed atomics, exact under commuting updates,
-// the sanctioned shape for max-style stats outside src/obs/.
+// Running-maximum statistic (e.g. a queue-depth high-water mark): the
+// sanctioned shape for max-style stats outside src/obs/.
 class StatHighWater {
  public:
   StatHighWater() = default;
@@ -44,15 +40,15 @@ class StatHighWater {
   StatHighWater& operator=(const StatHighWater&) = delete;
 
   void Observe(uint64_t n) {
-    uint64_t cur = v_.load(std::memory_order_relaxed);
-    while (n > cur && !v_.compare_exchange_weak(cur, n, std::memory_order_relaxed)) {
+    if (n > v_) {
+      v_ = n;
     }
   }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const { return v_; }
+  void Reset() { v_ = 0; }
 
  private:
-  std::atomic<uint64_t> v_{0};
+  uint64_t v_ = 0;
 };
 
 }  // namespace nemesis

@@ -2,9 +2,7 @@
 //
 // Values (nanoseconds of simulated time) land in power-of-two buckets:
 // bucket i holds values in [2^(i-1), 2^i). 64 buckets cover the full uint64
-// range, so Record never clamps. Buckets are relaxed atomics — shard lanes
-// record concurrently; the counts commute, so a snapshot is deterministic
-// for a deterministic workload regardless of executor count.
+// range, so Record never clamps.
 //
 // Percentiles are estimated by linear interpolation inside the covering
 // bucket (exact at bucket boundaries, <= 2x off inside — fine for p50/p90/p99
@@ -13,7 +11,6 @@
 #define SRC_OBS_HISTOGRAM_H_
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 
@@ -30,17 +27,17 @@ class LatencyHistogram {
   void Record(int64_t ns) {
     const uint64_t v = ns > 0 ? static_cast<uint64_t>(ns) : 0;
     const size_t bucket = v == 0 ? 0 : static_cast<size_t>(std::bit_width(v) - 1) + 1;
-    buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    uint64_t seen = max_.load(std::memory_order_relaxed);
-    while (v > seen && !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+    ++buckets_[bucket < kBuckets ? bucket : kBuckets - 1];
+    ++count_;
+    sum_ += v;
+    if (v > max_) {
+      max_ = v;
     }
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t max_ns() const { return max_.load(std::memory_order_relaxed); }
+  uint64_t count() const { return count_; }
+  uint64_t sum_ns() const { return sum_; }
+  uint64_t max_ns() const { return max_; }
   double mean_ns() const {
     const uint64_t n = count();
     return n > 0 ? static_cast<double>(sum_ns()) / static_cast<double>(n) : 0.0;
@@ -55,8 +52,7 @@ class LatencyHistogram {
     const double target = p * static_cast<double>(n);
     double cumulative = 0.0;
     for (size_t i = 0; i < kBuckets; ++i) {
-      const double in_bucket =
-          static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
+      const double in_bucket = static_cast<double>(buckets_[i]);
       if (in_bucket == 0.0) {
         continue;
       }
@@ -74,19 +70,17 @@ class LatencyHistogram {
   }
 
   void Reset() {
-    for (auto& b : buckets_) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
+    buckets_.fill(0);
+    count_ = 0;
+    sum_ = 0;
+    max_ = 0;
   }
 
  private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> max_{0};
+  std::array<uint64_t, kBuckets> buckets_{};
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
+  uint64_t max_ = 0;
 };
 
 }  // namespace nemesis

@@ -51,12 +51,11 @@ LatencyHistogram* MetricsRegistry::NewHistogram(const std::string& name) {
   return slot.get();
 }
 
-void MetricsRegistry::RegisterGauge(const std::string& name, std::function<uint64_t()> fn,
-                                    GaugeDeterminism determinism) {
-  gauges_[name] = Gauge{std::move(fn), determinism};
+void MetricsRegistry::RegisterGauge(const std::string& name, std::function<uint64_t()> fn) {
+  gauges_[name] = std::move(fn);
 }
 
-std::string MetricsRegistry::SnapshotJson(SnapshotFilter filter) const {
+std::string MetricsRegistry::SnapshotJson() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, counter] : counters_) {
@@ -69,15 +68,11 @@ std::string MetricsRegistry::SnapshotJson(SnapshotFilter filter) const {
 
   out.append("  \"gauges\": {");
   first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (filter == SnapshotFilter::kDeterministicOnly &&
-        gauge.determinism == GaugeDeterminism::kNondeterministic) {
-      continue;
-    }
+  for (const auto& [name, fn] : gauges_) {
     out.append(first ? "\n    " : ",\n    ");
     first = false;
     AppendKey(&out, name);
-    AppendU64(&out, gauge.fn());
+    AppendU64(&out, fn());
   }
   out.append(first ? "},\n" : "\n  },\n");
 
@@ -106,12 +101,12 @@ std::string MetricsRegistry::SnapshotJson(SnapshotFilter filter) const {
   return out;
 }
 
-bool MetricsRegistry::WriteJson(const std::string& path, SnapshotFilter filter) const {
+bool MetricsRegistry::WriteJson(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return false;
   }
-  const std::string json = SnapshotJson(filter);
+  const std::string json = SnapshotJson();
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   std::fclose(f);
   return ok;

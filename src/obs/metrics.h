@@ -9,11 +9,11 @@
 //   * gauges            — RegisterGauge("tlb.hits", fn) wraps an EXISTING
 //                         component counter without moving it, which is how
 //                         the hot-path counters (TLB, simulator event loop)
-//                         are absorbed without turning them into atomics.
+//                         are absorbed.
 //
 // SnapshotJson renders everything, keys sorted, so two runs of a
 // deterministic workload emit byte-identical snapshots regardless of
-// registration or executor interleaving. Any bench can WriteJson at the end
+// registration order. Any bench can WriteJson at the end
 // of a measurement window; tools/report_qos.py consumes the file.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -29,22 +29,6 @@
 
 namespace nemesis {
 
-// Whether a gauge's value is a pure function of the workload (deterministic
-// across executor interleavings) or depends on scheduling accidents — e.g.
-// the TLB hit/miss split shifts under parallel_sim because shard workers
-// interleave translations differently while producing the same end state.
-enum class GaugeDeterminism {
-  kDeterministic,
-  kNondeterministic,
-};
-
-// Which gauges a snapshot includes. kDeterministicOnly is for A/B diffs and
-// tests comparing serial vs parallel runs byte-for-byte.
-enum class SnapshotFilter {
-  kAll,
-  kDeterministicOnly,
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -59,8 +43,7 @@ class MetricsRegistry {
   // Registers a read-only view over an existing statistic. Re-registering a
   // name replaces the previous gauge. The callable must outlive the registry
   // or the last Snapshot call, whichever comes first.
-  void RegisterGauge(const std::string& name, std::function<uint64_t()> fn,
-                     GaugeDeterminism determinism = GaugeDeterminism::kDeterministic);
+  void RegisterGauge(const std::string& name, std::function<uint64_t()> fn);
 
   size_t counter_count() const { return counters_.size(); }
   size_t histogram_count() const { return histograms_.size(); }
@@ -68,18 +51,13 @@ class MetricsRegistry {
 
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {count, mean_ns,
   // p50_ns, p90_ns, p99_ns, max_ns}}} with sorted keys.
-  std::string SnapshotJson(SnapshotFilter filter = SnapshotFilter::kAll) const;
-  bool WriteJson(const std::string& path, SnapshotFilter filter = SnapshotFilter::kAll) const;
+  std::string SnapshotJson() const;
+  bool WriteJson(const std::string& path) const;
 
  private:
-  struct Gauge {
-    std::function<uint64_t()> fn;
-    GaugeDeterminism determinism = GaugeDeterminism::kDeterministic;
-  };
-
   std::map<std::string, std::unique_ptr<StatCounter>> counters_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
-  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, std::function<uint64_t()>> gauges_;
 };
 
 }  // namespace nemesis

@@ -4,10 +4,8 @@
 // and the span-emission entry point for fault-lifecycle tracing. Probe sites
 // throughout kernel/app/mm/usd hold an `Obs*` (null for components built
 // outside a System) and call Span() at stage boundaries; Span forwards to the
-// System's TraceRecorder under category "span", so spans inherit the
-// recorder's shard-safety (worker-lane appends defer through the EffectSink
-// and replay in serial FIFO order) and land in the same CSV the figure
-// benches already dump.
+// System's TraceRecorder under category "span", so spans land in the same CSV
+// the figure benches already dump.
 //
 // Span record schema (category "span"):
 //   time    — the STAGE START in simulated time
@@ -136,7 +134,7 @@ class Obs {
 
 // Observability switch from the NEMESIS_OBS environment variable (off when
 // unset/0). Lets the figure benches be A/B-diffed with spans on without a
-// recompile, mirroring NEMESIS_PARALLEL_SIM.
+// recompile.
 bool ObserveFromEnv();
 
 }  // namespace nemesis

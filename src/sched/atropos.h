@@ -82,8 +82,8 @@ class AtroposScheduler {
 
   void set_wakeup(std::function<void()> wakeup) { wakeup_ = std::move(wakeup); }
 
-  // Observer hooks for the conformance monitor (src/obs/conformance.h). All
-  // fire on the serial system shard; unset hooks cost one branch each.
+  // Observer hooks for the conformance monitor (src/obs/conformance.h). Unset
+  // hooks cost one branch each.
   //   charge hook:  (id, end = Now, used, was_lax)       — every Charge
   //   refresh hook: (id, boundary = Now, allocation, queued) — every period
   //                 refresh, after the refill (allocation = the new remain)

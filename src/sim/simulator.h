@@ -21,40 +21,15 @@
 // generation-stamped slot, destroys the callback eagerly, and the entry is
 // dropped when it surfaces. Same-time events always fire in scheduling (FIFO)
 // order: appends only ever go to the newest bucket for a given time.
-//
-// Parallel mode (opt-in via EnableParallel): every event carries an affinity
-// shard (src/base/shard.h). Within one timestamp batch, a maximal run of
-// consecutive domain-shard entries spanning >= 2 distinct shards becomes a
-// *segment*: the run is grouped by shard (FIFO order preserved within each
-// shard) and the groups execute concurrently on a persistent worker pool.
-// System-shard events, and runs confined to a single shard, execute inline
-// exactly as in serial mode. Side effects that leave a worker — CallAt/
-// CallAfter (the bucket append), Spawn (registration + first resume), and
-// sink-deferred closures from lower layers — are buffered per worker, tagged
-// with the producing entry's FIFO position, and replayed on the driving
-// thread at the segment barrier in ascending position order. Slot allocation
-// and Cancel from workers take a mutex and act eagerly (slot-table order is
-// unobservable; execution order comes solely from bucket entry order), so
-// parallel runs are bit-identical to serial ones. One documented limitation:
-// cancelling an event scheduled in the *current* segment on a *different*
-// shard races with its execution — no code path in the tree does this (timer
-// cancels target the canceller's own shard or a future timestamp).
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/base/shard.h"
 #include "src/base/small_function.h"
-#include "src/base/thread_annotations.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
@@ -63,10 +38,6 @@ namespace nemesis {
 class Simulator {
  public:
   using Callback = SmallFunction<void()>;
-  // Fired once per executed event, in logical FIFO order, in both serial and
-  // parallel modes (parallel fires it at the barrier, in entry order) — the
-  // hook the golden determinism tests compare across modes.
-  using EventProbe = std::function<void(SimTime, ShardId)>;
 
   Simulator() {
     for (uint32_t& c : time_cache_) {
@@ -81,20 +52,10 @@ class Simulator {
 
   // Schedules `fn` to run at absolute simulated time `t` (>= Now()). Returns
   // an id usable with Cancel(); ids are never 0, so 0 is a safe sentinel.
-  // The event inherits the scheduling context's shard.
-  uint64_t CallAt(SimTime t, Callback fn) {
-    return CallAtOn(kInheritShard, t, std::move(fn));
-  }
+  uint64_t CallAt(SimTime t, Callback fn);
 
   // Schedules `fn` to run `d` after Now().
-  uint64_t CallAfter(SimDuration d, Callback fn) {
-    return CallAfterOn(kInheritShard, d, std::move(fn));
-  }
-
-  // Shard-explicit variants. `shard` may be kInheritShard (resolve against
-  // the current lane), kSystemShard, or a domain shard.
-  uint64_t CallAtOn(ShardId shard, SimTime t, Callback fn);
-  uint64_t CallAfterOn(ShardId shard, SimDuration d, Callback fn);
+  uint64_t CallAfter(SimDuration d, Callback fn);
 
   // Cancels a pending callback; cancelling an already-fired or unknown id is a
   // no-op (ids carry a generation stamp, so a recycled handle slot can never
@@ -103,10 +64,8 @@ class Simulator {
 
   // Starts a coroutine task. The first resume happens from the run loop at the
   // current simulated time. The returned handle can observe completion and
-  // kill the task. The task (and every event it schedules, unless overridden)
-  // runs on `shard`; kInheritShard resolves against the spawning context.
-  TaskHandle Spawn(Task task, std::string name = "",
-                   ShardId shard = kInheritShard);
+  // kill the task.
+  TaskHandle Spawn(Task task, std::string name = "");
 
   // Executes events until the queue drains. Returns the number of events run.
   uint64_t Run();
@@ -116,19 +75,7 @@ class Simulator {
   uint64_t RunUntil(SimTime deadline);
 
   // Executes a single event if one is pending. Returns false when idle.
-  // Always executes inline (never forms a segment), in both modes.
   bool Step();
-
-  // Enables parallel execution with `executors` total executors: the driving
-  // thread plus executors-1 persistent pool threads. Must be called before
-  // running; executors == 1 exercises the full segment/buffer/merge machinery
-  // with no extra threads (useful for determinism tests). Irreversible for
-  // the simulator's lifetime.
-  void EnableParallel(size_t executors);
-  bool parallel_enabled() const { return parallel_ != nullptr; }
-  // Number of multi-shard segments executed, and events executed inside them.
-  uint64_t parallel_segments() const;
-  uint64_t parallel_events() const;
 
   size_t pending_events() const { return live_pending_; }
   uint64_t events_executed() const { return events_executed_; }
@@ -136,13 +83,9 @@ class Simulator {
   // including dead entries not yet pruned.
   size_t task_registry_size() const { return tasks_.size(); }
 
-  void set_event_probe(EventProbe probe) { probe_ = std::move(probe); }
-
   // Checker hooks (NEMESIS_AUDIT builds; both empty by default). The
-  // post-event hook runs after every inline event callback — and once per
-  // parallel segment, at the barrier, where it closes the checker's access
-  // window for the segment as a unit (worker-side accesses are checked by
-  // lane enforcement instead; see src/check/domain_access.h). The post-batch
+  // post-event hook runs after every event callback, where it closes the
+  // access checker's window (see src/check/domain_access.h). The post-batch
   // hook runs after each same-timestamp batch drains (and after every Step) —
   // the quiescent point where the invariant auditor walks cross-layer state.
   void set_post_event_hook(Callback hook) { post_event_hook_ = std::move(hook); }
@@ -178,90 +121,8 @@ class Simulator {
   struct Slot {
     Callback fn;
     uint32_t gen = 1;
-    ShardId shard = kSystemShard;
     bool pending = false;
     bool cancelled = false;
-  };
-
-  // A buffered cross-shard side effect, tagged with the FIFO position of the
-  // bucket entry that produced it. Replayed in ascending entry_pos order
-  // (stable within one entry) at the segment barrier.
-  struct Effect {
-    enum class Kind : uint8_t { kSchedule, kSpawn, kGeneric };
-    Kind kind;
-    uint32_t entry_pos;
-    SimTime time = 0;                     // kSchedule: target timestamp
-    uint32_t slot = 0;                    // kSchedule: pre-allocated slot
-    std::shared_ptr<TaskState> spawn;     // kSpawn: state to register
-    std::function<void()> generic;        // kGeneric: deferred closure
-  };
-
-  // Per-executor context. The sink interface lets layers below the simulator
-  // (trace recorder, TLB shootdowns) defer effects without a sim dependency.
-  struct WorkerCtx final : public EffectSink {
-    std::vector<Effect> effects;
-    uint32_t entry_pos = 0;
-
-    void Defer(std::function<void()> fn) override {
-      effects.push_back(Effect{Effect::Kind::kGeneric, entry_pos, 0, 0,
-                               nullptr, std::move(fn)});
-    }
-    void PushSchedule(uint32_t pos, SimTime t, uint32_t slot) {
-      effects.push_back(
-          Effect{Effect::Kind::kSchedule, pos, t, slot, nullptr, {}});
-    }
-    void PushSpawn(uint32_t pos, std::shared_ptr<TaskState> st) {
-      effects.push_back(
-          Effect{Effect::Kind::kSpawn, pos, 0, 0, std::move(st), {}});
-    }
-  };
-
-  // One shard's slice of a segment: bucket entries in FIFO order.
-  struct SegmentGroup {
-    ShardId shard = kSystemShard;
-    std::vector<uint32_t> slots;
-    std::vector<uint32_t> positions;
-  };
-
-  struct RunEntry {
-    uint32_t slot;
-    uint32_t pos;
-    ShardId shard;
-  };
-
-  struct Parallel {
-    size_t executors = 1;
-    std::vector<WorkerCtx> ctxs;       // one per executor; [0] = driving thread
-    std::vector<std::thread> threads;  // executors - 1 pool threads
-    Mutex mu;
-    std::condition_variable work_cv;
-    std::condition_variable done_cv;
-    uint64_t job_gen NEM_GUARDED_BY(mu) = 0;
-    size_t done_count NEM_GUARDED_BY(mu) = 0;
-    bool stop NEM_GUARDED_BY(mu) = false;
-    // Published segment (filled by the driving thread before job_gen bumps).
-    std::vector<SegmentGroup> groups;  // recycled; [0, ngroups) live
-    size_t ngroups = 0;
-    std::atomic<size_t> next_group{0};
-    std::vector<uint8_t> executed;  // per run entry; 0 = found cancelled
-    uint32_t seg_base = 0;
-    // Guards slots_/free_slots_/live_pending_ while workers run. Those
-    // fields cannot carry NEM_GUARDED_BY: they are lock-free single-threaded
-    // state outside parallel segments, guarded only conditionally.
-    Mutex slot_mu;
-    uint64_t segments = 0;
-    uint64_t parallel_events = 0;
-
-    SegmentGroup& AddGroup(ShardId shard) {
-      if (ngroups == groups.size()) {
-        groups.emplace_back();
-      }
-      SegmentGroup& g = groups[ngroups++];
-      g.shard = shard;
-      g.slots.clear();
-      g.positions.clear();
-      return g;
-    }
   };
 
   static bool EarlierThan(const Event& a, const Event& b) {
@@ -299,18 +160,9 @@ class Simulator {
   // number of events executed (0 when idle).
   uint64_t DrainBatch();
 
-  // Registers a spawned task and schedules its first resume; shared by the
-  // inline Spawn path and the segment merge.
-  void RegisterTask(const std::shared_ptr<TaskState>& state);
-
-  // Executes the multi-shard run in run_scratch_ on the worker pool, then
-  // retires entries and replays buffered effects in FIFO order.
-  uint64_t ExecuteSegment();
-  void RunGroups(WorkerCtx& ctx);
-  void WorkerThread(size_t idx);
-  void ApplyEffect(Effect& eff);
-  void StopParallel();
-  void CancelLocked(uint64_t id);
+  // Runs one dequeued event: accounting, then the callback, then the
+  // post-event hook.
+  void Execute(uint32_t slot);
 
   void PruneTasks();
 
@@ -328,10 +180,6 @@ class Simulator {
   size_t prune_threshold_ = kMinPruneThreshold;
   Callback post_event_hook_;
   Callback post_batch_hook_;
-  EventProbe probe_;
-  std::unique_ptr<Parallel> parallel_;
-  std::vector<RunEntry> run_scratch_;
-  std::vector<Effect*> merge_scratch_;
 };
 
 }  // namespace nemesis

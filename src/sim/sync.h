@@ -70,9 +70,7 @@ class Condition {
     void await_suspend(std::coroutine_handle<Task::promise_type> h) {
       st_ = StateOf(h);
       if (timeout_ >= 0) {
-        // The timeout fires on the waiter's shard so the resumed code runs in
-        // its own lane, same as a notification would.
-        timer_id_ = cv_->sim_->CallAfterOn(st_->shard, timeout_, [this, st = st_] {
+        timer_id_ = cv_->sim_->CallAfter(timeout_, [this, st = st_] {
           // Timed out: drop from the wait list and resume un-notified.
           timer_id_ = 0;
           cv_->waiters_.Remove(this);
@@ -126,8 +124,7 @@ class Condition {
     w->notified_ = true;
     CancelTimeout(w);
     // The dequeued awaiter never reads st_ again: hand its reference over.
-    const ShardId shard = w->st_->shard;
-    sim_->CallAfterOn(shard, 0, [st = std::move(w->st_)] { st->Resume(); });
+    sim_->CallAfter(0, [st = std::move(w->st_)] { st->Resume(); });
   }
 
   void CancelTimeout(WaitAwaiter* w) {
@@ -175,7 +172,7 @@ class Semaphore {
       if (TaskDead(st)) {
         continue;
       }
-      sim_->CallAfterOn(st->shard, 0, [st] { st->Resume(); });
+      sim_->CallAfter(0, [st] { st->Resume(); });
       return;
     }
     ++count_;
@@ -296,7 +293,7 @@ class Mailbox {
 
  private:
   void Wake(const std::shared_ptr<TaskState>& st) {
-    sim_->CallAfterOn(st->shard, 0, [st] { st->Resume(); });
+    sim_->CallAfter(0, [st] { st->Resume(); });
   }
 
   // After freeing a buffer slot, move one blocked sender's value in.

@@ -43,7 +43,7 @@ void TaskState::Kill() {
 void TaskState::Abandon() {
   NEM_ASSERT_MSG(!running, "cannot abandon a running task");
   killed = true;
-  first_watcher.fn.Reset();
+  first_watcher.Reset();
   more_watchers.clear();
   DestroyFrame();
 }
@@ -59,31 +59,31 @@ void TaskState::DestroyFrame() {
   }
 }
 
-void TaskState::AddCompletionWatcher(SmallFunction<void()> fn, ShardId on) {
-  if (!first_watcher.fn) {
-    first_watcher = Watcher{std::move(fn), on};
+void TaskState::AddCompletionWatcher(SmallFunction<void()> fn) {
+  if (!first_watcher) {
+    first_watcher = std::move(fn);
   } else {
-    more_watchers.push_back(Watcher{std::move(fn), on});
+    more_watchers.push_back(std::move(fn));
   }
 }
 
 void TaskState::FireCompletionWatchers() {
-  if (!first_watcher.fn) {
+  if (!first_watcher) {
     return;
   }
-  Watcher first = std::move(first_watcher);
-  std::vector<Watcher> more;
+  SmallFunction<void()> first = std::move(first_watcher);
+  std::vector<SmallFunction<void()>> more;
   more.swap(more_watchers);
-  auto fire = [this](Watcher& w) {
+  auto fire = [this](SmallFunction<void()>& fn) {
     if (sim != nullptr) {
-      sim->CallAfterOn(w.shard, 0, std::move(w.fn));
+      sim->CallAfter(0, std::move(fn));
     } else {
-      w.fn();
+      fn();
     }
   };
   fire(first);
-  for (Watcher& w : more) {
-    fire(w);
+  for (SmallFunction<void()>& fn : more) {
+    fire(fn);
   }
 }
 
@@ -106,7 +106,7 @@ void Task::promise_type::FinalAwaiter::await_suspend(
   // Exit hop: the parent resumes from the event queue, in the slot a Join
   // watcher's wakeup took when the child was a spawned task of its own.
   st.leaf = p.parent;
-  st.sim->CallAfterOn(st.shard, 0, [s = p.state] { s->Resume(); });
+  st.sim->CallAfter(0, [s = p.state] { s->Resume(); });
 }
 
 void Task::InlineAwaiter::await_suspend(Handle parent) {
@@ -115,19 +115,17 @@ void Task::InlineAwaiter::await_suspend(Handle parent) {
   p.parent = parent;
   TaskState& st = *p.state;
   st.leaf = child_;
-  // Entry hop: the child's first resume is queued at the current time on the
-  // task's shard, in the slot a Spawn's first resume took.
-  st.sim->CallAfterOn(st.shard, 0, [s = p.state] { s->Resume(); });
+  // Entry hop: the child's first resume is queued at the current time, in
+  // the slot a Spawn's first resume took.
+  st.sim->CallAfter(0, [s = p.state] { s->Resume(); });
 }
 
 void DelayAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
-  const ShardId shard = h.promise().state->shard;
-  sim->CallAfterOn(shard, duration_ns, [st = StateOf(h)] { st->Resume(); });
+  sim->CallAfter(duration_ns, [st = StateOf(h)] { st->Resume(); });
 }
 
 void JoinAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {
-  const ShardId shard = h.promise().state->shard;
-  target->AddCompletionWatcher([st = StateOf(h)] { st->Resume(); }, shard);
+  target->AddCompletionWatcher([st = StateOf(h)] { st->Resume(); });
 }
 
 }  // namespace nemesis

@@ -6,14 +6,14 @@
 // execution, which keeps re-entrancy out of the model.
 //
 // A Task runs in one of two ways. Simulator::Spawn makes it the root of a new
-// task (its own TaskState, shard and handle). `co_await SomeTask(...)` runs it
+// task (its own TaskState and handle). `co_await SomeTask(...)` runs it
 // as a *child* of the awaiting task instead — a procedure call, as in the
 // paper's worker thread calling into its stretch driver: the child shares the
 // parent's TaskState, its frame is owned by the parent's frame, and killing
 // the task kills the child with it. Entering and leaving a child each cost
-// one scheduling hop at the current time on the task's shard (the slots a
-// Spawn's first resume and a Join's completion wakeup used), so replacing a
-// Spawn-then-Join pair with a co_await moves no event.
+// one scheduling hop at the current time (the slots a Spawn's first resume
+// and a Join's completion wakeup used), so replacing a Spawn-then-Join pair
+// with a co_await moves no event.
 //
 // Tasks can be killed (the Nemesis frames allocator kills domains that do not
 // honour an intrusive revocation deadline). Killing destroys the root frame,
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/base/assert.h"
-#include "src/base/shard.h"
 #include "src/base/small_function.h"
 
 namespace nemesis {
@@ -46,28 +45,18 @@ struct TaskState {
   std::coroutine_handle<> leaf{};    // innermost frame: the one Resume() runs
   Simulator* sim = nullptr;
   std::string name;
-  // Affinity shard the task executes on (fixed at Spawn). Every event that
-  // resumes this task — the first resume, Delay timers, Condition/Semaphore/
-  // Mailbox wakeups, Join completions — is scheduled on this shard, so a task
-  // never migrates shards no matter which context woke it.
-  ShardId shard = kSystemShard;
   bool started = false;
   bool running = false;
   bool done = false;
   bool killed = false;
   bool destroyed = false;
   // Callbacks run (via the event queue), in registration order, when the task
-  // completes or is killed. Each fires on the shard given at registration.
-  // The first is stored inline: a task rarely has more than one joiner, so
-  // registering one never allocates.
-  struct Watcher {
-    SmallFunction<void()> fn;
-    ShardId shard = kSystemShard;
-  };
-  Watcher first_watcher;  // empty fn: no watchers registered
-  std::vector<Watcher> more_watchers;
+  // completes or is killed. The first is stored inline: a task rarely has
+  // more than one joiner, so registering one never allocates.
+  SmallFunction<void()> first_watcher;  // empty: no watchers registered
+  std::vector<SmallFunction<void()>> more_watchers;
 
-  void AddCompletionWatcher(SmallFunction<void()> fn, ShardId on);
+  void AddCompletionWatcher(SmallFunction<void()> fn);
 
   // Resumes the innermost frame if the task is still alive; destroys the
   // task if it was killed.

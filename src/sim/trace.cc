@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/base/shard.h"
-
 namespace nemesis {
 
 void TraceRecorder::set_capacity(size_t n) {
@@ -27,15 +25,6 @@ void TraceRecorder::set_capacity(size_t n) {
 void TraceRecorder::Record(SimTime time, std::string category, int client, std::string event,
                            double a, double b) {
   if (!enabled_) {
-    return;
-  }
-  // Worker lanes defer the append to the batch barrier, where effects replay
-  // in the serial FIFO order — so the records vector is identical to a serial
-  // run's. (Trace sources are system-shard today; this keeps any domain-lane
-  // caller safe too.)
-  if (EffectSink* sink = ShardLane::Current().sink; sink != nullptr) [[unlikely]] {
-    sink->Defer([this, time, category = std::move(category), client, event = std::move(event), a,
-                 b]() { Record(time, category, client, event, a, b); });
     return;
   }
   if (capacity_ != 0 && records_.size() >= capacity_) {

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "src/base/expected.h"
-#include "src/base/thread_annotations.h"
 #include "src/hw/disk.h"
 #include "src/obs/counter.h"
 #include "src/sched/atropos.h"
@@ -178,14 +177,14 @@ class Usd {
  private:
   friend class UsdClient;
 
-  NEM_RUNS_ON(system) Task ServiceLoop();
+  Task ServiceLoop();
   UsdClient* FindBySchedId(SchedClientId id);
   void OnRequestArrival(UsdClient& client);
   // Pops the head of `client`'s queue into batch_/batch_reqs_, then — when
   // the client's policy allows — keeps draining coalescable requests, bounded
   // by the policy caps, the covering extent, and `slice_budget` (cumulative
   // chain cost; the first request alone may exceed it, the roll-over rule).
-  NEM_RUNS_ON(system) void AssembleBatch(UsdClient& client, SimDuration slice_budget);
+  void AssembleBatch(UsdClient& client, SimDuration slice_budget);
   // Destroys clients whose CloseClient arrived while the loop was holding
   // them across an in-flight transaction. Must only run at loop points where
   // no UsdClient pointer is live.

@@ -12,8 +12,8 @@ works on any machine — and the runner asserts:
 
 Two regression tests ride along:
 
-  * reintroducing the PR-6 MmEntry::Stop bug (deleting the
-    slow_tasks_.KillAll() line from the real src/app/mm_entry.cc) must be
+  * reintroducing the orphan-task bug class in shipped code (deleting the
+    handler_tasks_.KillAll() line from the real src/app/idc.h) must be
     caught by the task-lifetime rule, and
   * the real tree as-is must be clean.
 
@@ -41,8 +41,6 @@ MANIFEST = [
     ("task_lifetime_stop_good.cc", "src/app/fixture.cc", None),
     ("task_lifetime_handle_bad.cc", "src/app/fixture.cc", "task-lifetime"),
     ("task_lifetime_handle_good.cc", "src/app/fixture.cc", None),
-    ("shard_affinity_bad.cc", "src/app/fixture.cc", "shard-affinity"),
-    ("shard_affinity_good.cc", "src/app/fixture.cc", None),
     ("authority_ramtab_bad.cc", "src/app/fixture.cc", "authority-ramtab"),
     ("authority_ramtab_good.cc", "src/app/fixture.cc", None),
     ("authority_framestack_bad.cc", "src/app/fixture.cc",
@@ -87,35 +85,32 @@ def stage_and_check(fixture, dest, expect):
     return None
 
 
-def check_pr6_reintroduction():
-    """Deleting the KillAll from the real MmEntry::Stop must be caught."""
-    mm_h = os.path.join(REPO, "src", "app", "mm_entry.h")
-    mm_cc = os.path.join(REPO, "src", "app", "mm_entry.cc")
-    with open(mm_cc, encoding="utf-8") as f:
+def check_missing_killall_caught():
+    """Deleting the KillAll from a real OwnedTaskSet owner must be caught."""
+    idc_h = os.path.join(REPO, "src", "app", "idc.h")
+    with open(idc_h, encoding="utf-8") as f:
         original = f.read()
-    buggy, n = re.subn(r"^.*slow_tasks_\.KillAll\(\).*\n", "", original,
+    buggy, n = re.subn(r"^.*handler_tasks_\.KillAll\(\).*\n", "", original,
                        flags=re.M)
     if n != 1:
-        return ("mm_entry.cc: expected exactly one slow_tasks_.KillAll() "
+        return ("idc.h: expected exactly one handler_tasks_.KillAll() "
                 f"line to delete, found {n}")
-    with tempfile.TemporaryDirectory(prefix="analyze_pr6_") as tmp:
+    with tempfile.TemporaryDirectory(prefix="analyze_killall_") as tmp:
         app = os.path.join(tmp, "src", "app")
         os.makedirs(app)
-        shutil.copyfile(mm_h, os.path.join(app, "mm_entry.h"))
-        with open(os.path.join(app, "mm_entry.cc"), "w",
-                  encoding="utf-8") as f:
+        staged = os.path.join(app, "idc.h")
+        with open(staged, "w", encoding="utf-8") as f:
             f.write(buggy)
         code, fired, output = run_analyze(tmp)
         if code == 0 or "task-lifetime" not in fired:
-            return ("PR-6 reintroduction (MmEntry::Stop without KillAll) "
+            return ("IdcService teardown without handler_tasks_.KillAll() "
                     f"was NOT caught; rules fired: {sorted(fired)}\n{output}")
-        # and the unmodified pair must be clean
-        with open(os.path.join(app, "mm_entry.cc"), "w",
-                  encoding="utf-8") as f:
+        # and the unmodified header must be clean
+        with open(staged, "w", encoding="utf-8") as f:
             f.write(original)
         code, fired, output = run_analyze(tmp)
         if code != 0:
-            return (f"unmodified mm_entry pair not clean: {sorted(fired)}\n"
+            return (f"unmodified idc.h not clean: {sorted(fired)}\n"
                     f"{output}")
     return None
 
@@ -135,7 +130,7 @@ def main():
         print(f"  [{status}] {fixture}")
         if err:
             failures.append(err)
-    for name, check in (("pr6-reintroduction", check_pr6_reintroduction),
+    for name, check in (("missing-killall", check_missing_killall_caught),
                         ("head-clean", check_head_clean)):
         err = check()
         status = "FAIL" if err else "ok"

@@ -397,6 +397,87 @@ TEST(MmEntryTest, FaultOutsideAnyStretchFails) {
   EXPECT_FALSE(ok);
 }
 
+// The worker runs the driver's slow path itself: a demand fault that pages in
+// from swap spawns no task of its own, so once the domain is warm the task
+// registry stays the same size however many faults it takes.
+TEST(MmEntryTest, DemandFaultsSpawnNoTasks) {
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.name = "paged";
+  cfg.contract = {2, 0};
+  cfg.driver_max_frames = 2;
+  cfg.stretch_bytes = 8 * kDefaultPageSize;
+  cfg.swap_bytes = kMiB;
+  AppDomain* app = system.CreateApp(cfg);
+  struct Probe {
+    static Task Run(AppDomain* app, size_t* warm, size_t* after, bool* ok) {
+      const VirtAddr base = app->stretch()->base();
+      const size_t len = app->stretch()->length();
+      bool pass_ok = false;
+      co_await app->vmem().AccessRange(base, len, AccessType::kWrite, &pass_ok);
+      *warm = app->system().sim().task_registry_size();
+      co_await app->vmem().AccessRange(base, len, AccessType::kRead, ok);
+      *after = app->system().sim().task_registry_size();
+      *ok = *ok && pass_ok;
+    }
+  };
+  size_t warm = 0;
+  size_t after = 0;
+  bool ok = false;
+  app->SpawnWorkload(Probe::Run(app, &warm, &after, &ok), "probe");
+  system.sim().RunUntil(Seconds(30));
+  ASSERT_TRUE(ok);
+  // Both passes fault on every page; the read pass pages each one back in.
+  EXPECT_GE(app->mm_entry().faults_worker(), 16u);
+  EXPECT_GE(app->paged_driver()->pageins(), 8u);
+  EXPECT_GT(warm, 0u);
+  EXPECT_EQ(after, warm);
+}
+
+// Killing a domain while its worker is suspended inside ResolveFault, waiting
+// on a swap read, destroys the worker frame and the driver's slow-path frames
+// with it. The disk reply that lands afterwards must find nothing dangling
+// (run under ASan in CI).
+TEST(MmEntryTest, KillDuringSwapReadTearsDownTheSlowPath) {
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.name = "victim";
+  cfg.contract = {2, 0};
+  cfg.driver_max_frames = 2;
+  cfg.stretch_bytes = 8 * kDefaultPageSize;
+  cfg.swap_bytes = kMiB;
+  AppDomain* app = system.CreateApp(cfg);
+  bool wrote = false;
+  app->SpawnWorkload(SequentialPass(*app, AccessType::kWrite, &wrote), "write");
+  system.sim().RunUntil(Seconds(30));
+  ASSERT_TRUE(wrote);
+
+  // Read everything back. Once a few pages are in, the resident frames are
+  // clean and evictions write nothing, so an outstanding swap request is a
+  // read the worker is waiting on.
+  bool read = false;
+  app->SpawnWorkload(SequentialPass(*app, AccessType::kRead, &read), "read");
+  PagedStretchDriver* driver = app->paged_driver();
+  UsdClient* swap = app->swap_client();
+  ASSERT_NE(driver, nullptr);
+  ASSERT_NE(swap, nullptr);
+  bool in_read = false;
+  while (system.sim().Step()) {
+    if (driver->pageins() >= 3 && swap->free_slots() < swap->depth()) {
+      in_read = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(in_read);
+  const uint64_t pageins = driver->pageins();
+
+  app->Shutdown();
+  system.sim().RunUntil(system.sim().Now() + Seconds(5));
+  EXPECT_FALSE(read);
+  EXPECT_EQ(driver->pageins(), pageins);  // the read's frame was never filled
+  EXPECT_FALSE(system.frames().IsClient(app->id()));
+}
+
 TEST(StreamPaging, SequentialReadsHitStagedFrames) {
   System system(SmallSystem());
   AppConfig cfg;

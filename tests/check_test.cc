@@ -315,99 +315,5 @@ TEST(DomainAccess, NullCheckerSectionIsNoOp) {
   CrossDomainSection section(nullptr);  // must not crash
 }
 
-// --- Shard confinement (auditor rule 10) -----------------------------------
-
-// Scoped fake worker-lane: pretends the current thread is executing a
-// parallel segment on `shard`.
-class FakeLane : EffectSink {
- public:
-  explicit FakeLane(ShardId shard) {
-    ShardLane& lane = ShardLane::Current();
-    saved_ = lane;
-    lane.shard = shard;
-    lane.sink = this;
-  }
-  ~FakeLane() { ShardLane::Current() = saved_; }
-
-  void Defer(std::function<void()> fn) override { fn(); }
-
- private:
-  ShardLane saved_;
-};
-
-TEST(DomainAccess, WorkerLaneEnforcesOwnShardOnly) {
-  DomainAccessChecker checker;
-  checker.set_abort_on_violation(false);
-  FakeLane lane(2);
-  checker.Record(SharedStructure::kRamTab, 2);  // own shard: fine
-  checker.Record(SharedStructure::kRamTab, DomainAccessChecker::kSystem);
-  EXPECT_EQ(checker.violations(), 0u);
-  checker.Record(SharedStructure::kRamTab, 3);  // foreign domain on this lane
-  EXPECT_EQ(checker.violations(), 1u);
-}
-
-TEST(DomainAccess, WorkerLaneCrossDomainSectionIsLaneLocal) {
-  DomainAccessChecker checker;
-  checker.set_abort_on_violation(false);
-  FakeLane lane(2);
-  {
-    CrossDomainSection section(&checker);
-    checker.Record(SharedStructure::kRamTab, 3);  // sanctioned
-  }
-  EXPECT_EQ(checker.violations(), 0u);
-}
-
-TEST(DomainAccess, OwnedWriteByOwnerOrSystemIsClean) {
-  DomainAccessChecker checker;
-  {
-    FakeLane lane(2);
-    checker.RecordOwnedWrite(SharedStructure::kFrameStack, 2);  // owner writes
-  }
-  checker.RecordOwnedWrite(SharedStructure::kFrameStack, 5);  // system shard writes
-  EXPECT_EQ(checker.violations(), 0u);
-  EXPECT_TRUE(checker.TakeOwnedWriteViolations().empty());
-}
-
-TEST(DomainAccess, OwnedWriteFromForeignShardIsLogged) {
-  DomainAccessChecker checker;
-  {
-    FakeLane lane(2);
-    checker.RecordOwnedWrite(SharedStructure::kRamTab, 5);
-  }
-  const auto violations = checker.TakeOwnedWriteViolations();
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].structure, SharedStructure::kRamTab);
-  EXPECT_EQ(violations[0].owner, 5u);
-  EXPECT_EQ(violations[0].writer, 2u);
-  EXPECT_TRUE(checker.TakeOwnedWriteViolations().empty());  // drained
-}
-
-TEST_F(AuditorTest, ShardConfinementCatchesInjectedCrossShardWrite) {
-  // Wire the checker into the allocator (rebinds the existing client's frame
-  // stack), then inject: an event running on a FOREIGN domain shard reorders
-  // kDom's frame stack — exactly the cross-shard write the rule exists for.
-  system_->frames().set_access_checker(&system_->access_checker());
-  const Pfn pfn = MapPage(0);
-  FrameStack* stack = system_->frames().StackOf(kDom);
-  ASSERT_NE(stack, nullptr);
-  ASSERT_TRUE(stack->Contains(pfn));
-
-  system_->sim().CallAtOn(ShardId{kDom + 1}, system_->sim().Now() + Microseconds(1),
-                          [stack, pfn] { stack->MoveToTop(pfn); });
-  system_->sim().Run();
-
-  AuditReport report = system_->AuditNow();
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.HasRule("shard-confinement")) << report.Summary();
-  // The log drains with the audit: a second audit is clean again.
-  EXPECT_TRUE(system_->AuditNow().ok());
-
-  // The same write from the owner's own shard is clean.
-  system_->sim().CallAtOn(ShardId{kDom}, system_->sim().Now() + Microseconds(1),
-                          [stack, pfn] { stack->MoveToBottom(pfn); });
-  system_->sim().Run();
-  EXPECT_TRUE(system_->AuditNow().ok());
-}
-
 }  // namespace
 }  // namespace nemesis

@@ -1,8 +1,8 @@
 // Linear-vs-indexed equivalence suite (DESIGN.md "Indexed scheduler and
 // allocator structures"): the EDF heap and the O(1) frame accounting must be
 // bit-identical to the linear scans they replace. Covered here:
-//   * generated scenarios, 20 seeds, serial and parallel_sim 2: identical
-//     trace CSVs and outcome counters under ScenarioOptions::linear_structures
+//   * generated scenarios, 20 seeds: identical trace CSVs and outcome
+//     counters under ScenarioOptions::linear_structures
 //   * a tenant-storm spec (the fleet-density preset) under the same flag
 //   * EDF heap decrease/increase-key across Charge and periodic refresh,
 //     checked pick-by-pick against a linear twin
@@ -66,11 +66,10 @@ struct RunOutput {
   std::string trace;
 };
 
-RunOutput RunVariant(const ScenarioSpec& spec, bool linear, size_t parallel) {
+RunOutput RunVariant(const ScenarioSpec& spec, bool linear) {
   static int run_counter = 0;
   ScenarioOptions options;
   options.linear_structures = linear;
-  options.parallel_sim = parallel;
   options.trace_path = ::testing::TempDir() + "/equivalence_trace_" +
                        std::to_string(run_counter++) + ".csv";
   RunOutput out;
@@ -80,22 +79,16 @@ RunOutput RunVariant(const ScenarioSpec& spec, bool linear, size_t parallel) {
   return out;
 }
 
-TEST(ScenarioEquivalence, TwentySeedsSerialAndParallel) {
+TEST(ScenarioEquivalence, TwentySeedsLinearAndIndexed) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const ScenarioSpec spec = GenerateScenario(seed, FastConfig());
-    const RunOutput linear = RunVariant(spec, /*linear=*/true, /*parallel=*/0);
-    const RunOutput indexed = RunVariant(spec, /*linear=*/false, /*parallel=*/0);
+    const RunOutput linear = RunVariant(spec, /*linear=*/true);
+    const RunOutput indexed = RunVariant(spec, /*linear=*/false);
     EXPECT_TRUE(indexed.result.ok) << "seed " << seed << ": " << indexed.result.failure;
     EXPECT_EQ(Fingerprint(linear.result), Fingerprint(indexed.result)) << "seed " << seed;
+    // The trace is the full pick/fault/revocation record, so equality here
+    // means identical decision sequences.
     EXPECT_EQ(linear.trace, indexed.trace) << "seed " << seed;
-    // The sharded batch mode must agree too — and with the serial runs: the
-    // trace is the full pick/fault/revocation record, so equality here means
-    // identical decision sequences across all four variants.
-    const RunOutput linear_par = RunVariant(spec, /*linear=*/true, /*parallel=*/2);
-    const RunOutput indexed_par = RunVariant(spec, /*linear=*/false, /*parallel=*/2);
-    EXPECT_EQ(Fingerprint(linear_par.result), Fingerprint(indexed_par.result)) << "seed " << seed;
-    EXPECT_EQ(linear_par.trace, indexed_par.trace) << "seed " << seed;
-    EXPECT_EQ(linear.trace, linear_par.trace) << "seed " << seed;
   }
 }
 
@@ -103,8 +96,8 @@ TEST(ScenarioEquivalence, TenantStormMatches) {
   // The fleet-density preset (>10 domains engages the scaled disk QoS and
   // exact swap sizing), small enough for a unit-test budget.
   const ScenarioSpec spec = GenerateTenantStorm(1, 32, Milliseconds(200));
-  const RunOutput linear = RunVariant(spec, /*linear=*/true, /*parallel=*/0);
-  const RunOutput indexed = RunVariant(spec, /*linear=*/false, /*parallel=*/0);
+  const RunOutput linear = RunVariant(spec, /*linear=*/true);
+  const RunOutput indexed = RunVariant(spec, /*linear=*/false);
   EXPECT_TRUE(indexed.result.ok) << indexed.result.failure;
   EXPECT_EQ(Fingerprint(linear.result), Fingerprint(indexed.result));
   EXPECT_EQ(linear.trace, indexed.trace);

@@ -1,28 +1,20 @@
 #!/usr/bin/env python3
-"""AST/call-graph static analysis for the Nemesis self-paging reproduction.
+"""AST-model static analysis for the Nemesis self-paging reproduction.
 
 Where tools/lint.py pattern-matches single lines, this tool builds a model of
-the program — classes and their members, function definitions and the
-annotations on them (src/base/thread_annotations.h), and a call graph with
-receiver-type resolution — and checks project rules against that model:
+the program — classes and their members, function definitions, and the calls
+they make with receiver-type resolution — and checks project rules against
+that model:
 
-  task-lifetime          Every Simulator::Spawn / MmEntry::SpawnSlow result is
-                         either consumed (stored into an owned handle
-                         container, assigned, joined) or explicitly discarded
+  task-lifetime          Every Simulator::Spawn result is either consumed
+                         (stored into an owned handle container, assigned,
+                         joined) or explicitly discarded
                          with NEM_DETACHED(...) carrying a justification
                          comment. Additionally, every class owning task
                          handles (OwnedTaskSet, TaskHandle, or a
                          vector<TaskHandle> member assigned from Spawn) must
                          kill them in some method (Stop() / destructor) — the
                          PR-6 orphan-task bug class, caught statically.
-
-  shard-affinity         NEM_RUNS_ON(system) functions must be unreachable
-                         from NEM_RUNS_ON(domain) functions through the call
-                         graph, except across a spawn boundary (the coroutine
-                         argument of Spawn/SpawnSlow/SpawnPipelineTask runs on
-                         the *target* shard) or a sanctioned bridge (a caller
-                         that opens a CrossDomainSection, or a callee marked
-                         NEM_CROSSES_DOMAINS).
 
   authority-ramtab       RamTab mutation (SetOwner/SetMapped/SetUnused/
                          SetNailed) is confined to the ownership authorities.
@@ -90,7 +82,6 @@ class Call:
     receiver: str        # receiver chain text ("" for free calls)
     receiver_type: str   # resolved type name, or ""
     line: int
-    in_spawn_arg: bool   # lexically inside a Spawn/SpawnSlow/... argument list
 
 
 @dataclass
@@ -99,9 +90,6 @@ class Function:
     cls: str             # enclosing class, "" for free functions
     file: str
     line: int
-    runs_on: str = ""    # "system" | "domain" | ""
-    crosses_domains: bool = False
-    opens_cross_domain_section: bool = False
     body: str = ""
     calls: list = field(default_factory=list)
     params: dict = field(default_factory=dict)   # name -> type
@@ -115,9 +103,6 @@ class Model:
     classes: dict = field(default_factory=dict)     # cls -> {member -> type}
     files: dict = field(default_factory=dict)       # relpath -> lexed text
     raw_files: dict = field(default_factory=dict)   # relpath -> raw text
-    # method annotations declared in class bodies: "Class::Name" -> runs_on
-    decl_runs_on: dict = field(default_factory=dict)
-    decl_crosses: set = field(default_factory=set)
 
     def methods_of(self, cls):
         return [f for f in self.functions.values() if f.cls == cls]
@@ -138,8 +123,6 @@ WELL_KNOWN_MEMBER_TYPES = {
     "ramtab_": "RamTab",
     "stack_": "FrameStack",
 }
-
-SPAWN_FUNCTIONS = ("Spawn", "SpawnSlow", "SpawnPipelineTask", "SpawnWorkload")
 
 CPP_KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "alignof", "co_await",
@@ -235,15 +218,6 @@ def statement_start(text, idx):
         if text[i] in ";{}":
             return i + 1
     return 0
-
-
-def parse_annotations(header_text):
-    runs_on = ""
-    m = re.search(r"NEM_RUNS_ON\s*\(\s*(\w+)\s*\)", header_text)
-    if m:
-        runs_on = m.group(1)
-    crosses = "NEM_CROSSES_DOMAINS" in header_text
-    return runs_on, crosses
 
 
 def split_params(paramlist):
@@ -409,25 +383,16 @@ class TextFrontend:
             qname = f"{cls}::{name}"
         else:
             qname = name
-        runs_on, crosses = parse_annotations(header)
         fn = Function(
             qname=qname, cls=cls, file=relpath,
             line=line_of(text, brace),
-            runs_on=runs_on, crosses_domains=crosses,
             body=text[brace + 1:close],
         )
         fn.params = split_params(params_text)
-        fn.opens_cross_domain_section = "CrossDomainSection" in fn.body
         self.collect_locals(fn)
         self.collect_calls(fn, text, brace + 1, close)
         # a redefinition (e.g. template specialization) keeps the first entry
-        if qname not in self.model.functions:
-            self.model.functions[qname] = fn
-        else:
-            # merge: keep annotated version if one has annotations
-            old = self.model.functions[qname]
-            if runs_on and not old.runs_on:
-                self.model.functions[qname] = fn
+        self.model.functions.setdefault(qname, fn)
 
     def collect_locals(self, fn):
         for m in LOCAL_DECL_RE.finditer(fn.body):
@@ -444,13 +409,6 @@ class TextFrontend:
 
     def collect_calls(self, fn, text, body_begin, body_end):
         body = fn.body
-        # spawn-argument spans, for the shard-affinity spawn-boundary rule
-        spans = []
-        for m in re.finditer(r"\b(%s|Adopt|NEM_DETACHED)\s*\(" %
-                             "|".join(SPAWN_FUNCTIONS), body):
-            close = match_paren(body, m.end() - 1)
-            if close > 0:
-                spans.append((m.end(), close))
         for m in CALL_RE.finditer(body):
             callee = m.group(2)
             if callee.lstrip("~") in CPP_KEYWORDS:
@@ -460,13 +418,11 @@ class TextFrontend:
             rm = RECEIVER_TAIL_RE.search(body[:pos])
             if rm:
                 recv = rm.group(1)
-            in_spawn = any(a <= pos < b for a, b in spans)
             fn.calls.append(Call(
                 callee=callee,
                 receiver=recv,
                 receiver_type=self.resolve_receiver(fn, recv),
                 line=line_of(text, body_begin + pos),
-                in_spawn_arg=in_spawn,
             ))
 
     def resolve_receiver(self, fn, recv):
@@ -524,15 +480,6 @@ class TextFrontend:
                     cls=cls, name=name, type=t, file=relpath,
                     line=line_of(text, open_idx),
                 ))
-            # annotated in-class declarations (no body): Class::name -> shard
-            for dm in re.finditer(
-                    r"(NEM_RUNS_ON\s*\(\s*(\w+)\s*\)|NEM_CROSSES_DOMAINS)"
-                    r"[\s\w:<>,&*~]*?\b(\w+)\s*\(", body):
-                qname = f"{cls}::{dm.group(3)}"
-                if dm.group(2):
-                    self.model.decl_runs_on[qname] = dm.group(2)
-                else:
-                    self.model.decl_crosses.add(qname)
 
 
 # --- cindex frontend ---------------------------------------------------------
@@ -595,17 +542,6 @@ class CindexFrontend:
         self.model.raw_files[relpath] = raw
         self._walk(tu.cursor, relpath)
 
-    def _annotations(self, cursor):
-        runs_on, crosses = "", False
-        for ch in cursor.get_children():
-            if ch.kind == self.ci.CursorKind.ANNOTATE_ATTR:
-                sp = ch.spelling or ""
-                if sp.startswith("nem_runs_on:"):
-                    runs_on = sp.split(":", 1)[1]
-                elif sp == "nem_crosses_domains":
-                    crosses = True
-        return runs_on, crosses
-
     def _walk(self, cursor, relpath):
         ci = self.ci
         for node in cursor.walk_preorder():
@@ -625,14 +561,6 @@ class CindexFrontend:
                         self.model.members.append(Member(
                             cls=cls, name=ch.spelling, type=t,
                             file=relpath, line=ch.location.line))
-                    elif ch.kind == ci.CursorKind.CXX_METHOD and \
-                            not ch.is_definition():
-                        runs_on, crosses = self._annotations(ch)
-                        q = f"{cls}::{ch.spelling}"
-                        if runs_on:
-                            self.model.decl_runs_on[q] = runs_on
-                        if crosses:
-                            self.model.decl_crosses.add(q)
             elif node.kind in (ci.CursorKind.CXX_METHOD,
                                ci.CursorKind.FUNCTION_DECL,
                                ci.CursorKind.CONSTRUCTOR,
@@ -647,7 +575,6 @@ class CindexFrontend:
                 ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL):
             cls = parent.spelling
         qname = f"{cls}::{node.spelling}" if cls else node.spelling
-        runs_on, crosses = self._annotations(node)
         ext = node.extent
         body = ""
         text = self.model.files.get(relpath, "")
@@ -655,19 +582,14 @@ class CindexFrontend:
             lines = text.split("\n")
             body = "\n".join(lines[ext.start.line - 1:ext.end.line])
         fn = Function(qname=qname, cls=cls, file=relpath,
-                      line=node.location.line, runs_on=runs_on,
-                      crosses_domains=crosses, body=body)
-        fn.opens_cross_domain_section = "CrossDomainSection" in body
+                      line=node.location.line, body=body)
         for p in node.get_arguments():
             fn.params[p.spelling] = normalize_type(p.type.spelling)
-        spawn_extents = []
         for sub in node.walk_preorder():
             if sub.kind == ci.CursorKind.CALL_EXPR:
                 callee = sub.spelling or ""
                 if not callee:
                     continue
-                if callee in SPAWN_FUNCTIONS + ("Adopt",):
-                    spawn_extents.append(sub.extent)
                 recv_type = ""
                 ref = sub.referenced
                 if ref is not None and ref.semantic_parent is not None and \
@@ -675,18 +597,12 @@ class CindexFrontend:
                             ci.CursorKind.CLASS_DECL,
                             ci.CursorKind.STRUCT_DECL):
                     recv_type = ref.semantic_parent.spelling
-                in_spawn = any(
-                    e.start.offset < sub.extent.start.offset <= e.end.offset
-                    for e in spawn_extents
-                    if e.start.offset != sub.extent.start.offset)
                 fn.calls.append(Call(
                     callee=callee, receiver="", receiver_type=recv_type,
-                    line=sub.location.line, in_spawn_arg=in_spawn))
+                    line=sub.location.line))
             elif sub.kind == ci.CursorKind.VAR_DECL:
                 fn.locals[sub.spelling] = normalize_type(sub.type.spelling)
-        if qname not in self.model.functions or (
-                runs_on and not self.model.functions[qname].runs_on):
-            self.model.functions[qname] = fn
+        self.model.functions.setdefault(qname, fn)
 
 
 # --- Rules -------------------------------------------------------------------
@@ -703,18 +619,6 @@ class Violation:
         return f"{self.file}:{self.line}: [{self.rule}] {self.message}"
 
 
-def finish_model(model):
-    """Merge in-class declaration annotations into definitions."""
-    for qname, shard in model.decl_runs_on.items():
-        fn = model.functions.get(qname)
-        if fn and not fn.runs_on:
-            fn.runs_on = shard
-    for qname in model.decl_crosses:
-        fn = model.functions.get(qname)
-        if fn:
-            fn.crosses_domains = True
-
-
 def in_dirs(relpath, dirs):
     return any(relpath.startswith(d + os.sep) or relpath == d for d in dirs)
 
@@ -727,11 +631,11 @@ TASK_LIFETIME_EXEMPT = {os.path.join("src", "sim", "task.h"),
                         os.path.join("src", "sim", "simulator.h"),
                         os.path.join("src", "sim", "simulator.cc")}
 
-SPAWN_CALL_RE = re.compile(r"\b(Spawn|SpawnSlow)\s*\(")
+SPAWN_CALL_RE = re.compile(r"\b(Spawn)\s*\(")
 
 
 def rule_task_lifetime(model, violations):
-    # (a) discarded Spawn/SpawnSlow results
+    # (a) discarded Spawn results
     for relpath, text in model.files.items():
         if relpath in TASK_LIFETIME_EXEMPT:
             continue
@@ -815,76 +719,6 @@ def rule_task_lifetime(model, violations):
                         "handles but no method kills them"))
 
 
-# Rule: shard-affinity --------------------------------------------------------
-
-
-def build_call_edges(model):
-    """qname -> [(callee_qname, line, via_spawn)] with receiver/name
-    resolution. A bare-name match is used when unique, or when every
-    candidate agrees on its shard annotation (virtual overrides)."""
-    by_bare = {}
-    for qname in model.functions:
-        by_bare.setdefault(qname.split("::")[-1], []).append(qname)
-    edges = {}
-    for qname, fn in model.functions.items():
-        out = []
-        for call in fn.calls:
-            target = None
-            if call.receiver_type:
-                cand = f"{call.receiver_type.split('<')[0]}::{call.callee}"
-                if cand in model.functions:
-                    target = [cand]
-            if target is None and fn.cls:
-                cand = f"{fn.cls}::{call.callee}"
-                if cand in model.functions and not call.receiver_type:
-                    target = [cand]
-            if target is None:
-                cands = by_bare.get(call.callee, [])
-                if len(cands) == 1:
-                    target = cands
-                elif len(cands) > 1:
-                    shards = {model.functions[c].runs_on for c in cands}
-                    if len(shards) == 1:
-                        target = cands  # all overrides agree
-            for t in target or []:
-                out.append((t, call.line, call.in_spawn_arg))
-        edges[qname] = out
-    return edges
-
-
-def rule_shard_affinity(model, violations):
-    edges = build_call_edges(model)
-    domain_fns = [f for f in model.functions.values() if f.runs_on == "domain"]
-    for start in domain_fns:
-        # DFS through neutral functions; spawn-arg edges and sanctioned
-        # bridges don't propagate.
-        stack = [(start.qname, [start.qname])]
-        seen = set()
-        while stack:
-            cur, path = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            fn = model.functions[cur]
-            if fn.opens_cross_domain_section:
-                continue  # sanctioned bridge: its calls are cross-domain
-            for callee_q, line, via_spawn in edges.get(cur, []):
-                if via_spawn:
-                    continue  # the spawn boundary moves execution shards
-                callee = model.functions.get(callee_q)
-                if callee is None or callee.crosses_domains:
-                    continue
-                if callee.runs_on == "system":
-                    violations.append(Violation(
-                        "shard-affinity", fn.file, line,
-                        f"domain-shard context reaches system-shard function "
-                        f"{callee_q} (path: {' -> '.join(path + [callee_q])}); "
-                        "cross via Spawn*/CrossDomainSection or annotate the "
-                        "bridge NEM_CROSSES_DOMAINS"))
-                elif callee.runs_on == "":
-                    stack.append((callee_q, path + [callee_q]))
-
-
 # Rule: authority-ramtab ------------------------------------------------------
 
 RAMTAB_MUTATORS = ("SetOwner", "SetMapped", "SetUnused", "SetNailed")
@@ -952,6 +786,7 @@ STATS_WORDS = {
 STATS_ALLOWED = {
     (os.path.join("src", "hw", "tlb.h"), "hits_"),
     (os.path.join("src", "hw", "tlb.h"), "misses_"),
+    (os.path.join("src", "hw", "mmu.h"), "faults_"),
     (os.path.join("src", "sim", "trace.h"), "dropped_"),
     (os.path.join("src", "core", "system.h"), "audit_batches_"),
 }
@@ -1033,7 +868,6 @@ def rule_determinism_unordered(model, violations):
 
 RULES = {
     "task-lifetime": rule_task_lifetime,
-    "shard-affinity": rule_shard_affinity,
     "authority-ramtab": rule_authority_ramtab,
     "authority-framestack": rule_authority_framestack,
     "authority-stats": rule_authority_stats,
@@ -1086,7 +920,6 @@ def build_model(root, relpaths, frontend, compile_db=None):
             fe.add_file(rel, raw)
     finally:
         os.chdir(cwd)
-    finish_model(model)
     return model
 
 

@@ -23,9 +23,9 @@ import subprocess
 import sys
 
 
-def run_seed(binary, seed, extra):
+def run_seed(binary, seed, extra=()):
     """Runs one seed in its own process; returns (ok, combined output)."""
-    cmd = [binary, "--seed", str(seed)] + extra
+    cmd = [binary, "--seed", str(seed)] + list(extra)
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True)
     return proc.returncode == 0, proc.stdout
@@ -39,13 +39,7 @@ def main():
                     help="sweep seeds 1..N (one process per seed)")
     ap.add_argument("--seed", type=int, default=None,
                     help="run a single seed instead of a sweep")
-    ap.add_argument("--parallel", type=int, default=None, metavar="EXECUTORS",
-                    help="forwarded to scenario_fuzz --parallel")
     args = ap.parse_args()
-
-    extra = []
-    if args.parallel is not None:
-        extra += ["--parallel", str(args.parallel)]
 
     seeds = [args.seed] if args.seed is not None else list(range(1, args.seeds + 1))
     if not seeds:
@@ -53,7 +47,7 @@ def main():
 
     failed = []
     for seed in seeds:
-        ok, out = run_seed(args.binary, seed, extra)
+        ok, out = run_seed(args.binary, seed)
         if ok:
             # One status line per clean seed keeps a 50-seed sweep readable.
             sys.stdout.write(out.splitlines()[-1] + "\n" if out else "")
@@ -64,11 +58,11 @@ def main():
         # Full event script for the log, then a minimal reproduction. Both
         # reruns are fresh processes: the script print works even when the
         # failure above was a process abort.
-        _, script = run_seed(args.binary, seed, extra + ["--print"])
+        _, script = run_seed(args.binary, seed, ["--print"])
         print("event script:")
         sys.stdout.write(script)
         print("shrinking...")
-        _, shrunk = run_seed(args.binary, seed, extra + ["--shrink"])
+        _, shrunk = run_seed(args.binary, seed, ["--shrink"])
         sys.stdout.write(shrunk)
         print(f"--- end seed {seed} ---")
     sys.stdout.flush()

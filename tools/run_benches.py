@@ -58,7 +58,6 @@ BENCH_TARGETS = [
     "bench_obs_overhead",
     "bench_obs_conformance",
     "bench_ablation_batching",
-    "bench_ablation_parallel",
     "bench_ablation_streampaging",
     "bench_ablation_pipeline",
     "bench_ablation_revocation",
@@ -206,11 +205,6 @@ def run_figure(build_dir, name):
     m = re.search(r"speedup: ([\d.]+)x", out)
     if m:
         fig["speedup"] = float(m.group(1))
-    m = re.search(r"speedup at (\d+) workers = ([\d.]+)x "
-                  r"\(host has (\d+) hardware threads\)", out)
-    if m:
-        fig[f"speedup_at_{m.group(1)}_workers"] = float(m.group(2))
-        fig["hardware_threads"] = int(m.group(3))
     return fig
 
 
@@ -418,7 +412,6 @@ def main():
             "fig8_paging_out": run_figure(args.build, "bench_fig8_paging_out"),
             "fig9_fs_isolation": run_figure(args.build, "bench_fig9_fs_isolation"),
             "ablation_batching": run_figure(args.build, "bench_ablation_batching"),
-            "ablation_parallel": run_figure(args.build, "bench_ablation_parallel"),
             "ablation_streampaging": run_figure(args.build, "bench_ablation_streampaging"),
             "ablation_pipeline": run_figure(args.build, "bench_ablation_pipeline"),
             "ablation_revocation": run_figure(args.build, "bench_ablation_revocation"),
