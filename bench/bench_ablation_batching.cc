@@ -9,6 +9,7 @@
 //
 // The batching-off row exercises the exact pre-batching code path; it is the
 // control the figure benches' bit-identical gate relies on.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -22,9 +23,11 @@
 namespace nemesis {
 namespace {
 
-// Keeps `depth` sequential 16-block writes outstanding until `until`.
+// Keeps `depth` sequential 16-block writes outstanding until `until`, each
+// from its own slot of `buffers` (replies come back FIFO, so request n owns
+// buffer n % depth until its reply arrives).
 Task SequentialWriter(UsdClient* client, uint64_t region_blocks, int depth, SimTime until,
-                      Simulator& sim) {
+                      Simulator& sim, std::vector<std::vector<uint8_t>>* buffers) {
   int outstanding = 0;
   uint64_t next_id = 0;
   uint64_t cursor = 0;
@@ -36,12 +39,14 @@ Task SequentialWriter(UsdClient* client, uint64_t region_blocks, int depth, SimT
       req.lba = cursor;
       req.nblocks = 16;
       req.is_write = true;
-      req.data.assign(16 * 512, static_cast<uint8_t>(req.id));
+      std::vector<uint8_t>& buffer = (*buffers)[req.id % buffers->size()];
+      std::fill(buffer.begin(), buffer.end(), static_cast<uint8_t>(req.id));
+      req.buffer = buffer;
       cursor += 16;
       if (cursor + 16 > region_blocks) {
         cursor = 0;
       }
-      client->Push(std::move(req));
+      client->Push(req);
       ++outstanding;
     }
     (void)co_await client->ReceiveReply();
@@ -72,7 +77,10 @@ RunResult RunOnce(const UsdBatchPolicy& policy, SimDuration measure) {
   const uint64_t region = 2000000;
   (*client)->AddExtent(Extent{0, region});
   (*client)->set_batch_policy(policy);
-  sim.Spawn(SequentialWriter(*client, region, 32, measure, sim), "writer");
+  // Owned here, not by the writer task: writes still in flight when the
+  // writer returns gather from them at completion.
+  std::vector<std::vector<uint8_t>> buffers(32, std::vector<uint8_t>(16 * 512));
+  sim.Spawn(SequentialWriter(*client, region, 32, measure, sim, &buffers), "writer");
   sim.RunUntil(measure);
 
   RunResult r;

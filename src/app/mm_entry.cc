@@ -88,7 +88,10 @@ void MmEntry::NotifyRevocation(uint64_t k, SimTime /*deadline*/) {
 }
 
 void MmEntry::CompleteFault(Vpn vpn, FaultResult result) {
-  pending_.erase(vpn);
+  if (auto it = std::find(pending_.begin(), pending_.end(), vpn); it != pending_.end()) {
+    *it = pending_.back();
+    pending_.pop_back();
+  }
   if (result == FaultResult::kFailure) {
     failed_.insert(vpn);
     faults_failed_.Inc();
@@ -111,7 +114,7 @@ void MmEntry::OnFaultEvent() {
       // Dispatch latency: kernel raise -> this handler running. fault.time is
       // the raise timestamp stamped by Kernel::RaiseFault.
       const SimDuration d = now - fault.time;
-      obs->Span(fault.time, domain_.id(), "dispatch", ToMilliseconds(d), fault.id);
+      obs->Span(fault.time, domain_.id(), stage::kDispatch, ToMilliseconds(d), fault.id);
       if (Obs::DomainProbe* p = obs->probe(domain_.id())) {
         p->dispatch->Record(d);
       }
@@ -123,15 +126,15 @@ void MmEntry::OnFaultEvent() {
       failed_.insert(vpn);
       faults_failed_.Inc();
       if (observing) {
-        obs->Span(now, domain_.id(), "failed", 0.0, fault.id);
+        obs->Span(now, domain_.id(), stage::kFailed, 0.0, fault.id);
       }
       resolved_cv_.NotifyAll();
       continue;
     }
-    if (pending_.count(vpn) != 0) {
+    if (IsPending(vpn)) {
       // Another thread already faulted here; it is being handled.
       if (observing) {
-        obs->Span(now, domain_.id(), "coalesced", 0.0, fault.id);
+        obs->Span(now, domain_.id(), stage::kCoalesced, 0.0, fault.id);
       }
       continue;
     }
@@ -139,15 +142,15 @@ void MmEntry::OnFaultEvent() {
     // Custom per-fault-type handlers take precedence over driver dispatch.
     auto custom = custom_handlers_.find(static_cast<uint8_t>(fault.type));
     if (custom != custom_handlers_.end()) {
-      pending_.insert(vpn);
+      pending_.push_back(vpn);
       const FaultResult r = custom->second(fault, *stretch);
       faults_fast_path_.Inc();
       if (r == FaultResult::kRetry) {
         NEM_UNREACHABLE("custom fault handlers must resolve in the fast path");
       }
       if (observing) {
-        obs->Span(now, domain_.id(), r == FaultResult::kFailure ? "failed" : "fast-resolve", 0.0,
-                  fault.id);
+        obs->Span(now, domain_.id(),
+                  r == FaultResult::kFailure ? stage::kFailed : stage::kFastResolve, 0.0, fault.id);
       }
       CompleteFault(vpn, r);
       continue;
@@ -158,13 +161,13 @@ void MmEntry::OnFaultEvent() {
       failed_.insert(vpn);
       faults_failed_.Inc();
       if (observing) {
-        obs->Span(now, domain_.id(), "failed", 0.0, fault.id);
+        obs->Span(now, domain_.id(), stage::kFailed, 0.0, fault.id);
       }
       resolved_cv_.NotifyAll();
       continue;
     }
 
-    pending_.insert(vpn);
+    pending_.push_back(vpn);
     // "the memory fault notification handler demultiplexes the stretch to the
     // stretch driver, and invokes this in an initial attempt to satisfy the
     // fault" — the fast path.
@@ -173,15 +176,15 @@ void MmEntry::OnFaultEvent() {
       // "the handler blocks the faulting thread, unblocks a worker thread,
       // and returns."
       if (observing) {
-        obs->Span(now, domain_.id(), "enqueue", 0.0, fault.id);
+        obs->Span(now, domain_.id(), stage::kEnqueue, 0.0, fault.id);
       }
       jobs_.push_back(Job{Job::Kind::kFault, fault, stretch, driver, 0, now});
       work_cv_.NotifyAll();
     } else {
       faults_fast_path_.Inc();
       if (observing) {
-        obs->Span(now, domain_.id(), r == FaultResult::kFailure ? "failed" : "fast-resolve", 0.0,
-                  fault.id);
+        obs->Span(now, domain_.id(),
+                  r == FaultResult::kFailure ? stage::kFailed : stage::kFastResolve, 0.0, fault.id);
       }
       CompleteFault(vpn, r);
     }
@@ -229,7 +232,8 @@ Task MmEntry::Worker() {
       const SimTime start = env_.sim->Now();
       if (observing) {
         const SimDuration wait = start - job.enqueued_at;
-        obs->Span(job.enqueued_at, domain_.id(), "queue-wait", ToMilliseconds(wait), job.fault.id);
+        obs->Span(job.enqueued_at, domain_.id(), stage::kQueueWait, ToMilliseconds(wait),
+                  job.fault.id);
         if (Obs::DomainProbe* p = obs->probe(domain_.id())) {
           p->queue_wait->Record(wait);
         }
@@ -240,7 +244,7 @@ Task MmEntry::Worker() {
       faults_worker_.Inc();
       if (observing) {
         const SimDuration took = env_.sim->Now() - start;
-        obs->Span(start, domain_.id(), "resolve", ToMilliseconds(took), job.fault.id);
+        obs->Span(start, domain_.id(), stage::kResolve, ToMilliseconds(took), job.fault.id);
         if (Obs::DomainProbe* p = obs->probe(domain_.id())) {
           p->resolve->Record(took);
         }

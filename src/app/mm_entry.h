@@ -15,6 +15,7 @@
 #ifndef SRC_APP_MM_ENTRY_H_
 #define SRC_APP_MM_ENTRY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -58,7 +59,9 @@ class MmEntry {
   // --- Faulting-thread interface -------------------------------------------
 
   Condition& resolved_cv() { return resolved_cv_; }
-  bool IsPending(Vpn vpn) const { return pending_.count(vpn) != 0; }
+  bool IsPending(Vpn vpn) const {
+    return std::find(pending_.begin(), pending_.end(), vpn) != pending_.end();
+  }
   // Returns true (and clears the flag) if the last resolution of `vpn` failed.
   bool ConsumeFailure(Vpn vpn);
 
@@ -103,7 +106,10 @@ class MmEntry {
   EndpointId revoke_endpoint_ = 0;
   uint64_t pending_revoke_k_ = 0;
 
-  std::unordered_set<Vpn> pending_;
+  // Pages with a fault in hand. A flat list whose capacity is reused: it
+  // holds at most one entry per faulting thread, so a scan beats hashing and
+  // a demand fault allocates nothing here.
+  std::vector<Vpn> pending_;
   std::unordered_set<Vpn> failed_;
   Condition resolved_cv_;
 

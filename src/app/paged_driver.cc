@@ -1,7 +1,6 @@
 #include "src/app/paged_driver.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/base/assert.h"
 #include "src/base/log.h"
@@ -49,6 +48,9 @@ void PagedStretchDriver::StopPipeline() {
     return;
   }
   pipeline_stopped_ = true;
+  // The frames released below may still be named by queued or in-service
+  // swap requests: cut the channel's data path before any goes.
+  swap_->Detach();
   pump_task_.Kill();
   for (TaskHandle& handle : pipeline_tasks_) {
     handle.Kill();
@@ -297,9 +299,8 @@ Task PagedStretchDriver::SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fi
     req.nblocks = blocks_per_page_;
     req.is_write = true;
     req.trace_id = fid;
-    auto data = env_.phys->FrameData(pfn);
-    req.data.assign(data.begin(), data.end());
-    swap_->Push(std::move(req));
+    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
+    swap_->Push(req);
     for (;;) {
       auto it = inflight_.find(io_id);
       if (it == inflight_.end()) {
@@ -324,10 +325,9 @@ Task PagedStretchDriver::SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fi
     req.nblocks = blocks_per_page_;
     req.is_write = true;
     req.trace_id = fid;
-    auto data = env_.phys->FrameData(pfn);
-    req.data.assign(data.begin(), data.end());
-    swap_->Push(std::move(req));
-    UsdReply reply = co_await swap_->ReceiveReply();
+    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
+    swap_->Push(req);
+    const UsdReply reply = co_await swap_->ReceiveReply();
     *ok = reply.ok;
   }
   if (*ok) {
@@ -338,9 +338,9 @@ Task PagedStretchDriver::SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fi
     if (IsBgTraceId(fid)) {
       // Speculative writeback: its own category, and it stays out of the
       // demand-path usd_wait histogram.
-      obs->BgSpan(start, env_.domain, "bg-write", ToMilliseconds(took), fid);
+      obs->BgSpan(start, env_.domain, stage::kBgWrite, ToMilliseconds(took), fid);
     } else {
-      obs->Span(start, env_.domain, "usd-write", ToMilliseconds(took), fid);
+      obs->Span(start, env_.domain, stage::kUsdWrite, ToMilliseconds(took), fid);
       if (Obs::DomainProbe* p = obs->probe(env_.domain)) {
         p->usd_wait->Record(took);
       }
@@ -367,19 +367,15 @@ Task PagedStretchDriver::SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid
     req.nblocks = blocks_per_page_;
     req.is_write = false;
     req.trace_id = fid;
-    swap_->Push(std::move(req));
+    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
+    swap_->Push(req);
     for (;;) {
       auto it = inflight_.find(io_id);
       if (it == inflight_.end()) {
         break;
       }
       if (it->second.done) {
-        if (it->second.reply.ok) {
-          auto frame = env_.phys->FrameData(pfn);
-          NEM_ASSERT(it->second.reply.data.size() == frame.size());
-          std::memcpy(frame.data(), it->second.reply.data.data(), frame.size());
-          *ok = true;
-        }
+        *ok = it->second.reply.ok;
         inflight_.erase(it);
         break;
       }
@@ -397,14 +393,10 @@ Task PagedStretchDriver::SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid
     req.nblocks = blocks_per_page_;
     req.is_write = false;
     req.trace_id = fid;
-    swap_->Push(std::move(req));
-    UsdReply reply = co_await swap_->ReceiveReply();
-    if (reply.ok) {
-      auto frame = env_.phys->FrameData(pfn);
-      NEM_ASSERT(reply.data.size() == frame.size());
-      std::memcpy(frame.data(), reply.data.data(), frame.size());
-      *ok = true;
-    }
+    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
+    swap_->Push(req);
+    const UsdReply reply = co_await swap_->ReceiveReply();
+    *ok = reply.ok;
   }
   if (*ok) {
     pageins_.Inc();
@@ -413,9 +405,9 @@ Task PagedStretchDriver::SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid
     const SimDuration took = env_.sim->Now() - start;
     if (IsBgTraceId(fid)) {
       // Speculative read-ahead: categorised "bg", excluded from usd_wait.
-      obs->BgSpan(start, env_.domain, "bg-read", ToMilliseconds(took), fid);
+      obs->BgSpan(start, env_.domain, stage::kBgRead, ToMilliseconds(took), fid);
     } else {
-      obs->Span(start, env_.domain, "usd-read", ToMilliseconds(took), fid);
+      obs->Span(start, env_.domain, stage::kUsdRead, ToMilliseconds(took), fid);
       if (Obs::DomainProbe* p = obs->probe(env_.domain)) {
         p->usd_wait->Record(took);
       }
@@ -590,9 +582,8 @@ Task PagedStretchDriver::WritebackChainTask(std::vector<WritebackItem> items) {
     req.nblocks = blocks_per_page_;
     req.is_write = true;
     req.trace_id = NextBgId();
-    auto data = env_.phys->FrameData(item.pfn);
-    req.data.assign(data.begin(), data.end());
-    swap_->Push(std::move(req));
+    req.buffer = env_.phys->FrameData(item.pfn);  // nailed until the chain lands
+    swap_->Push(req);
     writeback_batched_.Inc();
     io_ids.push_back(io_id);
   }
@@ -813,7 +804,7 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
   }
   slow_maps_.Inc();
   if (Obs* obs = env_.obs; obs != nullptr && obs->enabled()) {
-    obs->Span(env_.sim->Now(), env_.domain, "map", 0.0, fault.id);
+    obs->Span(env_.sim->Now(), env_.domain, stage::kMap, 0.0, fault.id);
   }
   if (pipeline_enabled()) {
     // Issued after the demand read completed on purpose: replies for a

@@ -101,9 +101,10 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   Task ResolveFault(FaultRecord fault, Stretch* stretch, FaultResult* result) override;
   Task RelinquishFrames(uint64_t target, uint64_t* freed) override;
 
-  // Stops the reply pump and every in-flight prefetch/writeback task and
-  // releases staged frames. Called on domain kill and teardown BEFORE the
-  // swap client is closed; the driver issues no further swap IO afterwards.
+  // Stops the reply pump and every in-flight prefetch/writeback task,
+  // detaches the swap channel and releases staged frames. Called on domain
+  // kill and teardown BEFORE the swap client is closed; the driver issues no
+  // further swap IO afterwards.
   void StopPipeline();
 
   void Quiesce() override { StopPipeline(); }
@@ -214,7 +215,9 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   Task EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid = 0);
 
   // Swap IO (worker context): whole-page write/read through the USD channel.
-  // `fid` threads the fault trace id into the UsdRequest (0 = untraced).
+  // The frame itself is the transfer buffer, so the caller keeps it nailed
+  // until the call returns. `fid` threads the fault trace id into the
+  // UsdRequest (0 = untraced).
   // With the pipeline enabled these route their replies through the pump.
   Task SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
   Task SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);

@@ -4,6 +4,10 @@
 #include <array>
 #include <cstring>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "src/base/assert.h"
 #include "src/sim/sync.h"
 
@@ -15,31 +19,33 @@ namespace {
 // the AccessRange coroutine so the compiler keeps the loop state in registers
 // (a coroutine body spills it to the frame on every byte).
 
-// Returns the sum of `bytes`, eight at a time (SWAR): each 64-bit word is
-// split into its even and odd bytes, and their sum lands in four 16-bit lanes
-// of a running accumulator. A lane gains at most 2 * 255 per word, so the
-// lanes are folded into the 64-bit total every kFoldWords words, before any
-// can overflow. Loads go through memcpy: `bytes` need not be word-aligned.
+// Returns the sum of `bytes`. With SSE2 (baseline on x86-64) each psadbw
+// (_mm_sad_epu8 against zero) sums 16 bytes into two 64-bit lanes; four
+// independent accumulators keep four of them in flight per 64-byte step.
+// Loads are unaligned: `bytes` can start anywhere in a page.
 uint64_t SumBytes(std::span<const uint8_t> bytes) {
-  constexpr uint64_t kEvenBytes = 0x00FF00FF00FF00FFull;
-  constexpr uint64_t kEvenLanes = 0x0000FFFF0000FFFFull;
-  constexpr size_t kFoldWords = 128;  // 128 * 2 * 255 = 65280 < 2^16
   const uint8_t* p = bytes.data();
   size_t left = bytes.size();
   uint64_t total = 0;
-  while (left >= sizeof(uint64_t)) {
-    const size_t words = std::min(left / sizeof(uint64_t), kFoldWords);
-    uint64_t lanes = 0;
-    for (size_t i = 0; i < words; ++i) {
-      uint64_t w = 0;
-      std::memcpy(&w, p + i * sizeof(uint64_t), sizeof(w));
-      lanes += (w & kEvenBytes) + ((w >> 8) & kEvenBytes);
+#if defined(__SSE2__)
+  const __m128i zero = _mm_setzero_si128();
+  __m128i acc[4] = {zero, zero, zero, zero};
+  for (; left >= 64; left -= 64, p += 64) {
+    for (int k = 0; k < 4; ++k) {
+      const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
+      acc[k] = _mm_add_epi64(acc[k], _mm_sad_epu8(v, zero));
     }
-    lanes = (lanes & kEvenLanes) + ((lanes >> 16) & kEvenLanes);
-    total += (lanes & 0xFFFFFFFFull) + (lanes >> 32);
-    p += words * sizeof(uint64_t);
-    left -= words * sizeof(uint64_t);
   }
+  for (; left >= 16; left -= 16, p += 16) {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    acc[0] = _mm_add_epi64(acc[0], _mm_sad_epu8(v, zero));
+  }
+  const __m128i sum =
+      _mm_add_epi64(_mm_add_epi64(acc[0], acc[1]), _mm_add_epi64(acc[2], acc[3]));
+  uint64_t lanes[2];
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), sum);
+  total = lanes[0] + lanes[1];
+#endif
   for (; left > 0; --left) {
     total += *p++;
   }
@@ -90,7 +96,7 @@ struct VMemDetail {
       vm->fault_stall_time_ += stall;
       if (Obs* obs = vm->env_.obs; obs != nullptr && obs->enabled()) {
         // The span closing the fault lifecycle: the full raise -> resume stall.
-        obs->Span(raised_at, vm->domain_.id(), "resume", ToMilliseconds(stall), fid);
+        obs->Span(raised_at, vm->domain_.id(), stage::kResume, ToMilliseconds(stall), fid);
         if (Obs::DomainProbe* p = obs->probe(vm->domain_.id())) {
           p->fault_total->Record(stall);
         }

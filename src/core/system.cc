@@ -308,6 +308,12 @@ void AppDomain::Shutdown() {
 }
 
 void AppDomain::Kill() {
+  if (swap_file_.client != nullptr) {
+    // The frames allocator reclaims this domain's frames right after the kill
+    // handler returns, while swap requests naming them may still be queued or
+    // in service: detach the channel before any frame can change hands.
+    swap_file_.client->Detach();
+  }
   if (system_.config().observe && domain_->alive()) {
     // Close the books: a kill mid-period surfaces as a final violated memory
     // verdict; later scheduler refreshes for the dying swap client no longer

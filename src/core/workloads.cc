@@ -1,5 +1,7 @@
 #include "src/core/workloads.h"
 
+#include <vector>
+
 #include "src/sim/sync.h"
 
 namespace nemesis {
@@ -52,6 +54,11 @@ Task WatchProgress(Simulator& sim, TraceRecorder& trace, int client, const uint6
 Task PipelinedFsClient(Simulator& sim, UsdClient* client, Extent extent, int depth, SimTime until,
                        uint64_t* bytes) {
   const uint32_t page_blocks = 16;  // page-sized transactions, as in the paper
+  const size_t page_bytes = static_cast<size_t>(page_blocks) * client->block_size();
+  // One client-owned buffer per pipeline slot (the paper's rbufs). Replies
+  // come back in FIFO order, so request n always lands in buffer n % depth.
+  std::vector<std::vector<uint8_t>> buffers(static_cast<size_t>(depth),
+                                            std::vector<uint8_t>(page_bytes));
   int outstanding = 0;
   uint64_t cursor = 0;
   uint64_t next_id = 0;
@@ -63,15 +70,21 @@ Task PipelinedFsClient(Simulator& sim, UsdClient* client, Extent extent, int dep
       req.lba = extent.start + cursor;
       req.nblocks = page_blocks;
       req.is_write = false;
+      req.buffer = buffers[req.id % buffers.size()];
       cursor = (cursor + page_blocks) % (extent.length - page_blocks);
-      client->Push(std::move(req));
+      client->Push(req);
       ++outstanding;
     }
-    UsdReply reply = co_await client->ReceiveReply();
+    const UsdReply reply = co_await client->ReceiveReply();
     --outstanding;
     if (reply.ok) {
-      *bytes += reply.data.size();
+      *bytes += page_bytes;
     }
+  }
+  // The buffers live in this frame: let the reads still in flight land
+  // before it goes (they no longer count towards *bytes).
+  for (; outstanding > 0; --outstanding) {
+    (void)co_await client->ReceiveReply();
   }
 }
 

@@ -29,8 +29,9 @@ Task WatchProgress(Simulator& sim, TraceRecorder& trace, int client, const uint6
                    SimDuration interval, SimTime until);
 
 // Figure 9's file-system client: reads page-sized transactions sequentially
-// from `extent` with `depth`-deep pipelining, until `until`; *bytes counts
-// payload transferred.
+// from `extent` with `depth`-deep pipelining into `depth` buffers of its own,
+// until `until`; *bytes counts payload transferred. It drains its in-flight
+// reads before returning, so it must not be killed while the USD still runs.
 Task PipelinedFsClient(Simulator& sim, UsdClient* client, Extent extent, int depth, SimTime until,
                        uint64_t* bytes);
 

@@ -272,18 +272,19 @@ void Disk::WriteData(uint64_t lba, std::span<const uint8_t> data) {
   });
 }
 
-std::vector<uint8_t> Disk::ReadData(uint64_t lba, uint32_t nblocks) const {
-  const size_t bytes = static_cast<size_t>(nblocks) * geometry_.block_size;
-  std::vector<uint8_t> out;
-  out.reserve(bytes);
-  ForEachChunkPiece(lba, bytes, [&](uint64_t chunk, size_t offset, size_t, size_t len) {
+void Disk::ReadInto(uint64_t lba, std::span<uint8_t> out) const {
+  ForEachChunkPiece(lba, out.size(), [&](uint64_t chunk, size_t offset, size_t at, size_t len) {
     if (chunk < chunks_.size() && chunks_[chunk] != nullptr) {
-      const uint8_t* src = chunks_[chunk].get() + offset;
-      out.insert(out.end(), src, src + len);
+      std::memcpy(out.data() + at, chunks_[chunk].get() + offset, len);
     } else {
-      out.resize(out.size() + len);  // never written: zeros
+      std::memset(out.data() + at, 0, len);  // never written: zeros
     }
   });
+}
+
+std::vector<uint8_t> Disk::ReadData(uint64_t lba, uint32_t nblocks) const {
+  std::vector<uint8_t> out(static_cast<size_t>(nblocks) * geometry_.block_size);
+  ReadInto(lba, out);
   return out;
 }
 

@@ -115,10 +115,11 @@ class Disk {
   SimDuration AccessChain(std::span<const DiskRequest> requests, SimTime now,
                           DiskChainEval& eval);
 
-  // Block content access (sparse backing store). ReadData returns the
-  // contents of `nblocks` blocks from `lba`, built by copying straight out of
-  // the store (no zero-fill first); blocks never written read as zeros.
+  // Block content access (sparse backing store). `data`/`out` cover whole
+  // blocks from `lba`. ReadInto copies straight out of the store into `out`;
+  // blocks never written read as zeros. ReadData is the allocating form.
   void WriteData(uint64_t lba, std::span<const uint8_t> data);
+  void ReadInto(uint64_t lba, std::span<uint8_t> out) const;
   std::vector<uint8_t> ReadData(uint64_t lba, uint32_t nblocks) const;
 
   // True when the request would be served entirely from the read cache.

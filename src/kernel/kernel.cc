@@ -74,7 +74,7 @@ uint64_t Kernel::RaiseFault(DomainId id, FaultRecord record) {
     record.id = domain->NextFaultId();
   }
   if (obs_ != nullptr) {
-    obs_->Span(record.time, id, "raise", 0.0, record.id);
+    obs_->Span(record.time, id, stage::kRaise, 0.0, record.id);
   }
   // "the kernel saves the current context in the domain's activation context
   // and sends an event to the faulting domain."

@@ -316,7 +316,7 @@ Expected<Pfn, FramesError> FramesAllocator::AllocGuaranteed(Client& client) {
       if (obs_ != nullptr) {
         // Zero-duration span: the victim lost a frame to the requester but
         // was not stalled (the frame was already unused).
-        obs_->Span(sim_.Now(), victim->domain, "revoke-transparent", 0.0, client.domain);
+        obs_->Span(sim_.Now(), victim->domain, stage::kRevokeTransparent, 0.0, client.domain);
       }
       frames_available_.NotifyAll();
     } else {
@@ -526,7 +526,7 @@ void FramesAllocator::StartIntrusiveRevocation(Client& victim, uint64_t k, Domai
                    static_cast<double>(k), ToMilliseconds(deadline));
   }
   if (obs_ != nullptr) {
-    obs_->Span(sim_.Now(), victim.domain, "revoke-start", 0.0, aggressor);
+    obs_->Span(sim_.Now(), victim.domain, stage::kRevokeStart, 0.0, aggressor);
     obs_->conformance().OnRevocationStart(victim.domain, sim_.Now(), aggressor);
   }
   NEM_LOG_DEBUG("frames", "intrusive revocation: victim=%u k=%llu deadline=%.2fms", victim.domain,
@@ -564,7 +564,7 @@ void FramesAllocator::FinishRevocation(DomainId victim_id, bool deadline_expired
   if (obs_ != nullptr) {
     // The intrusive-revocation window: from revoke-start to here. Victim
     // fault spans overlapping this window are stalls induced by `aggressor`.
-    obs_->Span(revocation_started_, victim_id, "revoke-end",
+    obs_->Span(revocation_started_, victim_id, stage::kRevokeEnd,
                ToMilliseconds(sim_.Now() - revocation_started_), aggressor);
     obs_->conformance().OnRevocationEnd(victim_id, sim_.Now());
   }
@@ -585,7 +585,7 @@ void FramesAllocator::FinishRevocation(DomainId victim_id, bool deadline_expired
     }
     domains_killed_.Inc();
     if (obs_ != nullptr) {
-      obs_->Span(sim_.Now(), victim_id, "revoke-kill", 0.0, aggressor);
+      obs_->Span(sim_.Now(), victim_id, stage::kRevokeKill, 0.0, aggressor);
       obs_->conformance().OnKill(victim_id, sim_.Now(), aggressor);
     }
     if (kill_handler_) {
@@ -619,7 +619,7 @@ void FramesAllocator::KillAndReclaim(Client& victim) {
     if (obs_ != nullptr) {
       // Close the revocation window at teardown so the span ledger balances
       // (every revoke-start gets a revoke-end even when the victim dies).
-      obs_->Span(revocation_started_, victim.domain, "revoke-end",
+      obs_->Span(revocation_started_, victim.domain, stage::kRevokeEnd,
                  ToMilliseconds(sim_.Now() - revocation_started_), aggressor);
       obs_->conformance().OnRevocationEnd(victim.domain, sim_.Now());
     }

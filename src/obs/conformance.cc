@@ -1,6 +1,8 @@
 #include "src/obs/conformance.h"
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "src/obs/metrics.h"
 
@@ -29,6 +31,28 @@ const char* ConformanceMonitor::VerdictName(Verdict v) {
   }
   return "?";
 }
+
+namespace {
+
+const TraceName kVerdictCategory("verdict");
+
+// The "<resource>-<verdict>" event name of a verdict record, interned once.
+TraceName VerdictEvent(ConformanceMonitor::Resource res, ConformanceMonitor::Verdict v) {
+  using Monitor = ConformanceMonitor;
+  static const auto table = [] {
+    std::array<std::array<TraceName, 3>, 3> t;
+    for (uint8_t r = 0; r < 3; ++r) {
+      for (uint8_t k = 0; k < 3; ++k) {
+        t[r][k] = std::string(Monitor::ResourceName(static_cast<Monitor::Resource>(r))) + "-" +
+                  Monitor::VerdictName(static_cast<Monitor::Verdict>(k));
+      }
+    }
+    return t;
+  }();
+  return table[static_cast<uint8_t>(res)][static_cast<uint8_t>(v)];
+}
+
+}  // namespace
 
 ConformanceMonitor::Contract* ConformanceMonitor::Find(uint32_t domain, Resource res) {
   auto it = contracts_.find(Key{domain, static_cast<uint8_t>(res)});
@@ -351,9 +375,8 @@ void ConformanceMonitor::Emit(uint32_t domain, Resource res, Contract* c, SimTim
     recent_head_ = (recent_head_ + 1) % kRecentCap;
   }
   if (trace_ != nullptr) {
-    trace_->Record(period_start, "verdict", static_cast<int>(domain),
-                   std::string(ResourceName(res)) + "-" + VerdictName(v), value,
-                   static_cast<double>(other));
+    trace_->Record(period_start, kVerdictCategory, static_cast<int>(domain), VerdictEvent(res, v),
+                   value, static_cast<double>(other));
   }
 }
 

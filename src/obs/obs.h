@@ -21,8 +21,10 @@
 //
 // Overhead contract: with `enabled() == false` every probe reduces to a null
 // check plus one predictable branch — no allocation, no string work, no trace
-// append. bench_obs_overhead holds the fig7 workload to <= 2% wall-clock
-// delta for the compiled-in-but-disabled configuration.
+// append. Probe sites pass the pre-interned names in `stage::` below, so an
+// enabled probe does no name lookup either. bench_obs_overhead holds the fig7
+// workload to <= 2% wall-clock delta for the compiled-in-but-disabled
+// configuration.
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
 
@@ -50,6 +52,31 @@ inline constexpr uint32_t TraceDomainOf(uint64_t id) {
   return static_cast<uint32_t>((id >> 32) & 0xFFFFF);
 }
 
+// Pre-interned span categories and stage names (the schema above).
+namespace stage {
+inline const TraceName kSpan{"span"};
+inline const TraceName kBg{"bg"};
+inline const TraceName kRaise{"raise"};
+inline const TraceName kDispatch{"dispatch"};
+inline const TraceName kCoalesced{"coalesced"};
+inline const TraceName kFastResolve{"fast-resolve"};
+inline const TraceName kEnqueue{"enqueue"};
+inline const TraceName kQueueWait{"queue-wait"};
+inline const TraceName kResolve{"resolve"};
+inline const TraceName kUsdRead{"usd-read"};
+inline const TraceName kUsdWrite{"usd-write"};
+inline const TraceName kBgRead{"bg-read"};
+inline const TraceName kBgWrite{"bg-write"};
+inline const TraceName kDisk{"disk"};
+inline const TraceName kMap{"map"};
+inline const TraceName kFailed{"failed"};
+inline const TraceName kResume{"resume"};
+inline const TraceName kRevokeStart{"revoke-start"};
+inline const TraceName kRevokeEnd{"revoke-end"};
+inline const TraceName kRevokeTransparent{"revoke-transparent"};
+inline const TraceName kRevokeKill{"revoke-kill"};
+}  // namespace stage
+
 class Obs {
  public:
   explicit Obs(TraceRecorder* trace) : trace_(trace) {
@@ -70,12 +97,11 @@ class Obs {
   // Emits one span record; no-op while disabled. `domain` is a DomainId (or
   // a victim domain for revoke-* events); `fid` is the fault trace id (or the
   // aggressor domain for revoke-* events).
-  void Span(SimTime start, uint32_t domain, const char* stage, double duration_ms,
-            uint64_t fid) {
+  void Span(SimTime start, uint32_t domain, TraceName name, double duration_ms, uint64_t fid) {
     if (!enabled_) {
       return;
     }
-    trace_->Record(start, "span", static_cast<int>(domain), stage, duration_ms,
+    trace_->Record(start, stage::kSpan, static_cast<int>(domain), name, duration_ms,
                    static_cast<double>(fid));
   }
 
@@ -86,19 +112,18 @@ class Obs {
     if (!enabled_) {
       return;
     }
-    trace_->Record(start, IsBgTraceId(fid) ? "bg" : "span",
-                   static_cast<int>(TraceDomainOf(fid)), "disk", duration_ms,
+    trace_->Record(start, IsBgTraceId(fid) ? stage::kBg : stage::kSpan,
+                   static_cast<int>(TraceDomainOf(fid)), stage::kDisk, duration_ms,
                    static_cast<double>(fid));
   }
 
   // Emits a background pipeline span (read-ahead / writeback) under
   // category "bg"; `fid` must be a MakeBgTraceId id.
-  void BgSpan(SimTime start, uint32_t domain, const char* stage, double duration_ms,
-              uint64_t fid) {
+  void BgSpan(SimTime start, uint32_t domain, TraceName name, double duration_ms, uint64_t fid) {
     if (!enabled_) {
       return;
     }
-    trace_->Record(start, "bg", static_cast<int>(domain), stage, duration_ms,
+    trace_->Record(start, stage::kBg, static_cast<int>(domain), name, duration_ms,
                    static_cast<double>(fid));
   }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "src/sim/time.h"
@@ -23,7 +24,7 @@ Lane LaneFor(const TraceRecord& r) {
     if (r.event == "disk" || r.event == "usd-read" || r.event == "usd-write") {
       return {2, "disk"};
     }
-    if (r.event.rfind("revoke", 0) == 0) {
+    if (r.event.str().starts_with("revoke")) {
       return {5, "memory"};
     }
     return {1, "faults"};
@@ -56,7 +57,7 @@ bool IsDurationRecord(const TraceRecord& r) {
   return r.event == "lax";
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
+void AppendEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
       out->push_back('\\');
@@ -89,9 +90,9 @@ std::string PerfettoJson(const TraceRecorder& trace) {
     out.append(first ? "\n" : ",\n");
     first = false;
     out.append("{\"name\":\"");
-    AppendEscaped(&out, r.event);
+    AppendEscaped(&out, r.event.str());
     out.append("\",\"cat\":\"");
-    AppendEscaped(&out, r.category);
+    AppendEscaped(&out, r.category.str());
     out.append("\",\"ph\":\"");
     out.append(IsDurationRecord(r) ? "X" : "i");
     out.append("\",\"ts\":");

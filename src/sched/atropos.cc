@@ -8,9 +8,18 @@
 
 namespace nemesis {
 
-AtroposScheduler::AtroposScheduler(Simulator& sim, TraceRecorder* trace,
-                                   std::string trace_category)
-    : sim_(sim), trace_(trace), trace_category_(std::move(trace_category)) {}
+namespace {
+
+const TraceName kAdmit("admit");
+const TraceName kAlloc("alloc");
+const TraceName kIdle("idle");
+const TraceName kLax("lax");
+const TraceName kExhaust("exhaust");
+
+}  // namespace
+
+AtroposScheduler::AtroposScheduler(Simulator& sim, TraceRecorder* trace, TraceName trace_category)
+    : sim_(sim), trace_(trace), trace_category_(trace_category) {}
 
 AtroposScheduler::~AtroposScheduler() {
   for (auto& c : clients_) {
@@ -89,7 +98,7 @@ Expected<SchedClientId, AdmitError> AtroposScheduler::Admit(std::string name, Qo
   Reindex(static_cast<uint32_t>(clients_.size() - 1));
   ScheduleRefresh(clients_.back());
   if (trace_ != nullptr) {
-    trace_->Record(sim_.Now(), trace_category_, static_cast<int>(clients_.back().id), "admit",
+    trace_->Record(sim_.Now(), trace_category_, static_cast<int>(clients_.back().id), kAdmit,
                    ToMilliseconds(spec.slice), ToMilliseconds(spec.period));
   }
   return clients_.back().id;
@@ -128,7 +137,7 @@ void AtroposScheduler::Refresh(SchedClientId id) {
   Reindex(id_to_index_[id]);
   ScheduleRefresh(*c);
   if (trace_ != nullptr) {
-    trace_->Record(sim_.Now(), trace_category_, static_cast<int>(id), "alloc",
+    trace_->Record(sim_.Now(), trace_category_, static_cast<int>(id), kAlloc,
                    ToMilliseconds(c->remain), ToMilliseconds(c->deadline));
   }
   if (refresh_hook_) {
@@ -172,7 +181,7 @@ void AtroposScheduler::DrainPendingTransitions() {
     c.state = SchedClientState::kIdle;
     edf_.Erase(i);
     if (trace_ != nullptr) {
-      trace_->Record(sim_.Now(), trace_category_, static_cast<int>(c.id), "idle",
+      trace_->Record(sim_.Now(), trace_category_, static_cast<int>(c.id), kIdle,
                      ToMilliseconds(c.remain), 0.0);
     }
   }
@@ -223,7 +232,7 @@ std::optional<AtroposScheduler::Pick> AtroposScheduler::PickNext() {
         // budget left — ignored until the next periodic allocation.
         c.state = SchedClientState::kIdle;
         if (trace_ != nullptr) {
-          trace_->Record(sim_.Now(), trace_category_, static_cast<int>(c.id), "idle",
+          trace_->Record(sim_.Now(), trace_category_, static_cast<int>(c.id), kIdle,
                          ToMilliseconds(c.remain), 0.0);
         }
       }
@@ -270,7 +279,7 @@ void AtroposScheduler::Charge(SchedClientId id, SimDuration used, bool was_lax) 
     c->lax_used += used;
     c->lax_charged += used;
     if (trace_ != nullptr && used > 0) {
-      trace_->Record(sim_.Now() - used, trace_category_, static_cast<int>(id), "lax",
+      trace_->Record(sim_.Now() - used, trace_category_, static_cast<int>(id), kLax,
                      ToMilliseconds(used), ToMilliseconds(c->remain));
     }
   } else {
@@ -280,7 +289,7 @@ void AtroposScheduler::Charge(SchedClientId id, SimDuration used, bool was_lax) 
   if (c->remain <= 0 && c->state == SchedClientState::kRunnable) {
     c->state = SchedClientState::kWaiting;
     if (trace_ != nullptr) {
-      trace_->Record(sim_.Now(), trace_category_, static_cast<int>(id), "exhaust",
+      trace_->Record(sim_.Now(), trace_category_, static_cast<int>(id), kExhaust,
                      ToMilliseconds(c->remain), 0.0);
     }
   }
@@ -354,8 +363,9 @@ std::string AtroposScheduler::AuditIndexes() const {
   if (!indexed_) {
     return "";
   }
+  const std::string self = "atropos(" + std::string(trace_category_.str()) + ")";
   if (!edf_.SelfCheck() || !extra_.SelfCheck()) {
-    return "atropos(" + trace_category_ + "): heap structure corrupt";
+    return self + ": heap structure corrupt";
   }
   size_t edf_expected = 0;
   size_t extra_expected = 0;
@@ -363,8 +373,7 @@ std::string AtroposScheduler::AuditIndexes() const {
   size_t deficit_expected = 0;
   for (uint32_t i = 0; i < clients_.size(); ++i) {
     const Client& c = clients_[i];
-    const std::string who =
-        "atropos(" + trace_category_ + ") client " + std::to_string(c.id) + ": ";
+    const std::string who = self + " client " + std::to_string(c.id) + ": ";
     if (c.alive &&
         (c.id >= id_to_index_.size() || id_to_index_[c.id] != i)) {
       return who + "id->index map does not point at the live client";
@@ -405,7 +414,7 @@ std::string AtroposScheduler::AuditIndexes() const {
   }
   if (edf_.size() != edf_expected || extra_.size() != extra_expected ||
       idle_pending_.size() != idle_expected || deficit_pending_.size() != deficit_expected) {
-    return "atropos(" + trace_category_ + "): an index holds entries for unknown clients";
+    return self + ": an index holds entries for unknown clients";
   }
   return "";
 }

@@ -75,7 +75,7 @@ class AtroposScheduler {
   // (work arrival or a periodic reallocation); the executor uses it to
   // re-evaluate PickNext(). `trace` may be null.
   AtroposScheduler(Simulator& sim, TraceRecorder* trace = nullptr,
-                   std::string trace_category = "atropos");
+                   TraceName trace_category = "atropos");
   ~AtroposScheduler();
   AtroposScheduler(const AtroposScheduler&) = delete;
   AtroposScheduler& operator=(const AtroposScheduler&) = delete;
@@ -203,7 +203,7 @@ class AtroposScheduler {
 
   Simulator& sim_;
   TraceRecorder* trace_;
-  std::string trace_category_;
+  TraceName trace_category_;
   std::function<void()> wakeup_;
   std::function<void(SchedClientId, SimTime, SimDuration, bool)> charge_hook_;
   std::function<void(SchedClientId, SimTime, SimDuration, bool)> refresh_hook_;

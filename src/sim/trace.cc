@@ -2,9 +2,54 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
+#include <deque>
+#include <ostream>
+#include <unordered_map>
+
+#include "src/base/assert.h"
 
 namespace nemesis {
+
+namespace {
+
+// The process-wide name table. Names live in a deque so the views handed out
+// by TraceName::str() (and the index keys) never move; id 0 is "".
+struct NameTable {
+  std::deque<std::string> names{std::string()};
+  std::unordered_map<std::string_view, uint16_t> index{{std::string_view(), 0}};
+};
+
+NameTable& Names() {
+  static NameTable table;
+  return table;
+}
+
+}  // namespace
+
+TraceName::TraceName(std::string_view name) {
+  NameTable& t = Names();
+  if (auto it = t.index.find(name); it != t.index.end()) {
+    id_ = it->second;
+    return;
+  }
+  NEM_ASSERT_MSG(t.names.size() <= UINT16_MAX, "trace name table full");
+  id_ = static_cast<uint16_t>(t.names.size());
+  t.names.emplace_back(name);
+  t.index.emplace(t.names.back(), id_);
+}
+
+TraceName TraceName::Find(std::string_view name) {
+  NameTable& t = Names();
+  TraceName found;
+  if (auto it = t.index.find(name); it != t.index.end()) {
+    found.id_ = it->second;
+  }
+  return found;
+}
+
+std::string_view TraceName::str() const { return Names().names[id_]; }
+
+std::ostream& operator<<(std::ostream& os, TraceName name) { return os << name.str(); }
 
 void TraceRecorder::set_capacity(size_t n) {
   // Linearize first so index 0 is the oldest record; ring arithmetic then
@@ -22,29 +67,20 @@ void TraceRecorder::set_capacity(size_t n) {
   capacity_ = n;
 }
 
-void TraceRecorder::Record(SimTime time, std::string category, int client, std::string event,
-                           double a, double b) {
-  if (!enabled_) {
-    return;
-  }
-  if (capacity_ != 0 && records_.size() >= capacity_) {
-    // Flight-recorder mode: overwrite the oldest record in place.
-    records_[head_] = TraceRecord{time, std::move(category), client, std::move(event), a, b};
-    head_ = (head_ + 1) % records_.size();
-    ++dropped_;
-    return;
-  }
-  records_.push_back(TraceRecord{time, std::move(category), client, std::move(event), a, b});
-}
-
-std::vector<TraceRecord> TraceRecorder::Filter(const std::string& category,
-                                               const std::string& event, int client) const {
+std::vector<TraceRecord> TraceRecorder::Filter(std::string_view category,
+                                               std::string_view event, int client) const {
   std::vector<TraceRecord> out;
+  // Resolve the filter's names once; a name never interned matches nothing.
+  const TraceName cat = TraceName::Find(category);
+  const TraceName ev = TraceName::Find(event);
+  if ((!category.empty() && cat.empty()) || (!event.empty() && ev.empty())) {
+    return out;
+  }
   ForEach([&](const TraceRecord& r) {
-    if (!category.empty() && r.category != category) {
+    if (!category.empty() && r.category != cat) {
       return;
     }
-    if (!event.empty() && r.event != event) {
+    if (!event.empty() && r.event != ev) {
       return;
     }
     if (client >= 0 && r.client != client) {
@@ -59,8 +95,8 @@ namespace {
 
 // RFC 4180: quote a field containing the delimiter, a quote, or a line break;
 // double any embedded quotes.
-void WriteCsvField(std::FILE* f, const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) {
+void WriteCsvField(std::FILE* f, std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
     std::fwrite(field.data(), 1, field.size(), f);
     return;
   }
@@ -84,9 +120,9 @@ bool TraceRecorder::WriteCsv(const std::string& path) const {
   std::fprintf(f, "time_ms,category,client,event,value_a,value_b\n");
   ForEach([&](const TraceRecord& r) {
     std::fprintf(f, "%.6f,", ToMilliseconds(r.time));
-    WriteCsvField(f, r.category);
+    WriteCsvField(f, r.category.str());
     std::fprintf(f, ",%d,", r.client);
-    WriteCsvField(f, r.event);
+    WriteCsvField(f, r.event.str());
     std::fprintf(f, ",%.6f,%.6f\n", r.value_a, r.value_b);
   });
   std::fclose(f);

@@ -3,26 +3,67 @@
 // emits structured records here and the benches dump them as CSV so the plots
 // can be regenerated. The observability layer (src/obs) threads fault
 // lifecycle spans through the same recorder under category "span".
+//
+// A record is a trivially copyable 32-byte struct. Its category and event
+// names are interned: a TraceName is a 16-bit index into one process-wide,
+// append-only name table, and only CSV/JSON export and filtering turn it
+// back into text. Hot call sites hold TraceName constants built once, so
+// appending a record does no hashing and no string construction.
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/time.h"
 
 namespace nemesis {
 
-struct TraceRecord {
-  SimTime time;         // record timestamp (start of the interval, if any)
-  std::string category; // subsystem, e.g. "usd"
-  int client;           // client / domain id, -1 if not applicable
-  std::string event;    // e.g. "txn", "lax", "alloc", "progress"
-  double value_a;       // event-specific (e.g. duration in ms, bytes)
-  double value_b;       // event-specific (e.g. remaining time)
+// An interned category or event name. Converting from text interns it (a
+// hash lookup, and an insert the first time a name is seen); comparison and
+// copying are integer operations. The default value is the empty name. The
+// table is not synchronised: the simulator and its tools are single-threaded.
+class TraceName {
+ public:
+  constexpr TraceName() = default;
+  TraceName(std::string_view name);  // NOLINT(google-explicit-constructor)
+  TraceName(const char* name) : TraceName(std::string_view(name)) {}  // NOLINT
+  TraceName(const std::string& name) : TraceName(std::string_view(name)) {}  // NOLINT
+
+  // The interned name for `name` if it has ever been interned; the empty name
+  // otherwise (no record can carry a name that was never interned).
+  static TraceName Find(std::string_view name);
+
+  uint16_t id() const { return id_; }
+  bool empty() const { return id_ == 0; }
+  // The text; the view stays valid for the life of the process.
+  std::string_view str() const;
+
+  friend bool operator==(TraceName a, TraceName b) { return a.id_ == b.id_; }
+  // Compares the text, so testing against a literal interns nothing.
+  friend bool operator==(TraceName a, const char* b) { return a.str() == b; }
+
+ private:
+  uint16_t id_ = 0;
 };
+
+std::ostream& operator<<(std::ostream& os, TraceName name);
+
+struct TraceRecord {
+  SimTime time;        // record timestamp (start of the interval, if any)
+  int32_t client;      // client / domain id, -1 if not applicable
+  TraceName category;  // subsystem, e.g. "usd"
+  TraceName event;     // e.g. "txn", "lax", "alloc", "progress"
+  double value_a;      // event-specific (e.g. duration in ms, bytes)
+  double value_b;      // event-specific (e.g. remaining time)
+};
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
+static_assert(sizeof(TraceRecord) <= 32);
 
 class TraceRecorder {
  public:
@@ -41,8 +82,21 @@ class TraceRecorder {
 
   size_t size() const { return records_.size(); }
 
-  void Record(SimTime time, std::string category, int client, std::string event, double a = 0.0,
-              double b = 0.0);
+  void Record(SimTime time, TraceName category, int client, TraceName event, double a = 0.0,
+              double b = 0.0) {
+    if (!enabled_) {
+      return;
+    }
+    const TraceRecord r{time, client, category, event, a, b};
+    if (capacity_ != 0 && records_.size() >= capacity_) {
+      // Flight-recorder mode: overwrite the oldest record in place.
+      records_[head_] = r;
+      head_ = (head_ + 1) % records_.size();
+      ++dropped_;
+      return;
+    }
+    records_.push_back(r);
+  }
 
   // Oldest-to-newest view valid in both unlimited and ring mode. The
   // records() accessor stays for unlimited-mode callers (the ring rotates the
@@ -63,7 +117,7 @@ class TraceRecorder {
   }
 
   // Records matching a category/event filter (empty string matches all).
-  std::vector<TraceRecord> Filter(const std::string& category, const std::string& event = "",
+  std::vector<TraceRecord> Filter(std::string_view category, std::string_view event = {},
                                   int client = -1) const;
 
   // Writes "time_ms,category,client,event,value_a,value_b" rows. Fields

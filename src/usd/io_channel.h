@@ -5,11 +5,16 @@
 // owns a fixed number of slots; submitting a transaction consumes a slot and
 // completion releases it, so a client can pipeline up to `depth` transactions
 // (Figure 9's file-system client trades buffer space for latency this way).
+//
+// The buffers are the client's (DESIGN.md "IO-channel buffers"): a request
+// names a span of client memory, and when the transaction completes the USD
+// moves the bytes straight between the disk and that span, as a DMA engine
+// would. No payload travels with the request or the reply.
 #ifndef SRC_USD_IO_CHANNEL_H_
 #define SRC_USD_IO_CHANNEL_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/sim/time.h"
 
@@ -23,14 +28,18 @@ struct UsdRequest {
   // Fault trace id threading the observability span through the disk stage
   // (0 = not part of a traced fault). The high 32 bits carry the domain id.
   uint64_t trace_id = 0;
-  std::vector<uint8_t> data;  // write payload (nblocks * block_size bytes)
+  // The client-owned transfer buffer: the destination of a read, the source
+  // of a write, exactly nblocks * block_size bytes. The bytes move at
+  // completion time, so the buffer must stay valid and untouched until the
+  // reply is received (the pager names a nailed frame). Empty = a
+  // timing-only transaction that moves no bytes.
+  std::span<uint8_t> buffer;
 };
 
 struct UsdReply {
   uint64_t id = 0;
   bool ok = false;
-  std::vector<uint8_t> data;    // read payload
-  SimDuration service_time = 0; // time the transaction occupied the disk
+  SimDuration service_time = 0;  // time the transaction occupied the disk
 };
 
 // Per-client batching policy. When enabled, the USD service loop — once the

@@ -8,6 +8,15 @@
 
 namespace nemesis {
 
+namespace {
+
+const TraceName kUsd("usd");
+const TraceName kTxn("txn");
+const TraceName kSlackTxn("slack-txn");
+const TraceName kBatch("batch");
+
+}  // namespace
+
 Usd::Usd(Simulator& sim, Disk& disk, TraceRecorder* trace)
     : sim_(sim), disk_(disk), trace_(trace), sched_(sim, trace, "usd"), work_cv_(sim) {
   sched_.set_wakeup([this] { work_cv_.NotifyAll(); });
@@ -71,7 +80,12 @@ UsdClient* Usd::FindBySchedId(SchedClientId id) {
   return nullptr;
 }
 
-void UsdClient::Push(UsdRequest request) {
+uint32_t UsdClient::block_size() const { return usd_.disk_.geometry().block_size; }
+
+void UsdClient::Push(const UsdRequest& request) {
+  NEM_ASSERT_MSG(request.buffer.empty() ||
+                     request.buffer.size() == static_cast<size_t>(request.nblocks) * block_size(),
+                 "USD buffer must cover exactly the request's blocks");
   // User-safety: validate the transaction against the granted extents before
   // it ever reaches the disk.
   bool allowed = false;
@@ -86,11 +100,11 @@ void UsdClient::Push(UsdRequest request) {
     UsdReply reply;
     reply.id = request.id;
     reply.ok = false;
-    const bool sent = replies_.TrySend(std::move(reply));
+    const bool sent = replies_.TrySend(reply);
     NEM_ASSERT(sent);
     return;
   }
-  queue_.push_back(std::move(request));
+  queue_.push_back(request);
   usd_.OnRequestArrival(*this);
 }
 
@@ -175,6 +189,34 @@ void Usd::AssembleBatch(UsdClient& client, SimDuration slice_budget) {
   }
 }
 
+void Usd::Complete(UsdClient& client, const UsdRequest& request, SimTime start, SimDuration t,
+                   TraceName event, double value_b) {
+  // The transfer happens now, at completion: the platter must not show bytes
+  // that have not arrived, nor a read return bytes written after it ended.
+  if (!request.buffer.empty() && !client.detached_ && !client.defunct_) {
+    if (request.is_write) {
+      disk_.WriteData(request.lba, request.buffer);
+    } else {
+      disk_.ReadInto(request.lba, request.buffer);
+    }
+  }
+  transactions_.Inc();
+  client.transactions_.Inc();
+  client.bytes_transferred_.Add(static_cast<uint64_t>(request.nblocks) *
+                                disk_.geometry().block_size);
+  if (trace_ != nullptr && !client.defunct_) {
+    trace_->Record(start, kUsd, static_cast<int>(client.sched_id_), event, ToMilliseconds(t),
+                   value_b);
+  }
+  if (obs_ != nullptr && request.trace_id != 0) {
+    // The request's disk stage; DiskSpan routes demand fault ids to category
+    // "span" and background pipeline ids to "bg".
+    obs_->DiskSpan(start, request.trace_id, ToMilliseconds(t));
+  }
+  const bool sent = client.replies_.TrySend(UsdReply{request.id, true, t});
+  NEM_ASSERT(sent);
+}
+
 Task Usd::ServiceLoop() {
   for (;;) {
     auto pick = sched_.PickNext();
@@ -190,36 +232,11 @@ Task Usd::ServiceLoop() {
           const SimTime start = sim_.Now();
           const SimDuration t = disk_.Access(
               DiskRequest{request.lba, request.nblocks, request.is_write}, start);
-          UsdReply reply;
-          reply.id = request.id;
-          reply.ok = true;
-          reply.service_time = t;
           in_service_ = client;
           co_await SleepFor(sim_, t);
           in_service_ = nullptr;
-          // Data is committed (writes) / snapshotted (reads) at completion
-          // time: the platter must not show bytes that have not arrived yet.
-          if (request.is_write) {
-            disk_.WriteData(request.lba, request.data);
-          } else {
-            reply.data = disk_.ReadData(request.lba, request.nblocks);
-          }
           // Slack time is free: no charge against the guarantee.
-          transactions_.Inc();
-          client->transactions_.Inc();
-          client->bytes_transferred_.Add(
-              static_cast<uint64_t>(request.nblocks) * disk_.geometry().block_size);
-          if (trace_ != nullptr) {
-            trace_->Record(start, "usd", static_cast<int>(client->sched_id_), "slack-txn",
-                           ToMilliseconds(t), 0.0);
-          }
-          if (obs_ != nullptr && request.trace_id != 0) {
-            // The disk stage of the span; DiskSpan routes demand fault ids to
-            // category "span" and background pipeline ids to "bg".
-            obs_->DiskSpan(start, request.trace_id, ToMilliseconds(t));
-          }
-          const bool sent = client->replies_.TrySend(std::move(reply));
-          NEM_ASSERT(sent);
+          Complete(*client, request, start, t, kSlackTxn, 0.0);
           ReapDefunct();
           continue;
         }
@@ -275,40 +292,20 @@ Task Usd::ServiceLoop() {
       batch_charged_ += t;
       batch_busy_ += busy_delta;
       if (trace_ != nullptr) {
-        trace_->Record(start, "usd", static_cast<int>(client->sched_id_), "batch",
+        trace_->Record(start, kUsd, static_cast<int>(client->sched_id_), kBatch,
                        ToMilliseconds(t), static_cast<double>(batch_.size()));
       }
     }
-    // Completion-time data commit and per-request reply fan-out, in FIFO
+    // Completion-time data transfer and per-request reply fan-out, in FIFO
     // order; each reply releases one pipeline slot when received.
+    // (A defunct client has left the scheduler and records no txn.)
+    const double remaining_ms =
+        client->defunct_ ? 0.0 : ToMilliseconds(sched_.remaining(pick->client));
     SimTime req_start = start;
     for (size_t i = 0; i < batch_.size(); ++i) {
-      UsdRequest& request = batch_[i];
       const SimDuration rt = batch_.size() == 1 ? t : chain_eval_.per_request[i];
-      UsdReply reply;
-      reply.id = request.id;
-      reply.ok = true;
-      reply.service_time = rt;
-      if (request.is_write) {
-        disk_.WriteData(request.lba, request.data);
-      } else {
-        reply.data = disk_.ReadData(request.lba, request.nblocks);
-      }
-      transactions_.Inc();
-      client->transactions_.Inc();
-      client->bytes_transferred_.Add(
-          static_cast<uint64_t>(request.nblocks) * disk_.geometry().block_size);
-      if (trace_ != nullptr && !client->defunct_) {
-        trace_->Record(req_start, "usd", static_cast<int>(client->sched_id_), "txn",
-                       ToMilliseconds(rt), ToMilliseconds(sched_.remaining(pick->client)));
-      }
-      if (obs_ != nullptr && request.trace_id != 0) {
-        // Per-request disk time inside the (possibly chained) transaction.
-        obs_->DiskSpan(req_start, request.trace_id, ToMilliseconds(rt));
-      }
+      Complete(*client, batch_[i], req_start, rt, kTxn, remaining_ms);
       req_start += rt;
-      const bool sent = client->replies_.TrySend(std::move(reply));
-      NEM_ASSERT(sent);
     }
     batch_.clear();
     batch_reqs_.clear();

@@ -20,11 +20,20 @@
 // slice (the roll-over rule). The default policy is OFF, which leaves every
 // client on the exact one-transaction-per-pick path.
 //
+// Data moves at completion time, straight between the disk's store and the
+// buffer the request names (see io_channel.h). A client whose owner is dying
+// is detached first (UsdClient::Detach): its requests are still served and
+// charged, so simulated time is unchanged, but they move no bytes, so a
+// reclaimed frame handed to another domain is never written or read on the
+// dead client's behalf. A client closed mid-transaction (defunct) is treated
+// the same way.
+//
 // Trace records emitted (category "usd"): "txn" (start time, value_a =
 // duration ms, value_b = client remaining ms), "batch" (chain start time,
 // value_a = combined duration ms, value_b = requests in the chain; followed
-// by per-request "txn" records), "lax" (from the Atropos core), "alloc" (new
-// periodic allocation), "reject" (extent violation).
+// by per-request "txn" records), "slack-txn" (a transaction served in slack
+// time, value_b = 0), "lax" (from the Atropos core), "alloc" (new periodic
+// allocation). A defunct client's transactions record no txn/slack-txn.
 #ifndef SRC_USD_USD_H_
 #define SRC_USD_USD_H_
 
@@ -64,7 +73,15 @@ class UsdClient {
 
   // Submits a transaction (requires a previously acquired slot). Extent
   // violations produce an ok=false reply without touching the disk.
-  void Push(UsdRequest request);
+  void Push(const UsdRequest& request);
+
+  // Stops all data movement for this client's requests, queued and in
+  // service, from now on: they are still served, charged and replied to,
+  // but no bytes reach or leave their buffers. The owner calls this before
+  // it releases any buffer an in-flight request names (a killed domain,
+  // before its frames are reclaimed). Permanent.
+  void Detach() { detached_ = true; }
+  bool detached() const { return detached_; }
 
   // Receives the next completion (FIFO per client) and releases its pipeline
   // slot, rbufs-style: a client has at most `depth` transactions anywhere in
@@ -96,6 +113,7 @@ class UsdClient {
   const std::string& name() const { return name_; }
   SchedClientId sched_id() const { return sched_id_; }
   size_t depth() const { return depth_; }
+  uint32_t block_size() const;
   // Pipeline slots not currently in flight. Lets a pipelined issuer (the
   // async pager) bound a speculative burst without suspending on AcquireSlot.
   size_t free_slots() const { return slots_.count() > 0 ? static_cast<size_t>(slots_.count()) : 0; }
@@ -134,6 +152,7 @@ class UsdClient {
   // Set when CloseClient ran while the service loop held this client across
   // an in-flight transaction; the loop reaps the deferred object afterwards.
   bool defunct_ = false;
+  bool detached_ = false;
   StatCounter transactions_;
   StatCounter bytes_transferred_;
   StatCounter rejected_;
@@ -185,6 +204,12 @@ class Usd {
   // by the policy caps, the covering extent, and `slice_budget` (cumulative
   // chain cost; the first request alone may exceed it, the roll-over rule).
   void AssembleBatch(UsdClient& client, SimDuration slice_budget);
+  // Finishes one served request at its completion time: moves its bytes
+  // (unless the client is detached or defunct), counts it, records `event`
+  // (value_b = `value_b`) unless the client is defunct, closes the disk span
+  // and posts the reply. `start`/`t` are the request's own service interval.
+  void Complete(UsdClient& client, const UsdRequest& request, SimTime start, SimDuration t,
+                TraceName event, double value_b);
   // Destroys clients whose CloseClient arrived while the loop was holding
   // them across an in-flight transaction. Must only run at loop points where
   // no UsdClient pointer is live.

@@ -260,7 +260,7 @@ TEST(VMemTest, AccessRangeKernelsOverUnalignedRange) {
   EXPECT_EQ(app->vmem().checksum(), expected_sum);
 }
 
-// All-0xFF bytes are the worst case for the read kernel's 16-bit lanes: the
+// All-0xFF bytes are the largest possible sum per byte for the read kernel: the
 // checksum must still be the exact byte sum.
 TEST(VMemTest, AccessRangeSumsAFullPageOfOnesExactly) {
   System system(SmallSystem());
@@ -291,6 +291,72 @@ TEST(VMemTest, AccessRangeSumsAFullPageOfOnesExactly) {
   system.sim().RunUntil(Seconds(30));
   ASSERT_TRUE(ok);
   EXPECT_EQ(app->vmem().checksum(), uint64_t{255} * kDefaultPageSize);
+}
+
+// The read kernel (psadbw on x86-64, a byte loop elsewhere) against a scalar
+// byte sum over random bytes: lengths 0-300 and whole pages, starting at
+// offsets 0-15 into a page (a page-long range from a nonzero offset ends in
+// the next page, so the sub-16-byte tails are covered too).
+TEST(VMemTest, ChecksumMatchesScalarSumAtUnalignedOffsets) {
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.name = "sum";
+  cfg.contract = {4, 0};
+  cfg.driver_max_frames = 4;
+  cfg.stretch_bytes = 4 * kDefaultPageSize;
+  cfg.swap_bytes = kMiB;
+  AppDomain* app = system.CreateApp(cfg);
+
+  Random rng(11);
+  std::vector<uint8_t> bytes(4 * kDefaultPageSize);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  struct Range {
+    size_t start = 0;  // byte offset into the stretch
+    size_t len = 0;
+  };
+  std::vector<Range> ranges;
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const size_t page = offset % 3;
+    for (int k = 0; k < 8; ++k) {
+      ranges.push_back({page * kDefaultPageSize + offset, rng.NextBelow(301)});
+    }
+    ranges.push_back({page * kDefaultPageSize + offset, kDefaultPageSize});
+  }
+
+  struct SumEach {
+    static Task Run(AppDomain* app, const std::vector<uint8_t>* bytes,
+                    const std::vector<Range>* ranges, std::vector<uint64_t>* sums, bool* ok) {
+      const VirtAddr base = app->stretch()->base();
+      bool w_ok = false;
+      TaskHandle w = app->SpawnWorkload(app->vmem().Write(base, *bytes, &w_ok), "fill");
+      co_await Join(w);
+      *ok = w_ok;
+      for (const Range& r : *ranges) {
+        const uint64_t before = app->vmem().checksum();
+        bool r_ok = false;
+        TaskHandle h = app->SpawnWorkload(
+            app->vmem().AccessRange(base + r.start, r.len, AccessType::kRead, &r_ok), "sum");
+        co_await Join(h);
+        *ok = *ok && r_ok;
+        sums->push_back(app->vmem().checksum() - before);
+      }
+    }
+  };
+  std::vector<uint64_t> sums;
+  bool ok = false;
+  app->SpawnWorkload(SumEach::Run(app, &bytes, &ranges, &sums, &ok), "verify");
+  system.sim().RunUntil(Seconds(30));
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(sums.size(), ranges.size());
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    uint64_t expected = 0;
+    for (size_t j = 0; j < ranges[i].len; ++j) {
+      expected += bytes[ranges[i].start + j];
+    }
+    EXPECT_EQ(sums[i], expected) << "offset " << ranges[i].start << " length " << ranges[i].len;
+  }
 }
 
 TEST(PagedDriver, ForgetfulModeNeverPagesIn) {

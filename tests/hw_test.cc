@@ -521,6 +521,43 @@ TEST(DiskModel, OverwriteReplacesOnlyTheWrittenBlocks) {
   }
 }
 
+// ReadInto is the USD's completion-time transfer: it fills a caller-owned
+// buffer in place, here one straddling chunks 0 and 1.
+TEST(DiskModel, ReadIntoAcrossChunkBoundary) {
+  Disk disk;
+  std::vector<uint8_t> in(16 * 512);
+  for (size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  disk.WriteData(120, in);
+  std::vector<uint8_t> out(16 * 512, 0xEE);
+  disk.ReadInto(120, out);
+  EXPECT_EQ(out, in);
+  // A sub-span lands exactly where it is pointed and nowhere else.
+  std::vector<uint8_t> framed(6 * 512, 0xEE);
+  disk.ReadInto(126, std::span<uint8_t>(framed).subspan(512, 4 * 512));
+  for (size_t i = 0; i < framed.size(); ++i) {
+    const bool inside = i >= 512 && i < 5 * 512;
+    ASSERT_EQ(framed[i], inside ? in[6 * 512 + (i - 512)] : 0xEE) << "byte " << i;
+  }
+}
+
+// Blocks never written read as zeros through ReadInto too: stale bytes in the
+// destination buffer are overwritten, in a written chunk and an unwritten one.
+TEST(DiskModel, ReadIntoUnwrittenBlocksZeroTheBuffer) {
+  Disk disk;
+  std::vector<uint8_t> in(512, 0xAB);
+  disk.WriteData(127, in);  // the last block of chunk 0
+  std::vector<uint8_t> out(4 * 512, 0xEE);
+  disk.ReadInto(126, out);  // 126 unwritten, 127 written, 128-129 in chunk 1 (never written)
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], (i >= 512 && i < 1024) ? 0xAB : 0) << "byte " << i;
+  }
+  std::vector<uint8_t> far(512, 0xEE);
+  disk.ReadInto(4000000, far);
+  EXPECT_TRUE(std::all_of(far.begin(), far.end(), [](uint8_t b) { return b == 0; }));
+}
+
 TEST(DiskModel, ScatteredAccessCostsSeekAndRotation) {
   Disk disk;
   // Two reads far apart: the second pays a long seek.

@@ -4,7 +4,9 @@
 // domains, and fault accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/core/system.h"
 #include "src/core/workloads.h"
@@ -208,6 +210,178 @@ TEST(Integration, NonCompliantDomainIsKilled) {
   // The kill path force-unmapped the dead domain's frames; no stale PTE or
   // TLB entry may survive it.
   ExpectAuditClean(system, "after kill");
+}
+
+// --- Kill isolation of IO-channel buffers -------------------------------------
+//
+// A pager's swap requests name its nailed frames as their buffers, and the USD
+// moves the bytes when a request completes. The frames allocator reclaims a
+// killed domain's frames at once, while its swap requests may still be queued
+// or in service; AppDomain::Kill detaches the channel first, so those
+// requests are served and charged but never touch a frame that has meanwhile
+// been handed to another domain.
+
+constexpr uint8_t kNewOwnerPattern = 0xA5;
+
+// Every transaction costs >= 300 ms of command overhead, so when the victim's
+// 100 ms revocation deadline expires one of its swap requests is still in
+// service and the other queued behind it.
+SystemConfig SlowDiskMachine() {
+  SystemConfig cfg;
+  cfg.phys_frames = 8;
+  cfg.disk.command_overhead_ms = 300.0;
+  return cfg;
+}
+
+// Owns every frame optimistically and runs two MMEntry workers, so two
+// faults can each have a swap request outstanding at once.
+AppConfig KillVictim() {
+  AppConfig cfg = PagedApp("victim", 0, 16);
+  cfg.contract = {0, 8};
+  cfg.driver_max_frames = 8;
+  cfg.mm_workers = 2;
+  cfg.usd_depth = 2;
+  cfg.disk_qos = QosSpec{Milliseconds(1000), Milliseconds(700), false, Milliseconds(10)};
+  return cfg;
+}
+
+// Guaranteed all eight frames: its first fault revokes the victim's.
+AppConfig NewOwner() {
+  AppConfig cfg = PagedApp("new-owner", 0, 8);
+  cfg.contract = {8, 0};
+  cfg.driver_max_frames = 8;
+  cfg.swap_bytes = kMiB;
+  cfg.disk_qos = QosSpec{Milliseconds(1000), Milliseconds(200), false, Milliseconds(10)};
+  return cfg;
+}
+
+Task TouchPage(AppDomain* app, size_t page, AccessType access) {
+  bool ok = false;
+  TaskHandle h = app->SpawnWorkload(
+      app->vmem().AccessRange(app->stretch()->PageBase(page), kDefaultPageSize, access, &ok),
+      "touch");
+  co_await Join(h);
+}
+
+Task WritePattern(AppDomain* app, std::vector<uint8_t>* pattern, bool* ok) {
+  TaskHandle h = app->SpawnWorkload(app->vmem().Write(app->stretch()->base(), *pattern, ok),
+                                    "write");
+  co_await Join(h);
+}
+
+Task ReadBack(AppDomain* app, std::vector<uint8_t>* out, bool* ok) {
+  TaskHandle h = app->SpawnWorkload(app->vmem().Read(app->stretch()->base(), *out, ok), "read");
+  co_await Join(h);
+}
+
+// The victim's frames pinned as in-flight swap buffers.
+std::vector<Pfn> NailedFramesOf(System& system, DomainId domain) {
+  std::vector<Pfn> out;
+  for (Pfn pfn : system.frames().StackOf(domain)->frames()) {
+    if (system.kernel().ramtab().StateOf(pfn) == FrameState::kNailed) {
+      out.push_back(pfn);
+    }
+  }
+  return out;
+}
+
+// With the victim's two swap requests outstanding (one in service, one
+// queued) and their frames nailed, a new domain's arrival revokes every
+// frame; the victim cannot answer and is killed. The new owner then fills
+// all eight frames — the two buffers among them — before the USD finishes
+// the dead domain's requests. Returns the victim's nailed frames.
+std::vector<Pfn> KillWithSwapIoInFlight(System& system, AppDomain* victim, AppDomain* owner,
+                                        std::vector<uint8_t>* pattern, bool* wrote) {
+  UsdClient* swap = victim->swap_client();
+  system.sim().RunUntil(system.sim().Now() + Milliseconds(10));
+  EXPECT_EQ(swap->queued(), 1u);  // the second request waits behind the first
+  const uint64_t served_before = swap->transactions();
+  const SimDuration charged_before = system.usd().scheduler().total_charged(swap->sched_id());
+  std::vector<Pfn> buffers = NailedFramesOf(system, victim->id());
+  EXPECT_EQ(buffers.size(), 2u);
+
+  owner->SpawnWorkload(WritePattern(owner, pattern, wrote), "pattern");
+  system.sim().RunUntil(system.sim().Now() + Milliseconds(150));
+  EXPECT_EQ(system.frames().domains_killed(), 1u);
+  EXPECT_FALSE(victim->alive());
+  EXPECT_TRUE(swap->detached());
+  EXPECT_TRUE(*wrote);
+  EXPECT_EQ(swap->transactions(), served_before);  // still in flight at the kill
+  for (Pfn pfn : buffers) {
+    EXPECT_EQ(system.kernel().ramtab().OwnerOf(pfn), owner->id()) << "pfn " << pfn;
+  }
+
+  // Let the USD finish the dead domain's requests: served and charged.
+  system.sim().RunUntil(system.sim().Now() + Seconds(2));
+  EXPECT_EQ(swap->transactions(), served_before + 2);
+  EXPECT_GT(system.usd().scheduler().total_charged(swap->sched_id()), charged_before);
+  return buffers;
+}
+
+TEST(KillIsolation, ReclaimedReadTargetKeepsTheNewOwnersBytes) {
+  System system(SlowDiskMachine());
+  AppDomain* victim = system.CreateApp(KillVictim());
+  // Write all 16 pages, then read back the first 8: pages 8-15 end up on
+  // swap and pages 0-7 resident and clean.
+  bool pass_ok = false;
+  victim->SpawnWorkload(SequentialPass(*victim, AccessType::kWrite, &pass_ok), "write");
+  system.sim().RunUntil(Seconds(60));
+  ASSERT_TRUE(pass_ok);
+  for (size_t page = 0; page < 8; ++page) {
+    victim->SpawnWorkload(TouchPage(victim, page, AccessType::kRead), "read");
+    system.sim().RunUntil(system.sim().Now() + Seconds(5));
+  }
+  // Two threads fault on swapped-out pages: each evicts a clean page (no IO)
+  // and reads its own into the freed frame.
+  victim->SpawnWorkload(TouchPage(victim, 8, AccessType::kRead), "t1");
+  victim->SpawnWorkload(TouchPage(victim, 9, AccessType::kRead), "t2");
+
+  AppDomain* owner = system.CreateApp(NewOwner());
+  std::vector<uint8_t> pattern(8 * kDefaultPageSize, kNewOwnerPattern);
+  bool wrote = false;
+  KillWithSwapIoInFlight(system, victim, owner, &pattern, &wrote);
+
+  // Had the reads landed, the victim's page contents would sit in two of the
+  // new owner's frames.
+  std::vector<uint8_t> back(pattern.size());
+  bool read_ok = false;
+  owner->SpawnWorkload(ReadBack(owner, &back, &read_ok), "read-back");
+  system.sim().RunUntil(system.sim().Now() + Seconds(1));
+  ASSERT_TRUE(read_ok);
+  EXPECT_EQ(back, pattern);
+  ExpectAuditClean(system, "after kill with reads in flight");
+}
+
+TEST(KillIsolation, ReclaimedWriteSourceNeverReachesTheDeadSwapFile) {
+  System system(SlowDiskMachine());
+  AppDomain* victim = system.CreateApp(KillVictim());
+  // Fill all eight frames with dirty pages, no IO yet.
+  for (size_t page = 0; page < 8; ++page) {
+    victim->SpawnWorkload(TouchPage(victim, page, AccessType::kWrite), "write");
+    system.sim().RunUntil(system.sim().Now() + Seconds(1));
+  }
+  // Two threads fault on fresh pages: each evicts a dirty page, whose frame
+  // is the source of a swap write.
+  victim->SpawnWorkload(TouchPage(victim, 8, AccessType::kWrite), "t1");
+  victim->SpawnWorkload(TouchPage(victim, 9, AccessType::kWrite), "t2");
+
+  AppDomain* owner = system.CreateApp(NewOwner());
+  std::vector<uint8_t> pattern(8 * kDefaultPageSize, kNewOwnerPattern);
+  bool wrote = false;
+  KillWithSwapIoInFlight(system, victim, owner, &pattern, &wrote);
+
+  // Had the writes gathered their bytes, the new owner's pattern would now
+  // sit in the dead domain's swap file. The scan covers both swap files (the
+  // new owner never pages out, so neither may hold the pattern).
+  const Extent& partition = system.config().swap_partition;
+  const uint64_t swap_blocks = (KillVictim().swap_bytes + NewOwner().swap_bytes) / 512;
+  const std::vector<uint8_t> swap = system.disk().ReadData(partition.start, swap_blocks);
+  for (size_t block = 0; block < swap_blocks; ++block) {
+    const auto first = swap.begin() + static_cast<ptrdiff_t>(block * 512);
+    ASSERT_FALSE(std::all_of(first, first + 512, [](uint8_t b) { return b == kNewOwnerPattern; }))
+        << "block " << partition.start + block << " holds the new owner's bytes";
+  }
+  ExpectAuditClean(system, "after kill with writes in flight");
 }
 
 TEST(Integration, TransparentRevocationIsInvisibleToVictim) {

@@ -555,7 +555,7 @@ TEST(ObsEndToEnd, EverySteadyStateFaultBecomesACompleteSpan) {
   std::map<uint64_t, double> stall_ms;
   for (const TraceRecord& rec : on.spans) {
     const uint64_t fid = static_cast<uint64_t>(rec.value_b);
-    stages[fid].insert(rec.event);
+    stages[fid].insert(std::string(rec.event.str()));
     if (rec.event == "resume") {
       stall_ms[fid] = rec.value_a;
     }

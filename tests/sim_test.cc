@@ -662,6 +662,28 @@ TEST(Trace, RecordsAndFilters) {
   EXPECT_EQ(tr.Filter("", "", 0).size(), 3u);
 }
 
+TEST(Trace, NamesInternOnceAndRoundTrip) {
+  const TraceName a("round-trip-name");
+  const TraceName b(std::string("round-trip-") + "name");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.id(), b.id());
+  EXPECT_EQ(a.str(), "round-trip-name");
+  EXPECT_NE(a, TraceName("round-trip-other"));
+  EXPECT_TRUE(TraceName().empty());
+  EXPECT_EQ(TraceName().str(), "");
+  EXPECT_EQ(TraceName::Find("round-trip-name"), a);
+  // A record carries the names by id and hands back the same text.
+  TraceRecorder tr;
+  tr.Record(Milliseconds(1), a, 3, "round-trip-event", 1.0, 2.0);
+  ASSERT_EQ(tr.records().size(), 1u);
+  EXPECT_EQ(tr.records()[0].category, a);
+  EXPECT_EQ(tr.records()[0].event.str(), "round-trip-event");
+  EXPECT_EQ(tr.Filter("round-trip-name", "round-trip-event").size(), 1u);
+  // Filtering by a name never interned matches nothing and interns nothing.
+  EXPECT_TRUE(tr.Filter("round-trip-never").empty());
+  EXPECT_TRUE(TraceName::Find("round-trip-never").empty());
+}
+
 TEST(Trace, DisabledRecorderDropsRecords) {
   TraceRecorder tr;
   tr.set_enabled(false);

@@ -3,6 +3,7 @@
 // data path (real bytes through the IO channel to the disk store).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -51,15 +52,17 @@ TEST_F(UsdTest, InvalidSpecRejected) {
 // A simple client task: writes `count` transactions of 16 blocks each at
 // sequential positions, waiting for each reply (no pipelining).
 Task WriteLoop(Simulator& sim, UsdClient* client, uint64_t base_lba, int count, int* completed) {
+  std::vector<uint8_t> buffer(16 * 512);  // one slot: reused once each reply is in
   for (int i = 0; i < count; ++i) {
     co_await client->AcquireSlot();
+    std::fill(buffer.begin(), buffer.end(), static_cast<uint8_t>(i));
     UsdRequest req;
     req.id = static_cast<uint64_t>(i);
     req.lba = base_lba + static_cast<uint64_t>(i) * 16;
     req.nblocks = 16;
     req.is_write = true;
-    req.data.assign(16 * 512, static_cast<uint8_t>(i));
-    client->Push(std::move(req));
+    req.buffer = buffer;
+    client->Push(req);
     UsdReply reply = co_await client->ReceiveReply();
     if (reply.ok) {
       ++*completed;
@@ -92,7 +95,7 @@ TEST_F(UsdTest, ExtentViolationRejectedWithoutDiskAccess) {
       req.lba = 5000;  // outside the extent
       req.nblocks = 16;
       req.is_write = false;
-      client->Push(std::move(req));
+      client->Push(req);
       UsdReply reply = co_await client->ReceiveReply();
       *ok_flag = reply.ok;
     }
@@ -119,18 +122,20 @@ TEST_F(UsdTest, DataRoundTripsThroughUsd) {
       w.lba = 2048;
       w.nblocks = 16;
       w.is_write = true;
-      w.data = payload;
-      client->Push(std::move(w));
+      w.buffer = payload;
+      client->Push(w);
       (void)co_await client->ReceiveReply();
+      std::vector<uint8_t> readback(16 * 512);
       co_await client->AcquireSlot();
       UsdRequest r;
       r.id = 2;
       r.lba = 2048;
       r.nblocks = 16;
       r.is_write = false;
-      client->Push(std::move(r));
+      r.buffer = readback;
+      client->Push(r);
       UsdReply reply = co_await client->ReceiveReply();
-      *match = reply.ok && reply.data == payload;
+      *match = reply.ok && readback == payload;
     }
   };
   bool match = false;
@@ -162,7 +167,7 @@ Task SaturatingReader(UsdClient* client, uint64_t base_lba, uint64_t region_bloc
       }
       req.nblocks = 16;
       req.is_write = false;
-      client->Push(std::move(req));
+      client->Push(req);
       ++outstanding;
     }
     (void)co_await client->ReceiveReply();
@@ -239,7 +244,7 @@ Task PagerLike(UsdClient* client, uint64_t base_lba, SimTime until, Simulator& s
     req.lba = lba;
     req.nblocks = 16;
     req.is_write = false;
-    client->Push(std::move(req));
+    client->Push(req);
     (void)co_await client->ReceiveReply();
     lba += 16;
     co_await SleepFor(sim, gap);
@@ -300,27 +305,30 @@ TEST_F(UsdTest, TraceContainsTransactionsAndAllocations) {
 // --- Batching -----------------------------------------------------------------
 
 // Pushes `count` pipelined sequential 16-block requests in one burst (no
-// waiting between pushes), then drains the replies in order, recording ids.
+// waiting between pushes), each through its own buffer (a write's filled with
+// i + 1), then drains the replies in order, recording ids and, for reads, the
+// bytes that landed in each served request's buffer.
 Task BurstAndDrain(UsdClient* client, uint64_t base_lba, int count, bool is_write,
                    std::vector<uint64_t>* reply_ids, std::vector<std::vector<uint8_t>>* payloads) {
+  std::vector<std::vector<uint8_t>> buffers(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     co_await client->AcquireSlot();
+    std::vector<uint8_t>& buffer = buffers[static_cast<size_t>(i)];
+    buffer.assign(16 * 512, is_write ? static_cast<uint8_t>(i + 1) : 0);
     UsdRequest req;
     req.id = static_cast<uint64_t>(i);
     req.lba = base_lba + static_cast<uint64_t>(i) * 16;
     req.nblocks = 16;
     req.is_write = is_write;
-    if (is_write) {
-      req.data.assign(16 * 512, static_cast<uint8_t>(i + 1));
-    }
-    client->Push(std::move(req));
+    req.buffer = buffer;
+    client->Push(req);
   }
   for (int i = 0; i < count; ++i) {
     UsdReply reply = co_await client->ReceiveReply();
     if (reply.ok) {
       reply_ids->push_back(reply.id);
       if (payloads != nullptr) {
-        payloads->push_back(std::move(reply.data));
+        payloads->push_back(std::move(buffers[reply.id]));
       }
     }
   }
@@ -452,6 +460,7 @@ TEST_F(UsdTest, RejectedRequestDoesNotPoisonBatch) {
   struct Mixed {
     static Task Run(UsdClient* client, std::vector<uint64_t>* ok_ids, uint64_t* failed_id) {
       const uint64_t lbas[3] = {1000, 5000, 1016};  // middle one violates the extent
+      std::vector<uint8_t> buffer(16 * 512, 0xAB);  // a shared write source
       for (int i = 0; i < 3; ++i) {
         co_await client->AcquireSlot();
         UsdRequest req;
@@ -459,8 +468,8 @@ TEST_F(UsdTest, RejectedRequestDoesNotPoisonBatch) {
         req.lba = lbas[i];
         req.nblocks = 16;
         req.is_write = true;
-        req.data.assign(16 * 512, 0xAB);
-        client->Push(std::move(req));
+        req.buffer = buffer;
+        client->Push(req);
       }
       for (int i = 0; i < 3; ++i) {
         UsdReply reply = co_await client->ReceiveReply();
@@ -506,10 +515,12 @@ Task CloseAt(Simulator& sim, Usd* usd, UsdClient* client, SimDuration when) {
   usd->CloseClient(client);
 }
 
-// Pushes `count` sequential writes and never waits for the replies — used by
-// the close-mid-flight test, where the handle must not be touched after
-// CloseClient.
-Task PushAndForget(UsdClient* client, uint64_t base_lba, int count) {
+// Pushes `count` sequential writes from `source` and never waits for the
+// replies — used by the close-mid-flight tests, where the handle must not be
+// touched after CloseClient. `source` belongs to the test, so it outlives
+// every request that names it.
+Task PushAndForget(UsdClient* client, uint64_t base_lba, int count,
+                   std::vector<uint8_t>* source) {
   for (int i = 0; i < count; ++i) {
     co_await client->AcquireSlot();
     UsdRequest req;
@@ -517,8 +528,8 @@ Task PushAndForget(UsdClient* client, uint64_t base_lba, int count) {
     req.lba = base_lba + static_cast<uint64_t>(i) * 16;
     req.nblocks = 16;
     req.is_write = true;
-    req.data.assign(16 * 512, 0x5A);
-    client->Push(std::move(req));
+    req.buffer = *source;
+    client->Push(req);
   }
 }
 
@@ -530,7 +541,8 @@ TEST_F(UsdTest, CloseClientDuringInFlightTransactionIsSafe) {
   auto client = usd_.OpenClient("uaf", Spec(100, 50, 5), 2);
   ASSERT_TRUE(client.has_value());
   (*client)->AddExtent(Extent{0, 100000});
-  sim_.Spawn(PushAndForget(*client, 4000, 2), "pusher");
+  std::vector<uint8_t> source(16 * 512, 0x5A);
+  sim_.Spawn(PushAndForget(*client, 4000, 2, &source), "pusher");
   // A 16-block transaction takes several ms; 1 ms is safely mid-service.
   sim_.Spawn(CloseAt(sim_, &usd_, *client, Milliseconds(1)), "closer");
   sim_.RunUntil(Seconds(1));
@@ -581,7 +593,7 @@ TEST_F(UsdTest, LaxityIdleNotCutShortByOtherClientsArrival) {
       req.lba = 200000;
       req.nblocks = 16;
       req.is_write = false;
-      client->Push(std::move(req));
+      client->Push(req);
       (void)co_await client->ReceiveReply();
     }
   };
@@ -651,6 +663,103 @@ TEST_F(UsdTest, ReadDataSnapshotsAtCompletionNotSubmission) {
   for (uint8_t byte : payloads[0]) {
     ASSERT_EQ(byte, 0xCD);
   }
+}
+
+// --- Client-owned buffers and detached channels ---------------------------------
+
+// Regression: the slack path recorded "slack-txn" for a client closed while
+// its transaction was in service; the pick path already suppressed "txn".
+// Both now share one completion helper.
+TEST(UsdBufferTest, SlackTxnNotRecordedForClientClosedMidFlight) {
+  struct Result {
+    size_t slack_records = 0;
+    uint64_t transactions = 0;
+  };
+  auto RunOnce = [](bool close) {
+    Simulator sim;
+    Disk disk;
+    TraceRecorder trace;
+    Usd usd(sim, disk, &trace);
+    usd.Start();
+    // No laxity: with nothing queued at the first pick the client goes idle
+    // until its next period (1 s away), so both transactions are served in
+    // slack time (the extra flag).
+    auto client = usd.OpenClient("x", Spec(1000, 1, 0, /*extra=*/true), 2);
+    EXPECT_TRUE(client.has_value());
+    (*client)->AddExtent(Extent{0, 100000});
+    struct CloseAfterFirstReply {
+      static Task Run(Usd* usd, UsdClient* client, bool close) {
+        for (uint64_t i = 0; i < 2; ++i) {
+          co_await client->AcquireSlot();
+          UsdRequest req;
+          req.id = i;
+          req.lba = 1000 + i * 5000;
+          req.nblocks = 16;
+          client->Push(req);
+        }
+        (void)co_await client->ReceiveReply();
+        if (close) {
+          usd->CloseClient(client);  // the second transaction is in service now
+        }
+      }
+    };
+    sim.Spawn(CloseAfterFirstReply::Run(&usd, *client, close), "client");
+    sim.RunUntil(Seconds(1));
+    return Result{trace.Filter("usd", "slack-txn").size(), usd.transactions()};
+  };
+  const Result open = RunOnce(false);
+  EXPECT_EQ(open.slack_records, 2u);
+  EXPECT_EQ(open.transactions, 2u);
+  const Result closed = RunOnce(true);
+  EXPECT_EQ(closed.slack_records, 1u);  // the second is defunct: served, not traced
+  EXPECT_EQ(closed.transactions, 2u);
+}
+
+// A detached client's queued and in-service requests are still served,
+// replied to and charged — simulated time does not move — but no byte reaches
+// the disk from its buffers or lands in them.
+TEST_F(UsdTest, BufferOfDetachedClientIsNeitherReadNorWritten) {
+  auto client = usd_.OpenClient("d", Spec(100, 50), 2);
+  ASSERT_TRUE(client.has_value());
+  (*client)->AddExtent(Extent{0, 100000});
+  const std::vector<uint8_t> on_disk(16 * 512, 0x11);
+  disk_.WriteData(6000, on_disk);
+  std::vector<uint8_t> source(16 * 512, 0x77);  // write source for block 5000
+  std::vector<uint8_t> dest(16 * 512, 0xEE);    // read destination from block 6000
+  struct WriteThenRead {
+    static Task Run(UsdClient* client, std::vector<uint8_t>* source, std::vector<uint8_t>* dest,
+                    int* ok_replies) {
+      co_await client->AcquireSlot();
+      client->Push(UsdRequest{1, 5000, 16, /*is_write=*/true, 0, *source});
+      co_await client->AcquireSlot();
+      client->Push(UsdRequest{2, 6000, 16, /*is_write=*/false, 0, *dest});
+      for (int i = 0; i < 2; ++i) {
+        const UsdReply reply = co_await client->ReceiveReply();
+        *ok_replies += reply.ok ? 1 : 0;
+      }
+    }
+  };
+  int ok_replies = 0;
+  sim_.Spawn(WriteThenRead::Run(*client, &source, &dest, &ok_replies), "client");
+  // 1 ms in: the write is in service, the read queued behind it.
+  sim_.CallAt(Milliseconds(1), [c = *client] { c->Detach(); });
+  sim_.RunUntil(Seconds(1));
+  EXPECT_TRUE((*client)->detached());
+  EXPECT_EQ(ok_replies, 2);
+  EXPECT_EQ((*client)->transactions(), 2u);
+  EXPECT_GT(usd_.scheduler().total_charged((*client)->sched_id()), 0);
+  const std::vector<uint8_t> written = disk_.ReadData(5000, 16);
+  EXPECT_TRUE(std::all_of(written.begin(), written.end(), [](uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(std::all_of(dest.begin(), dest.end(), [](uint8_t b) { return b == 0xEE; }));
+}
+
+TEST_F(UsdTest, BufferMustCoverExactlyTheRequestedBlocks) {
+  auto client = usd_.OpenClient("s", Spec(100, 50), 1);
+  ASSERT_TRUE(client.has_value());
+  (*client)->AddExtent(Extent{0, 100000});
+  std::vector<uint8_t> short_buffer(15 * 512);
+  EXPECT_DEATH((*client)->Push(UsdRequest{1, 0, 16, false, 0, short_buffer}),
+               "exactly the request's blocks");
 }
 
 class SfsTest : public ::testing::Test {
