@@ -3,12 +3,13 @@
 // Unlike the figure/ablation benches (which report *simulated* time and must
 // stay bit-identical across refactors), this suite measures how fast the
 // substrate itself runs: TLB lookup/fill, event-loop schedule/fire/cancel
-// throughput, and end-to-end Mmu::Translate latency. Each optimized component
-// is benchmarked against its pre-optimization baseline behind the same
-// interface — LinearScanTlb is the old fully-associative linear-scan TLB, and
-// SeedEventLoop below replicates the original std::priority_queue +
-// unordered_map<id, std::function> simulator loop — so the speedups stay
-// measurable in every future run, not just in this PR.
+// throughput, same-time task wakeups, and end-to-end Mmu::Translate latency.
+// Each optimized component is benchmarked against its pre-optimization
+// baseline behind the same interface — LinearScanTlb is the old
+// fully-associative linear-scan TLB, SeedEventLoop below replicates the
+// original std::priority_queue + unordered_map<id, std::function> simulator
+// loop, and StepLoop drives the wake chain with every resume queued — so the
+// speedups stay measurable in every future run.
 //
 // tools/run_benches.py runs this binary with --benchmark_format=json and
 // distills the results (plus the Figure 7/8 simulated-time checks) into
@@ -28,6 +29,8 @@
 #include "src/hw/tlb.h"
 #include "src/mm/prot_domain.h"
 #include "src/sim/simulator.h"
+#include "src/sim/sync.h"
+#include "src/sim/task.h"
 
 namespace nemesis {
 namespace {
@@ -227,6 +230,68 @@ void BM_SimSelfRescheduling(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_SimSelfRescheduling, SeedEventLoop);
 BENCHMARK_TEMPLATE(BM_SimSelfRescheduling, Simulator);
+
+// ---------------------------------------------------------------------------
+// Same-time task wakeups: ns per resume over a chain of zero-delay hops — a
+// Condition ping-pong between two tasks, one side entering and leaving an
+// inline child every round, the shapes the fault path is built from.
+// RunLoop drains batches, so each hop is the batch's next event and runs from
+// the simulator's handoff register; StepLoop drives the same chain through
+// Step(), which never holds a resume, so every hop goes through the queue.
+// ---------------------------------------------------------------------------
+
+constexpr int kWakeRounds = 256;
+
+Task WakeChild() { co_return; }
+
+Task WakePinger(Condition& ping, Condition& pong) {
+  for (int i = 0; i < kWakeRounds; ++i) {
+    co_await ping.Wait();
+    co_await WakeChild();
+    pong.NotifyOne();
+  }
+}
+
+Task WakePonger(Condition& ping, Condition& pong) {
+  for (int i = 0; i < kWakeRounds; ++i) {
+    ping.NotifyOne();
+    co_await pong.Wait();
+  }
+}
+
+struct RunLoop {
+  static void Drive(Simulator& sim) { sim.Run(); }
+};
+struct StepLoop {
+  static void Drive(Simulator& sim) {
+    while (sim.Step()) {
+    }
+  }
+};
+
+template <class DriveT>
+void BM_SimWakeChain(benchmark::State& state) {
+  Simulator sim;
+  Condition ping(sim);
+  Condition pong(sim);
+  uint64_t resumes = 0;
+  for (auto _ : state) {
+    const uint64_t before = sim.events_executed();
+    TaskHandle pinger = sim.Spawn(WakePinger(ping, pong), "pinger");
+    TaskHandle ponger = sim.Spawn(WakePonger(ping, pong), "ponger");
+    DriveT::Drive(sim);
+    if (!pinger.done() || !ponger.done()) {
+      state.SkipWithError("wake chain stalled");
+      break;
+    }
+    resumes += sim.events_executed() - before;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(resumes));
+  state.counters["ns_per_resume"] = benchmark::Counter(
+      static_cast<double>(resumes), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_TEMPLATE(BM_SimWakeChain, StepLoop);
+BENCHMARK_TEMPLATE(BM_SimWakeChain, RunLoop);
 
 // ---------------------------------------------------------------------------
 // End-to-end translation: ns per Mmu::Translate through a protection domain.

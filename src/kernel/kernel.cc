@@ -38,16 +38,15 @@ Kernel::Kernel(Simulator& sim, Mmu& mmu, uint64_t num_frames, KernelCostModel co
 Domain* Kernel::CreateDomain(std::string name) {
   const DomainId id = next_domain_id_++;
   domains_.push_back(std::make_unique<Domain>(*this, id, std::move(name), sim_));
+  NEM_ASSERT(domains_.size() == id);  // FindDomain indexes by id - 1
   return domains_.back().get();
 }
 
 Domain* Kernel::FindDomain(DomainId id) {
-  for (auto& d : domains_) {
-    if (d->id() == id) {
-      return d.get();
-    }
-  }
-  return nullptr;
+  // Ids are handed out densely from 1 and domains are never removed, so the
+  // table index is id - 1 (id 0 wraps to a huge index and misses).
+  const size_t index = static_cast<size_t>(id) - 1;
+  return index < domains_.size() ? domains_[index].get() : nullptr;
 }
 
 void Kernel::SendEvent(DomainId target, EndpointId ep) {

@@ -18,14 +18,14 @@ bool StretchAllocator::RangeFree(VirtAddr base, size_t bytes) const {
     return false;
   }
   // Find the first used range that could overlap.
-  auto it = used_ranges_.upper_bound(base);
-  if (it != used_ranges_.begin()) {
+  auto it = by_base_.upper_bound(base);
+  if (it != by_base_.begin()) {
     auto prev = std::prev(it);
-    if (prev->first + prev->second > base) {
+    if (prev->first + prev->second->length() > base) {
       return false;
     }
   }
-  if (it != used_ranges_.end() && it->first < base + bytes) {
+  if (it != by_base_.end() && it->first < base + bytes) {
     return false;
   }
   return true;
@@ -34,11 +34,11 @@ bool StretchAllocator::RangeFree(VirtAddr base, size_t bytes) const {
 std::optional<VirtAddr> StretchAllocator::AllocateRange(size_t bytes) {
   // First fit over the gaps between used ranges.
   VirtAddr cursor = va_base_;
-  for (const auto& [base, len] : used_ranges_) {
+  for (const auto& [base, stretch] : by_base_) {
     if (base - cursor >= bytes) {
       return cursor;
     }
-    cursor = base + len;
+    cursor = base + stretch->length();
   }
   if (va_limit_ - cursor >= bytes) {
     return cursor;
@@ -76,10 +76,10 @@ Expected<Stretch*, StretchError> StretchAllocator::New(DomainId owner,
   // Sid is 16-bit and never reused; wrapping to kNoSid would alias the "no
   // stretch" sentinel and resurrect any leaked rights entries.
   NEM_ASSERT_NE(sid, kNoSid);
-  used_ranges_.emplace(base, bytes);
   translation_.AddRange(base, bytes / page_size_, sid, global_rights);
   stretches_.push_back(std::make_unique<Stretch>(
       sid, base, bytes, page_size_, owner, owner_pdom != nullptr ? owner_pdom->id() : 0));
+  by_base_.emplace(base, stretches_.back().get());
   // "Should the request be successful ... The caller is now the owner of the
   // stretch": full rights including meta in the owner's protection domain.
   if (owner_pdom != nullptr) {
@@ -98,7 +98,7 @@ Status<StretchError> StretchAllocator::Destroy(Sid sid) {
       // outlive the stretch (each removal bumps the resolver version, which
       // also drops the MMU's cached rights resolution for the dead sid).
       translation_.RemoveSidRights(sid);
-      used_ranges_.erase((*it)->base());
+      by_base_.erase((*it)->base());
       stretches_.erase(it);
       return Status<StretchError>::Ok();
     }
@@ -116,12 +116,12 @@ Stretch* StretchAllocator::FindBySid(Sid sid) {
 }
 
 Stretch* StretchAllocator::FindByAddr(VirtAddr va) {
-  for (auto& s : stretches_) {
-    if (s->Contains(va)) {
-      return s.get();
-    }
+  auto it = by_base_.upper_bound(va);
+  if (it == by_base_.begin()) {
+    return nullptr;
   }
-  return nullptr;
+  Stretch* s = std::prev(it)->second;
+  return s->Contains(va) ? s : nullptr;
 }
 
 }  // namespace nemesis

@@ -64,8 +64,9 @@ class StretchAllocator {
   VirtAddr va_limit_;
   size_t page_size_;
   Sid next_sid_ = 1;
-  // base -> extent, for free-space management (ordered for first-fit).
-  std::map<VirtAddr, size_t> used_ranges_;
+  // base -> live stretch: ordered for first-fit free-space search, and for
+  // FindByAddr's upper_bound (stretches never overlap).
+  std::map<VirtAddr, Stretch*> by_base_;
   std::vector<std::unique_ptr<Stretch>> stretches_;
 };
 

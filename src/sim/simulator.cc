@@ -167,6 +167,10 @@ uint64_t Simulator::CallAfter(SimDuration d, Callback fn) {
   return CallAt(now_ + d, std::move(fn));
 }
 
+void Simulator::QueueResume(std::shared_ptr<TaskState> st) {
+  CallAt(now_, [st = std::move(st)] { st->Resume(); });
+}
+
 void Simulator::Cancel(uint64_t id) {
   const uint32_t slot = static_cast<uint32_t>(id >> 32);
   const uint32_t gen = static_cast<uint32_t>(id);
@@ -201,7 +205,7 @@ TaskHandle Simulator::Spawn(Task task, std::string name) {
     prune_threshold_ = std::max(kMinPruneThreshold, tasks_.size() * 2);
   }
   tasks_.push_back(state);
-  CallAfter(0, [state] { state->Resume(); });
+  ResumeNow(state);
   return TaskHandle(std::move(state));
 }
 
@@ -218,6 +222,17 @@ void Simulator::Execute(uint32_t slot) {
   }
 }
 
+void Simulator::ExecuteHandoff() {
+  const std::shared_ptr<TaskState> st = std::move(handoff_);
+  ++events_executed_;
+  ++resumes_held_;
+  --live_pending_;
+  st->Resume();
+  if (post_event_hook_) [[unlikely]] {
+    post_event_hook_();
+  }
+}
+
 uint64_t Simulator::DrainBatch() {
   const uint32_t top = FindLiveTop();
   if (top == kNoBucket) {
@@ -227,9 +242,12 @@ uint64_t Simulator::DrainBatch() {
   NEM_ASSERT(t >= now_);
   now_ = t;
   uint64_t n = 0;
+  draining_ = top;
   // Events scheduled for `t` during the batch append behind `head`, so the
-  // bucket keeps handing them out in FIFO order. Re-deref `buckets_[top]`
-  // every iteration: a callback may open a new bucket and grow the vector.
+  // bucket keeps handing them out in FIFO order; a held resume runs before
+  // the next entry, which is where it would have been appended. Re-deref
+  // `buckets_[top]` every iteration: a callback may open a new bucket and
+  // grow the vector.
   for (;;) {
     Bucket& b = buckets_[top];
     if (b.head == b.entries.size()) {
@@ -242,7 +260,12 @@ uint64_t Simulator::DrainBatch() {
     }
     Execute(slot);
     ++n;
+    while (handoff_) {
+      ExecuteHandoff();
+      ++n;
+    }
   }
+  draining_ = kNoBucket;
   // The bucket drained dry; it is still the heap top (nothing earlier can
   // appear while it runs, and a same-time sibling has a later bseq).
   NEM_ASSERT(!heap_.empty() && heap_.front().bucket == top);

@@ -21,6 +21,21 @@
 // generation-stamped slot, destroys the callback eagerly, and the entry is
 // dropped when it surfaces. Same-time events always fire in scheduling (FIFO)
 // order: appends only ever go to the newest bucket for a given time.
+//
+// Zero-delay task wakeups (a Condition notify, a Spawn's first resume, the
+// hops into and out of an awaited child) take a shortcut: ResumeNow. While a
+// batch drains and nothing is queued behind the running event, the resume it
+// schedules is provably the next event the batch would run, so it is held in
+// a one-entry register (no slot, no callback body, no bucket append) and run
+// straight after the current event returns. The order rule: a held resume
+// runs exactly where CallAfter(0, ...) would have put it — next. Everything
+// the current event schedules for Now() after it, including a second
+// ResumeNow while the register is full, lands behind it in the bucket (or in
+// a later same-time bucket), so nothing can overtake it. Step(), a bucket
+// with entries still queued behind the running event, and a time-cache
+// collision never hold; they fall back to CallAt. A held resume counts in
+// pending_events() and events_executed() and passes through the post-event
+// hook exactly as a queued one does.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -62,6 +77,25 @@ class Simulator {
   // be cancelled through a stale id).
   void Cancel(uint64_t id);
 
+  // Schedules `st->Resume()` at Now(), in the FIFO position CallAfter(0, ...)
+  // would give it (see the header comment for when it skips the queue). The
+  // wake primitive of every same-time task resume; it cannot be cancelled.
+  void ResumeNow(std::shared_ptr<TaskState> st) {
+    // Hold only when CallAt(Now()) would make this the batch's next event:
+    // the register is free, nothing is queued behind the running event, and
+    // the time cache routes Now() to the draining bucket rather than to a
+    // second bucket opened by a collision.
+    if (draining_ != kNoBucket && !handoff_) [[likely]] {
+      const Bucket& b = buckets_[draining_];
+      if (b.head == b.entries.size() && time_cache_[TimeCacheIndex(now_)] == draining_) {
+        handoff_ = std::move(st);
+        ++live_pending_;
+        return;
+      }
+    }
+    QueueResume(std::move(st));
+  }
+
   // Starts a coroutine task. The first resume happens from the run loop at the
   // current simulated time. The returned handle can observe completion and
   // kill the task.
@@ -79,6 +113,9 @@ class Simulator {
 
   size_t pending_events() const { return live_pending_; }
   uint64_t events_executed() const { return events_executed_; }
+  // Resumes that ran straight from the handoff register, not from the queue
+  // (a subset of events_executed()).
+  uint64_t resumes_held() const { return resumes_held_; }
   // Observability for the task-prune heuristic (tests): current registry size
   // including dead entries not yet pruned.
   size_t task_registry_size() const { return tasks_.size(); }
@@ -164,11 +201,18 @@ class Simulator {
   // post-event hook.
   void Execute(uint32_t slot);
 
+  // Runs the held resume with the same accounting and hook as Execute.
+  void ExecuteHandoff();
+
+  // ResumeNow's fallback: an ordinary CallAt(Now()).
+  void QueueResume(std::shared_ptr<TaskState> st);
+
   void PruneTasks();
 
   SimTime now_ = 0;
   uint64_t next_bucket_seq_ = 0;
   uint64_t events_executed_ = 0;
+  uint64_t resumes_held_ = 0;
   size_t live_pending_ = 0;
   std::vector<Event> heap_;
   std::vector<Bucket> buckets_;
@@ -177,6 +221,11 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<std::shared_ptr<TaskState>> tasks_;
+  // The bucket DrainBatch is running (kNoBucket outside a batch), and the
+  // held resume (null: the register is empty). A held resume is counted in
+  // live_pending_.
+  uint32_t draining_ = kNoBucket;
+  std::shared_ptr<TaskState> handoff_;
   size_t prune_threshold_ = kMinPruneThreshold;
   Callback post_event_hook_;
   Callback post_batch_hook_;

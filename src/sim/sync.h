@@ -2,8 +2,9 @@
 // waits), Semaphore (direct-handoff), and Mailbox<T> (bounded FIFO channel —
 // the substrate for Nemesis IO channels / rbufs).
 //
-// All wakeups are funnelled through the simulator event queue at the current
-// simulated time, so a notifier never runs a waiter's code re-entrantly.
+// All wakeups go through Simulator::ResumeNow: the waiter resumes at the
+// current simulated time, in the FIFO position a queued zero-delay event would
+// take, and never re-entrantly inside the notifier.
 #ifndef SRC_SIM_SYNC_H_
 #define SRC_SIM_SYNC_H_
 
@@ -104,8 +105,9 @@ class Condition {
   }
 
   void NotifyAll() {
-    // Wakeups go through the event queue, so no woken task runs (or waits
-    // again) inside this loop: it drains exactly the tasks waiting now.
+    // Woken tasks resume only after the notifier's event returns, so none runs
+    // (or waits again) inside this loop: it drains exactly the tasks waiting
+    // now.
     while (!waiters_.empty()) {
       Wake(waiters_.PopFront());
     }
@@ -124,7 +126,7 @@ class Condition {
     w->notified_ = true;
     CancelTimeout(w);
     // The dequeued awaiter never reads st_ again: hand its reference over.
-    sim_->CallAfter(0, [st = std::move(w->st_)] { st->Resume(); });
+    sim_->ResumeNow(std::move(w->st_));
   }
 
   void CancelTimeout(WaitAwaiter* w) {
@@ -167,12 +169,12 @@ class Semaphore {
 
   void Release() {
     while (!waiters_.empty()) {
-      auto st = waiters_.front();
+      std::shared_ptr<TaskState> st = std::move(waiters_.front());
       waiters_.pop_front();
       if (TaskDead(st)) {
         continue;
       }
-      sim_->CallAfter(0, [st] { st->Resume(); });
+      sim_->ResumeNow(std::move(st));
       return;
     }
     ++count_;
@@ -292,9 +294,7 @@ class Mailbox {
   size_t recv_waiter_count() const { return recv_waiters_.size(); }
 
  private:
-  void Wake(const std::shared_ptr<TaskState>& st) {
-    sim_->CallAfter(0, [st] { st->Resume(); });
-  }
+  void Wake(const std::shared_ptr<TaskState>& st) { sim_->ResumeNow(st); }
 
   // After freeing a buffer slot, move one blocked sender's value in.
   void AdmitBlockedSender() {

@@ -103,10 +103,12 @@ void Task::promise_type::FinalAwaiter::await_suspend(
     st.done = true;
     return;
   }
-  // Exit hop: the parent resumes from the event queue, in the slot a Join
-  // watcher's wakeup took when the child was a spawned task of its own.
+  // Exit hop: the parent resumes at the current time, in the slot a Join
+  // watcher's wakeup took when the child was a spawned task of its own. The
+  // finished child never reads its state again, so the hop takes its
+  // reference.
   st.leaf = p.parent;
-  st.sim->CallAfter(0, [s = p.state] { s->Resume(); });
+  st.sim->ResumeNow(std::move(p.state));
 }
 
 void Task::InlineAwaiter::await_suspend(Handle parent) {
@@ -115,9 +117,9 @@ void Task::InlineAwaiter::await_suspend(Handle parent) {
   p.parent = parent;
   TaskState& st = *p.state;
   st.leaf = child_;
-  // Entry hop: the child's first resume is queued at the current time, in
+  // Entry hop: the child's first resume is scheduled at the current time, in
   // the slot a Spawn's first resume took.
-  st.sim->CallAfter(0, [s = p.state] { s->Resume(); });
+  st.sim->ResumeNow(p.state);
 }
 
 void DelayAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {

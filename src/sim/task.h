@@ -10,10 +10,14 @@
 // as a *child* of the awaiting task instead — a procedure call, as in the
 // paper's worker thread calling into its stretch driver: the child shares the
 // parent's TaskState, its frame is owned by the parent's frame, and killing
-// the task kills the child with it. Entering and leaving a child each cost
-// one scheduling hop at the current time (the slots a Spawn's first resume
-// and a Join's completion wakeup used), so replacing a Spawn-then-Join pair
-// with a co_await moves no event.
+// the task kills the child with it. Entering and leaving a child are each
+// one resume at the current time, scheduled through Simulator::ResumeNow in
+// the slots a Spawn's first resume and a Join's completion wakeup used, so
+// replacing a Spawn-then-Join pair with a co_await moves no event. A hop is
+// still an event — counted, ordered FIFO among same-time events and seen by
+// the post-event hook — but when it is the batch's next event anyway the
+// simulator runs it from a one-entry register instead of the queue (see
+// src/sim/simulator.h).
 //
 // Tasks can be killed (the Nemesis frames allocator kills domains that do not
 // honour an intrusive revocation deadline). Killing destroys the root frame,

@@ -41,7 +41,10 @@ TEST_F(KernelTest, CreateDomainAssignsIds) {
   Domain* b = kernel_.CreateDomain("b");
   EXPECT_NE(a->id(), b->id());
   EXPECT_EQ(kernel_.FindDomain(a->id()), a);
+  EXPECT_EQ(kernel_.FindDomain(b->id()), b);
   EXPECT_EQ(kernel_.FindDomain(999), nullptr);
+  EXPECT_EQ(kernel_.FindDomain(b->id() + 1), nullptr);
+  EXPECT_EQ(kernel_.FindDomain(kNoDomain), nullptr);
   EXPECT_EQ(kernel_.domain_count(), 2u);
 }
 

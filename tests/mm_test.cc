@@ -176,8 +176,21 @@ TEST_F(MmTest, DestroyBumpsResolverVersionOnGrantedPdoms) {
 TEST_F(MmTest, FindByAddr) {
   auto s = salloc_.New(1, nullptr, 4 * kPage);
   ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(salloc_.FindByAddr((*s)->base() + 3 * kPage + 5), *s);
-  EXPECT_EQ(salloc_.FindByAddr((*s)->base() + 4 * kPage), nullptr);
+  const VirtAddr base = (*s)->base();
+  EXPECT_EQ(salloc_.FindByAddr(base), *s);
+  EXPECT_EQ(salloc_.FindByAddr(base + 3 * kPage + 5), *s);
+  EXPECT_EQ(salloc_.FindByAddr(base + 4 * kPage), nullptr);
+  EXPECT_EQ(salloc_.FindByAddr(base - 1), nullptr);
+  // A second stretch past a gap: the gap and the end of each stretch miss.
+  auto t = salloc_.New(1, nullptr, 2 * kPage, base + 8 * kPage);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(salloc_.FindByAddr(base + 6 * kPage), nullptr);
+  EXPECT_EQ(salloc_.FindByAddr(base + 8 * kPage), *t);
+  EXPECT_EQ(salloc_.FindByAddr(base + 10 * kPage - 1), *t);
+  EXPECT_EQ(salloc_.FindByAddr(base + 10 * kPage), nullptr);
+  ASSERT_TRUE(salloc_.Destroy((*t)->sid()).ok());
+  EXPECT_EQ(salloc_.FindByAddr(base + 8 * kPage), nullptr);
+  EXPECT_EQ(salloc_.FindByAddr(base + kPage), *s);
 }
 
 TEST_F(MmTest, ExhaustsVirtualSpace) {

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -911,6 +913,505 @@ TEST(Simulator, GoldenTraceIsDeterministic) {
   EXPECT_EQ(a.records()[1].client, 2);
   EXPECT_EQ(a.records()[2].client, 1);       // lanes 1,3 at t=2
   EXPECT_EQ(a.records()[3].client, 3);
+}
+
+// --- Zero-delay wakeups through the handoff register -------------------------
+//
+// Simulator::ResumeNow may run a same-time resume from a one-entry register
+// instead of the queue. Every case below pins an order or a count that a
+// queued CallAfter(0, Resume) produced, and checks resumes_held() so the case
+// provably exercises the path it names.
+
+Task LogAfterWait(Condition& cv, std::vector<std::string>* log, std::string name) {
+  co_await cv.Wait();
+  log->push_back(std::move(name));
+}
+
+TEST(Handoff, WakeThenSameTimeEventRunsTheWaiterFirst) {
+  for (const bool queue_event : {false, true}) {
+    Simulator sim;
+    Condition cv(sim);
+    std::vector<std::string> log;
+    sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+    sim.CallAt(Microseconds(1), [&] {
+      cv.NotifyOne();
+      if (queue_event) {
+        sim.CallAfter(0, [&] { log.push_back("event"); });
+      }
+    });
+    sim.Run();
+    // The waiter's resume is held either way; the event queued behind it
+    // must not overtake it.
+    EXPECT_EQ(sim.resumes_held(), 1u);
+    EXPECT_EQ(log, (queue_event ? std::vector<std::string>{"waiter", "event"}
+                                : std::vector<std::string>{"waiter"}));
+  }
+}
+
+TEST(Handoff, SameTimeEventThenWakeRunsTheEventFirst) {
+  Simulator sim;
+  Condition cv(sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+  sim.CallAt(Microseconds(1), [&] {
+    sim.CallAfter(0, [&] { log.push_back("event"); });
+    cv.NotifyOne();  // an entry is queued behind the running event: no hold
+  });
+  sim.Run();
+  EXPECT_EQ(sim.resumes_held(), 0u);
+  EXPECT_EQ(log, (std::vector<std::string>{"event", "waiter"}));
+}
+
+TEST(Handoff, NotifyAllHoldsOnlyTheFirstWaiterAndKeepsFifo) {
+  Simulator sim;
+  Condition cv(sim);
+  std::vector<std::string> log;
+  for (const char* name : {"w1", "w2", "w3"}) {
+    sim.Spawn(LogAfterWait(cv, &log, name), name);
+  }
+  sim.CallAt(Microseconds(1), [&] {
+    cv.NotifyAll();
+    sim.CallAfter(0, [&] { log.push_back("event"); });
+  });
+  sim.Run();
+  EXPECT_EQ(sim.resumes_held(), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{"w1", "w2", "w3", "event"}));
+}
+
+TEST(Handoff, TaskKilledWhileItsResumeIsHeldGetsANoOpResume) {
+  Simulator sim;
+  Condition cv(sim);
+  std::vector<std::string> log;
+  bool frame_destroyed = false;
+  TaskHandle h = sim.Spawn(
+      [](Condition& c, std::vector<std::string>* l,
+         [[maybe_unused]] DestructionFlag flag) -> Task {
+        co_await c.Wait();
+        l->push_back("woke");
+      }(cv, &log, DestructionFlag(&frame_destroyed)),
+      "victim");
+  sim.CallAt(Microseconds(1), [&] {
+    cv.NotifyOne();
+    EXPECT_EQ(sim.pending_events(), 1u);  // the held resume
+    h.Kill();
+    EXPECT_TRUE(frame_destroyed);
+  });
+  sim.Run();
+  EXPECT_EQ(sim.resumes_held(), 1u);  // ran from the register, as a no-op
+  EXPECT_TRUE(h.killed());
+  EXPECT_TRUE(h.done());
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Handoff, TaskKilledWhileItsResumeIsHeldFiresItsJoinWatcherOnce) {
+  Simulator sim;
+  Condition cv(sim);
+  std::vector<std::string> log;
+  TaskHandle h = sim.Spawn(LogAfterWait(cv, &log, "woke"), "victim");
+  int joins = 0;
+  SimTime joined_at = -1;
+  sim.Spawn(
+      [](Simulator& s, TaskHandle target, int* n, SimTime* at) -> Task {
+        co_await Join(target);
+        ++*n;
+        *at = s.Now();
+      }(sim, h, &joins, &joined_at),
+      "joiner");
+  sim.CallAt(Microseconds(1), [&] {
+    cv.NotifyOne();
+    h.Kill();  // queues the Join wakeup behind the held resume
+  });
+  sim.Run();
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(joins, 1);
+  EXPECT_EQ(joined_at, Microseconds(1));
+  EXPECT_GE(sim.resumes_held(), 1u);
+}
+
+// From inside the only event at `when`, schedules enough distinct later
+// timestamps that one of them lands on the time-cache line of `when` (the
+// cache is direct-mapped with far fewer lines than this; a Fibonacci hash
+// spreads consecutive times over every line), so CallAt(when) opens a second
+// bucket.
+void EvictTimeCacheLineOfNow(Simulator& sim) {
+  for (int i = 1; i <= 1024; ++i) {
+    sim.CallAfter(i, [] {});
+  }
+}
+
+TEST(Handoff, TimeCacheCollisionFallsBackAndKeepsFifo) {
+  // Control: with the cache line intact the wake is held.
+  for (const bool evict : {false, true}) {
+    Simulator sim;
+    Condition cv(sim);
+    std::vector<std::string> log;
+    sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+    sim.CallAt(Microseconds(1), [&] {
+      if (evict) {
+        EvictTimeCacheLineOfNow(sim);
+      }
+      cv.NotifyOne();
+    });
+    sim.Run();
+    EXPECT_EQ(sim.resumes_held(), evict ? 0u : 1u) << "evict=" << evict;
+    EXPECT_EQ(log, (std::vector<std::string>{"waiter"}));
+  }
+  // An event queued into the second same-time bucket before the wake runs
+  // before the waiter; holding the wake would have overtaken it.
+  {
+    Simulator sim;
+    Condition cv(sim);
+    std::vector<std::string> log;
+    sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+    sim.CallAt(Microseconds(1), [&] {
+      EvictTimeCacheLineOfNow(sim);
+      sim.CallAfter(0, [&] { log.push_back("event"); });
+      cv.NotifyOne();
+    });
+    sim.Run();
+    EXPECT_EQ(sim.resumes_held(), 0u);
+    EXPECT_EQ(log, (std::vector<std::string>{"event", "waiter"}));
+  }
+  // A collision after the hold cannot overtake the held resume either.
+  {
+    Simulator sim;
+    Condition cv(sim);
+    std::vector<std::string> log;
+    sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+    sim.CallAt(Microseconds(1), [&] {
+      cv.NotifyOne();
+      EvictTimeCacheLineOfNow(sim);
+      sim.CallAfter(0, [&] { log.push_back("event"); });
+    });
+    sim.Run();
+    EXPECT_EQ(sim.resumes_held(), 1u);
+    EXPECT_EQ(log, (std::vector<std::string>{"waiter", "event"}));
+  }
+}
+
+// Two tasks handing a token back and forth through Conditions, with inline
+// children on one side: every step is a same-time resume.
+struct PingPong {
+  Simulator* sim;
+  Condition* ping;
+  Condition* pong;
+  std::vector<std::string>* log;
+  int rounds;
+};
+
+Task PingChild(PingPong p, int round) {
+  p.log->push_back("child " + std::to_string(round));
+  co_return;
+}
+
+Task Pinger(PingPong p) {
+  for (int i = 0; i < p.rounds; ++i) {
+    co_await p.ping->Wait();
+    p.log->push_back("ping " + std::to_string(i));
+    co_await PingChild(p, i);
+    p.pong->NotifyOne();
+  }
+}
+
+Task Ponger(PingPong p) {
+  for (int i = 0; i < p.rounds; ++i) {
+    p.ping->NotifyOne();
+    co_await p.pong->Wait();
+    p.log->push_back("pong " + std::to_string(i));
+  }
+}
+
+struct PingPongRun {
+  std::vector<std::string> log;
+  uint64_t events = 0;
+  uint64_t held = 0;
+  uint64_t hooks = 0;
+};
+
+PingPongRun RunPingPong(bool step) {
+  PingPongRun r;
+  Simulator sim;
+  Condition ping(sim);
+  Condition pong(sim);
+  sim.set_post_event_hook([&r] { ++r.hooks; });
+  const PingPong p{&sim, &ping, &pong, &r.log, 5};
+  sim.CallAt(Microseconds(1), [&] {
+    sim.Spawn(Pinger(p), "pinger");
+    sim.Spawn(Ponger(p), "ponger");
+  });
+  if (step) {
+    while (sim.Step()) {
+    }
+  } else {
+    sim.Run();
+  }
+  r.events = sim.events_executed();
+  r.held = sim.resumes_held();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  return r;
+}
+
+TEST(Handoff, StepNeverHoldsAResume) {
+  const PingPongRun stepped = RunPingPong(/*step=*/true);
+  const PingPongRun ran = RunPingPong(/*step=*/false);
+  EXPECT_EQ(stepped.held, 0u);
+  EXPECT_GT(ran.held, 0u);
+  EXPECT_EQ(ran.log, stepped.log);
+  EXPECT_EQ(ran.events, stepped.events);
+  EXPECT_EQ(ran.log.front(), "ping 0");
+  EXPECT_EQ(ran.log.back(), "pong 4");
+}
+
+TEST(Handoff, HeldResumesCountLikeQueuedOnes) {
+  const PingPongRun stepped = RunPingPong(/*step=*/true);
+  const PingPongRun ran = RunPingPong(/*step=*/false);
+  // Every resume is an executed event and passes the post-event hook,
+  // whether it ran from the register or from the queue.
+  EXPECT_EQ(ran.hooks, ran.events);
+  EXPECT_EQ(stepped.hooks, stepped.events);
+  EXPECT_EQ(ran.events, stepped.events);
+
+  // pending_events() sees a held resume until it runs.
+  Simulator sim;
+  Condition cv(sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+  sim.CallAt(Microseconds(1), [&] {
+    const uint64_t executed = sim.events_executed();
+    EXPECT_EQ(sim.pending_events(), 1u);  // the event at 2 us
+    cv.NotifyOne();
+    EXPECT_EQ(sim.pending_events(), 2u);
+    EXPECT_EQ(sim.events_executed(), executed);
+  });
+  sim.CallAt(Microseconds(2), [] {});
+  EXPECT_EQ(sim.RunUntil(Microseconds(1)), 3u);  // the spawn, the notifier, the held resume
+  EXPECT_EQ(sim.resumes_held(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{"waiter"}));
+}
+
+// --- Differential wake test ---------------------------------------------------
+//
+// Seeded random task programs over every wait kind the simulator offers run
+// three ways: (a) Run() with a test-local Gate whose wake is ResumeNow, (b)
+// Run() with the Gate's wake an explicit CallAfter(0, Resume), and (c) the
+// same as (b) but driven by Step(), which never holds a resume, so every
+// wakeup in the library (Condition, Mailbox, child hops, Spawn) is queued
+// too. All three must log the same steps at the same times and execute the
+// same number of events.
+
+class Gate {
+ public:
+  Gate(Simulator& sim, bool resume_now) : sim_(&sim), resume_now_(resume_now) {}
+
+  struct Awaiter {
+    Gate* gate;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<Task::promise_type> h) {
+      gate->waiters_.push_back(StateOf(h));
+    }
+    void await_resume() const noexcept {}
+  };
+  Awaiter Wait() { return Awaiter{this}; }
+
+  void OpenAll() {
+    std::vector<std::shared_ptr<TaskState>> woken;
+    woken.swap(waiters_);
+    for (std::shared_ptr<TaskState>& st : woken) {
+      if (resume_now_) {
+        sim_->ResumeNow(std::move(st));
+      } else {
+        sim_->CallAfter(0, [st = std::move(st)] { st->Resume(); });
+      }
+    }
+  }
+
+ private:
+  Simulator* sim_;
+  bool resume_now_;
+  std::vector<std::shared_ptr<TaskState>> waiters_;
+};
+
+enum class OpKind {
+  kGateWait,
+  kGateOpen,
+  kCondWait,
+  kCondTimedWait,
+  kCondNotifyOne,
+  kCondNotifyAll,
+  kSleep,
+  kInlineChild,
+  kSpawnJoin,
+  kSend,
+  kRecv,
+  kQueueEvent,
+  kKill,
+  kCount,
+};
+
+struct Op {
+  OpKind kind;
+  int arg = 0;
+  std::vector<Op> body;  // kInlineChild / kSpawnJoin
+};
+
+std::vector<Op> GenProgram(Random& rng, int depth) {
+  std::vector<Op> ops(3 + rng.NextBelow(depth == 0 ? 10 : 4));
+  for (Op& op : ops) {
+    op.kind = static_cast<OpKind>(rng.NextBelow(static_cast<uint64_t>(OpKind::kCount)));
+    op.arg = static_cast<int>(rng.NextBelow(4));
+    if (op.kind == OpKind::kInlineChild || op.kind == OpKind::kSpawnJoin) {
+      if (depth >= 2) {
+        op.kind = OpKind::kQueueEvent;
+      } else {
+        op.body = GenProgram(rng, depth + 1);
+      }
+    }
+  }
+  return ops;
+}
+
+struct World {
+  Simulator* sim;
+  Gate* gate;
+  Condition* cv;
+  Mailbox<int>* box;
+  std::vector<TaskHandle>* roots;
+  std::vector<std::string>* log;
+
+  void Note(const std::string& who, const std::string& what) const {
+    log->push_back(std::to_string(sim->Now()) + " " + who + " " + what);
+  }
+};
+
+Task RunProgram(World w, std::string who, const std::vector<Op>* ops) {
+  for (size_t i = 0; i < ops->size(); ++i) {
+    const Op& op = (*ops)[i];
+    const std::string step = who + "." + std::to_string(i);
+    switch (op.kind) {
+      case OpKind::kGateWait:
+        co_await w.gate->Wait();
+        w.Note(step, "gate");
+        break;
+      case OpKind::kGateOpen:
+        w.gate->OpenAll();
+        break;
+      case OpKind::kCondWait:
+        co_await w.cv->Wait();
+        w.Note(step, "cond");
+        break;
+      case OpKind::kCondTimedWait: {
+        const bool notified = co_await w.cv->WaitFor(op.arg);
+        w.Note(step, notified ? "cond notified" : "cond timeout");
+        break;
+      }
+      case OpKind::kCondNotifyOne:
+        w.cv->NotifyOne();
+        break;
+      case OpKind::kCondNotifyAll:
+        w.cv->NotifyAll();
+        break;
+      case OpKind::kSleep:
+        co_await SleepFor(*w.sim, op.arg);
+        w.Note(step, "slept");
+        break;
+      case OpKind::kInlineChild:
+        co_await RunProgram(w, step + "/i", &op.body);
+        w.Note(step, "child back");
+        break;
+      case OpKind::kSpawnJoin: {
+        TaskHandle h = w.sim->Spawn(RunProgram(w, step + "/s", &op.body), step);
+        co_await Join(h);
+        w.Note(step, "joined");
+        break;
+      }
+      case OpKind::kSend:
+        co_await w.box->Send(static_cast<int>(i));
+        w.Note(step, "sent");
+        break;
+      case OpKind::kRecv: {
+        const int v = co_await w.box->Recv();
+        w.Note(step, "got " + std::to_string(v));
+        break;
+      }
+      case OpKind::kQueueEvent:
+        w.sim->CallAfter(op.arg % 2, [w, step] { w.Note(step, "event"); });
+        break;
+      case OpKind::kKill:
+        (*w.roots)[static_cast<size_t>(op.arg) % w.roots->size()].Kill();
+        w.Note(step, "killed " + std::to_string(op.arg % w.roots->size()));
+        break;
+      case OpKind::kCount:
+        break;
+    }
+  }
+  w.Note(who, "done");
+}
+
+struct DiffRun {
+  std::vector<std::string> log;
+  uint64_t events = 0;
+  uint64_t held = 0;
+};
+
+DiffRun RunDifferential(const std::vector<std::vector<Op>>& programs, bool resume_now,
+                        bool step) {
+  DiffRun r;
+  Simulator sim;
+  Gate gate(sim, resume_now);
+  Condition cv(sim);
+  Mailbox<int> box(sim, 1);
+  std::vector<TaskHandle> roots;
+  const World w{&sim, &gate, &cv, &box, &roots, &r.log};
+  for (size_t t = 0; t < programs.size(); ++t) {
+    std::string who = "t";
+    who += std::to_string(t);
+    roots.push_back(sim.Spawn(RunProgram(w, std::move(who), &programs[t])));
+  }
+  // Outside pokes keep waits moving: at each tick, open the gate, notify the
+  // condition and offer the mailbox a value.
+  for (int tick = 1; tick <= 12; ++tick) {
+    sim.CallAt(tick, [&, tick] {
+      gate.OpenAll();
+      cv.NotifyAll();
+      box.TrySend(1000 + tick);
+      (void)box.TryRecv();
+    });
+  }
+  if (step) {
+    while (sim.Step()) {
+    }
+  } else {
+    sim.Run();
+  }
+  r.events = sim.events_executed();
+  r.held = sim.resumes_held();
+  return r;
+}
+
+TEST(Handoff, RandomProgramsMatchQueuedWakes) {
+  uint64_t held_total = 0;
+  uint64_t events_total = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Random rng(seed);
+    std::vector<std::vector<Op>> programs(2 + rng.NextBelow(4));
+    for (std::vector<Op>& p : programs) {
+      p = GenProgram(rng, 0);
+    }
+    const DiffRun held = RunDifferential(programs, /*resume_now=*/true, /*step=*/false);
+    const DiffRun queued = RunDifferential(programs, /*resume_now=*/false, /*step=*/false);
+    const DiffRun stepped = RunDifferential(programs, /*resume_now=*/false, /*step=*/true);
+    ASSERT_EQ(held.log, queued.log) << "seed " << seed;
+    ASSERT_EQ(held.log, stepped.log) << "seed " << seed;
+    ASSERT_EQ(held.events, queued.events) << "seed " << seed;
+    ASSERT_EQ(held.events, stepped.events) << "seed " << seed;
+    EXPECT_EQ(stepped.held, 0u);
+    held_total += held.held;
+    events_total += held.events;
+  }
+  // The programs do exercise the register (about 15% of their events).
+  EXPECT_GT(held_total * 10, events_total);
 }
 
 }  // namespace

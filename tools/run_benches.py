@@ -13,9 +13,11 @@ benchmark library happens to claim.
 
 Two layers of results go into the JSON:
 
-  * "core": ns/op and items/s for every bench_core microbenchmark, plus the
-    baseline-vs-optimized speedups the PR acceptance gates on (set-associative
-    Tlb vs LinearScanTlb, bucketed Simulator vs the seed event-loop replica).
+  * "core": ns/op and items/s for every bench_core microbenchmark (plus
+    ns_per_resume for BM_SimWakeChain, the cost of one same-time task
+    wakeup), and the baseline-vs-optimized speedups the PR acceptance gates
+    on (set-associative Tlb vs LinearScanTlb, bucketed Simulator vs the seed
+    event-loop replica, held vs queued task wakeups).
     Both sides of each pair run behind the same interface in the same binary,
     so the speedups stay measurable in any future checkout.
   * "simulated": the Figure 7/8/9 shape checks (progress ratios and
@@ -110,6 +112,9 @@ SPEEDUP_PAIRS = [
     ("BM_SimScheduleFire", "SeedEventLoop", "Simulator"),
     ("BM_SimScheduleCancelFire", "SeedEventLoop", "Simulator"),
     ("BM_SimSelfRescheduling", "SeedEventLoop", "Simulator"),
+    # Same-time task wakeups: every resume queued (Step-driven) vs. run from
+    # the simulator's handoff register (Run-driven).
+    ("BM_SimWakeChain", "StepLoop", "RunLoop"),
 ]
 
 
@@ -151,6 +156,10 @@ def run_bench_core(build_dir, min_time):
             "ns_per_op": b["real_time"],
             "items_per_second": b.get("items_per_second"),
         }
+        if "ns_per_resume" in b:
+            # BM_SimWakeChain's layer number: an inverted rate, which the
+            # JSON reporter gives in seconds per resume.
+            results[b["name"]]["ns_per_resume"] = round(b["ns_per_resume"] * 1e9, 2)
     return report.get("context", {}), results
 
 
