@@ -31,8 +31,11 @@ RunResult RunOne(bool stream_paging, uint64_t frames, SimDuration measure) {
   cfg.driver_max_frames = frames;
   cfg.stretch_bytes = 4 * kMiB;
   cfg.swap_bytes = 16 * kMiB;
-  cfg.stream_paging = stream_paging;
-  cfg.usd_depth = stream_paging ? 2 : 1;  // the staged read pipelines
+  if (stream_paging) {
+    // The paper's §8 scheme: one staged page-in, a fixed one-page window.
+    cfg.pipeline_depth = 1;
+    cfg.readahead_max_cluster = 1;
+  }
   cfg.disk_qos = QosSpec{Milliseconds(250), Milliseconds(100), false, Milliseconds(10)};
   // An application that does real work per page (e.g. decoding a media
   // stream): ~1.6 ms of CPU per 8 KiB page, comparable to a cached disk

@@ -21,30 +21,20 @@ PagedStretchDriver::PagedStretchDriver(DriverEnv env, UsdClient* swap, Extent sw
       replacement_rng_(config.replacement_seed) {
   NEM_ASSERT(config.max_frames >= 1);
   NEM_ASSERT(swap_extent.length >= blocks_per_page_);
-  // Stream-paging is the pipeline_depth == 1 special case: a single staged
-  // page, a fixed one-page window, synchronous per-victim writeback.
-  if (config_.stream_paging && config_.pipeline_depth == 0) {
-    config_.pipeline_depth = 1;
-    config_.min_cluster = 1;
-    config_.max_cluster = 1;
-    config_.writeback_batch = 0;
-  }
-  if (config_.pipeline_depth > 0) {
-    NEM_ASSERT(config_.min_cluster >= 1);
-    NEM_ASSERT(config_.max_cluster >= config_.min_cluster);
-    slots_.resize(config_.pipeline_depth);  // sized once; slot pointers stable
-    cluster_window_ = config_.min_cluster;
-    // With depth > 1 transactions in flight, replies must be routed by
-    // request id: the channel's FIFO hands replies to receivers in Recv
-    // order, which need not match issue order across concurrent tasks.
-    pump_task_ = env_.sim->Spawn(PumpReplies(), "swap-reply-pump");
-  }
+  NEM_ASSERT(config_.min_cluster >= 1);
+  NEM_ASSERT(config_.max_cluster >= config_.min_cluster);
+  slots_.resize(config_.pipeline_depth);  // sized once; slot pointers stable
+  cluster_window_ = config_.min_cluster;
+  // With several transactions in flight, replies must be routed by request
+  // id: the channel's FIFO hands replies to receivers in Recv order, which
+  // need not match issue order across concurrent tasks.
+  pump_task_ = env_.sim->Spawn(PumpReplies(), "swap-reply-pump");
 }
 
 PagedStretchDriver::~PagedStretchDriver() { StopPipeline(); }
 
 void PagedStretchDriver::StopPipeline() {
-  if (!pipeline_enabled() || pipeline_stopped_) {
+  if (pipeline_stopped_) {
     return;
   }
   pipeline_stopped_ = true;
@@ -72,7 +62,7 @@ void PagedStretchDriver::StopPipeline() {
     page.cleaning = false;
   }
   cleans_inflight_ = 0;
-  inflight_.clear();
+  tickets_.clear();
   pipeline_cv_->NotifyAll();
 }
 
@@ -220,26 +210,24 @@ FaultResult PagedStretchDriver::HandleFault(const FaultRecord& fault, Stretch& s
   }
   const size_t index = stretch.PageIndexOf(fault.va);
   PageInfo& page = pages_[index];
-  if (pipeline_enabled()) {
-    if (StageSlot* slot = FindStage(index); slot != nullptr) {
-      if (slot->state == StageSlot::State::kReady && ConsumeStage(*slot, index, page_va)) {
-        // Staged hit: the page was speculatively read already; mapping the
-        // staged frame needs no IO and is legal in the fast path.
-        prefetch_hits_.Inc();
-        fast_maps_.Inc();
-        NoteFaultIndex(index);
-        // Cleaning first: the batch frees frames synchronously for clean
-        // victims, so the read-ahead tasks spawned next can claim them.
-        MaybeScheduleCleaning();
-        TopUpReadAhead(index);
-        return FaultResult::kSuccess;
-      }
-      // Still loading (or revoked underneath us): worker context.
-      return FaultResult::kRetry;
+  if (StageSlot* slot = FindStage(index); slot != nullptr) {
+    if (slot->state == StageSlot::State::kReady && ConsumeStage(*slot, index, page_va)) {
+      // Staged hit: the page was speculatively read already; mapping the
+      // staged frame needs no IO and is legal in the fast path.
+      prefetch_hits_.Inc();
+      fast_maps_.Inc();
+      NoteFaultIndex(index);
+      // Cleaning first: the batch frees frames synchronously for clean
+      // victims, so the read-ahead tasks spawned next can claim them.
+      MaybeScheduleCleaning();
+      TopUpReadAhead(index);
+      return FaultResult::kSuccess;
     }
-    if (page.cleaning) {
-      return FaultResult::kRetry;  // writeback in flight: must wait for it
-    }
+    // Still loading (or revoked underneath us): worker context.
+    return FaultResult::kRetry;
+  }
+  if (page.cleaning) {
+    return FaultResult::kRetry;  // writeback in flight: must wait for it
   }
   if (page.has_disk_copy && !config_.forgetful) {
     return FaultResult::kRetry;  // needs a swap read: worker context
@@ -264,15 +252,17 @@ FaultResult PagedStretchDriver::HandleFault(const FaultRecord& fault, Stretch& s
 // --- Swap IO -----------------------------------------------------------------
 
 Task PagedStretchDriver::PumpReplies() {
-  // Sole consumer of the channel's reply FIFO while the pipeline is enabled:
-  // routes each completion to its issuer's ticket by request id. ReceiveReply
-  // releases the pipeline slot, preserving the rbufs depth invariant.
+  // Sole consumer of the channel's reply FIFO: routes each completion to its
+  // issuer's ticket by request id. ReceiveReply releases the channel slot,
+  // preserving the rbufs depth invariant.
   for (;;) {
-    UsdReply reply = co_await swap_->ReceiveReply();
-    auto it = inflight_.find(reply.id);
-    if (it != inflight_.end()) {
-      it->second.done = true;
-      it->second.reply = std::move(reply);
+    const UsdReply reply = co_await swap_->ReceiveReply();
+    for (IoTicket& ticket : tickets_) {
+      if (ticket.id == reply.id) {
+        ticket.done = true;
+        ticket.ok = reply.ok;
+        break;
+      }
     }
     pipeline_cv_->NotifyAll();
   }
@@ -280,134 +270,63 @@ Task PagedStretchDriver::PumpReplies() {
 
 uint64_t PagedStretchDriver::NextBgId() { return MakeBgTraceId(env_.domain, next_bg_seq_++); }
 
-Task PagedStretchDriver::SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid) {
-  const SimTime start = env_.sim->Now();  // span covers the slot wait too
-  *ok = false;
-  if (pipeline_enabled()) {
-    if (pipeline_stopped_) {
-      co_return;
-    }
-    co_await swap_->AcquireSlot();
-    if (pipeline_stopped_) {
-      co_return;  // the channel is being torn down; the reply would be lost
-    }
-    const uint64_t io_id = next_io_id_++;
-    inflight_[io_id];
-    UsdRequest req;
-    req.id = io_id;
-    req.lba = BlokLba(blok);
-    req.nblocks = blocks_per_page_;
-    req.is_write = true;
-    req.trace_id = fid;
-    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
-    swap_->Push(req);
-    for (;;) {
-      auto it = inflight_.find(io_id);
-      if (it == inflight_.end()) {
-        break;  // StopPipeline cleared the tickets
-      }
-      if (it->second.done) {
-        *ok = it->second.reply.ok;
-        inflight_.erase(it);
-        break;
-      }
-      if (pipeline_stopped_) {
-        inflight_.erase(it);
-        break;
-      }
-      co_await pipeline_cv_->Wait();
-    }
-  } else {
-    co_await swap_->AcquireSlot();
-    UsdRequest req;
-    req.id = blok;
-    req.lba = BlokLba(blok);
-    req.nblocks = blocks_per_page_;
-    req.is_write = true;
-    req.trace_id = fid;
-    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
-    swap_->Push(req);
-    const UsdReply reply = co_await swap_->ReceiveReply();
-    *ok = reply.ok;
-  }
-  if (*ok) {
-    pageouts_.Inc();
-  }
-  if (Obs* obs = env_.obs; fid != 0 && obs != nullptr && obs->enabled()) {
-    const SimDuration took = env_.sim->Now() - start;
-    if (IsBgTraceId(fid)) {
-      // Speculative writeback: its own category, and it stays out of the
-      // demand-path usd_wait histogram.
-      obs->BgSpan(start, env_.domain, stage::kBgWrite, ToMilliseconds(took), fid);
-    } else {
-      obs->Span(start, env_.domain, stage::kUsdWrite, ToMilliseconds(took), fid);
-      if (Obs::DomainProbe* p = obs->probe(env_.domain)) {
-        p->usd_wait->Record(took);
-      }
-    }
-  }
+uint64_t PagedStretchDriver::PushSwap(uint64_t blok, Pfn pfn, bool is_write, uint64_t trace_id) {
+  const uint64_t io_id = next_io_id_++;
+  tickets_.push_back(IoTicket{io_id});
+  UsdRequest req;
+  req.id = io_id;
+  req.lba = BlokLba(blok);
+  req.nblocks = blocks_per_page_;
+  req.is_write = is_write;
+  req.trace_id = trace_id;
+  req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
+  swap_->Push(req);
+  return io_id;
 }
 
-Task PagedStretchDriver::SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid) {
-  const SimTime start = env_.sim->Now();
+bool PagedStretchDriver::TakeResult(uint64_t io_id, bool* ok) {
+  auto it = std::find_if(tickets_.begin(), tickets_.end(),
+                         [io_id](const IoTicket& ticket) { return ticket.id == io_id; });
+  if (it == tickets_.end()) {
+    *ok = false;  // StopPipeline cleared the tickets: no reply will come
+    return true;
+  }
+  if (!it->done) {
+    return false;
+  }
+  *ok = it->ok;
+  *it = tickets_.back();
+  tickets_.pop_back();
+  return true;
+}
+
+Task PagedStretchDriver::SwapIo(uint64_t blok, Pfn pfn, bool is_write, bool* ok, uint64_t fid) {
+  const SimTime start = env_.sim->Now();  // span covers the slot wait too
   *ok = false;
-  if (pipeline_enabled()) {
-    if (pipeline_stopped_) {
-      co_return;
-    }
-    co_await swap_->AcquireSlot();
-    if (pipeline_stopped_) {
-      co_return;
-    }
-    const uint64_t io_id = next_io_id_++;
-    inflight_[io_id];
-    UsdRequest req;
-    req.id = io_id;
-    req.lba = BlokLba(blok);
-    req.nblocks = blocks_per_page_;
-    req.is_write = false;
-    req.trace_id = fid;
-    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
-    swap_->Push(req);
-    for (;;) {
-      auto it = inflight_.find(io_id);
-      if (it == inflight_.end()) {
-        break;
-      }
-      if (it->second.done) {
-        *ok = it->second.reply.ok;
-        inflight_.erase(it);
-        break;
-      }
-      if (pipeline_stopped_) {
-        inflight_.erase(it);
-        break;
-      }
-      co_await pipeline_cv_->Wait();
-    }
-  } else {
-    co_await swap_->AcquireSlot();
-    UsdRequest req;
-    req.id = blok;
-    req.lba = BlokLba(blok);
-    req.nblocks = blocks_per_page_;
-    req.is_write = false;
-    req.trace_id = fid;
-    req.buffer = env_.phys->FrameData(pfn);  // nailed until the reply
-    swap_->Push(req);
-    const UsdReply reply = co_await swap_->ReceiveReply();
-    *ok = reply.ok;
+  if (pipeline_stopped_) {
+    co_return;
+  }
+  co_await swap_->AcquireSlot();
+  if (pipeline_stopped_) {
+    co_return;  // the channel is being torn down; the reply would be lost
+  }
+  const uint64_t io_id = PushSwap(blok, pfn, is_write, fid);
+  while (!TakeResult(io_id, ok)) {
+    co_await pipeline_cv_->Wait();
   }
   if (*ok) {
-    pageins_.Inc();
+    (is_write ? pageouts_ : pageins_).Inc();
   }
   if (Obs* obs = env_.obs; fid != 0 && obs != nullptr && obs->enabled()) {
     const SimDuration took = env_.sim->Now() - start;
     if (IsBgTraceId(fid)) {
-      // Speculative read-ahead: categorised "bg", excluded from usd_wait.
-      obs->BgSpan(start, env_.domain, stage::kBgRead, ToMilliseconds(took), fid);
+      // Speculative read-ahead or writeback: its own category, and it stays
+      // out of the demand-path usd_wait histogram.
+      obs->BgSpan(start, env_.domain, is_write ? stage::kBgWrite : stage::kBgRead,
+                  ToMilliseconds(took), fid);
     } else {
-      obs->Span(start, env_.domain, stage::kUsdRead, ToMilliseconds(took), fid);
+      obs->Span(start, env_.domain, is_write ? stage::kUsdWrite : stage::kUsdRead,
+                ToMilliseconds(took), fid);
       if (Obs::DomainProbe* p = obs->probe(env_.domain)) {
         p->usd_wait->Record(took);
       }
@@ -478,7 +397,7 @@ Task PagedStretchDriver::EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid) {
       }
     }
     bool write_ok = false;
-    co_await SwapWrite(*page.blok, pfn, &write_ok, fid);
+    co_await SwapIo(*page.blok, pfn, /*is_write=*/true, &write_ok, fid);
     if (!write_ok) {
       ReleaseReservation(pfn);
       *ok = false;
@@ -574,39 +493,15 @@ Task PagedStretchDriver::WritebackChainTask(std::vector<WritebackItem> items) {
     if (pipeline_stopped_) {
       break;
     }
-    const uint64_t io_id = next_io_id_++;
-    inflight_[io_id];
-    UsdRequest req;
-    req.id = io_id;
-    req.lba = BlokLba(item.blok);
-    req.nblocks = blocks_per_page_;
-    req.is_write = true;
-    req.trace_id = NextBgId();
-    req.buffer = env_.phys->FrameData(item.pfn);  // nailed until the chain lands
-    swap_->Push(req);
+    // The frame is nailed until the chain lands.
+    io_ids.push_back(PushSwap(item.blok, item.pfn, /*is_write=*/true, NextBgId()));
     writeback_batched_.Inc();
-    io_ids.push_back(io_id);
   }
   for (size_t i = 0; i < items.size(); ++i) {
     const WritebackItem& item = items[i];
     bool write_ok = false;
-    if (i < io_ids.size()) {
-      for (;;) {
-        auto it = inflight_.find(io_ids[i]);
-        if (it == inflight_.end()) {
-          break;
-        }
-        if (it->second.done) {
-          write_ok = it->second.reply.ok;
-          inflight_.erase(it);
-          break;
-        }
-        if (pipeline_stopped_) {
-          inflight_.erase(it);
-          break;
-        }
-        co_await pipeline_cv_->Wait();
-      }
+    while (i < io_ids.size() && !TakeResult(io_ids[i], &write_ok)) {
+      co_await pipeline_cv_->Wait();
     }
     PageInfo& page = pages_[item.page];
     if (write_ok) {
@@ -645,48 +540,44 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
   }
   PrunePool();
 
-  if (pipeline_enabled()) {
-    NoteFaultIndex(index);
-    // If this page is being (or has been) staged, use the staged frame.
-    for (;;) {
-      StageSlot* slot = FindStage(index);
-      if (slot == nullptr) {
-        break;
-      }
-      if (slot->state == StageSlot::State::kReady) {
-        if (ConsumeStage(*slot, index, page_va)) {
-          prefetch_hits_.Inc();
-          slow_maps_.Inc();
-          MaybeScheduleCleaning();
-          TopUpReadAhead(index);
-          *result = FaultResult::kSuccess;
-          co_return;
-        }
-        break;  // frame revoked underneath us: demand path
-      }
-      co_await pipeline_cv_->Wait();  // loading: its StageTask will settle it
-      if (pipeline_stopped_) {
-        *result = FaultResult::kFailure;  // domain torn down while we slept
-        co_return;
-      }
+  NoteFaultIndex(index);
+  // If this page is being (or has been) staged, use the staged frame.
+  for (;;) {
+    StageSlot* slot = FindStage(index);
+    if (slot == nullptr) {
+      break;
     }
-    // A batched writeback of this page in flight means neither the frame nor
-    // the blok holds a stable copy yet; wait for the chain to land it.
-    while (page.cleaning) {
-      co_await pipeline_cv_->Wait();
-      if (pipeline_stopped_) {
-        *result = FaultResult::kFailure;  // domain torn down while we slept
+    if (slot->state == StageSlot::State::kReady) {
+      if (ConsumeStage(*slot, index, page_va)) {
+        prefetch_hits_.Inc();
+        slow_maps_.Inc();
+        MaybeScheduleCleaning();
+        TopUpReadAhead(index);
+        *result = FaultResult::kSuccess;
         co_return;
       }
+      break;  // frame revoked underneath us: demand path
+    }
+    co_await pipeline_cv_->Wait();  // loading: its StageTask will settle it
+    if (pipeline_stopped_) {
+      *result = FaultResult::kFailure;  // domain torn down while we slept
+      co_return;
+    }
+  }
+  // A batched writeback of this page in flight means neither the frame nor
+  // the blok holds a stable copy yet; wait for the chain to land it.
+  while (page.cleaning) {
+    co_await pipeline_cv_->Wait();
+    if (pipeline_stopped_) {
+      *result = FaultResult::kFailure;  // domain torn down while we slept
+      co_return;
     }
   }
 
   // 1. Obtain a free frame: from the pool, by growing the pool up to the
   //    configured maximum, or by evicting resident pages.
   std::optional<Pfn> pfn;
-  if (pipeline_enabled()) {
-    ++demand_waiters_;  // read-ahead must not take frames while we wait
-  }
+  ++demand_waiters_;  // read-ahead must not take frames while we wait
   for (;;) {
     pfn = FindUnusedPoolFrame();
     if (pfn.has_value()) {
@@ -705,7 +596,7 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
       }
       // Quota or memory exhausted: fall through to eviction.
     }
-    if (pipeline_enabled() && config_.writeback_batch >= 2 && !fifo_.empty()) {
+    if (config_.writeback_batch >= 2 && !fifo_.empty()) {
       // Batched writeback: unmap several victims at once. Clean frames are
       // reusable on the next loop pass; dirty ones land via the chain.
       if (cleans_inflight_ == 0) {
@@ -725,33 +616,31 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
       continue;
     }
     if (fifo_.empty()) {
-      if (pipeline_enabled()) {
-        // Cancel a useless staged page rather than failing the fault. The
-        // stolen frame stays nailed; Reserve below tolerates that.
-        bool stole = false;
-        for (StageSlot& slot : slots_) {
-          if (slot.state == StageSlot::State::kReady) {
-            pfn = slot.pfn;
-            slot = StageSlot{};
-            prefetch_wasted_.Inc();
-            stole = true;
-            break;
-          }
-        }
-        if (stole) {
+      // Cancel a useless staged page rather than failing the fault. The
+      // stolen frame stays nailed; Reserve below tolerates that.
+      bool stole = false;
+      for (StageSlot& slot : slots_) {
+        if (slot.state == StageSlot::State::kReady) {
+          pfn = slot.pfn;
+          slot = StageSlot{};
+          prefetch_wasted_.Inc();
+          stole = true;
           break;
         }
-        if (AnyLoading() || cleans_inflight_ > 0) {
-          co_await pipeline_cv_->Wait();  // in-flight work will free a frame
-          if (pipeline_stopped_) {
-            --demand_waiters_;
-            *result = FaultResult::kFailure;  // domain torn down while we slept
-            co_return;
-          }
-          continue;
-        }
-        --demand_waiters_;
       }
+      if (stole) {
+        break;
+      }
+      if (AnyLoading() || cleans_inflight_ > 0) {
+        co_await pipeline_cv_->Wait();  // in-flight work will free a frame
+        if (pipeline_stopped_) {
+          --demand_waiters_;
+          *result = FaultResult::kFailure;  // domain torn down while we slept
+          co_return;
+        }
+        continue;
+      }
+      --demand_waiters_;
       *result = FaultResult::kFailure;  // no frames and nothing to evict
       co_return;
     }
@@ -759,18 +648,14 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
     bool ok = false;
     co_await EvictOne(&evicted, &ok, fault.id);
     if (!ok) {
-      if (pipeline_enabled()) {
-        --demand_waiters_;
-      }
+      --demand_waiters_;
       *result = FaultResult::kFailure;
       co_return;
     }
     pfn = evicted;
     break;
   }
-  if (pipeline_enabled()) {
-    --demand_waiters_;
-  }
+  --demand_waiters_;
 
   // 2. Fill the frame: page in from swap, or demand-zero. The frame stays
   //    reserved (nailed) across the asynchronous fill so concurrent fault
@@ -779,7 +664,7 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
   if (page.has_disk_copy && !config_.forgetful) {
     NEM_ASSERT(page.blok.has_value());
     bool ok = false;
-    co_await SwapRead(*page.blok, *pfn, &ok, fault.id);
+    co_await SwapIo(*page.blok, *pfn, /*is_write=*/false, &ok, fault.id);
     ReleaseReservation(*pfn);
     if (!ok) {
       *result = FaultResult::kFailure;
@@ -806,22 +691,20 @@ Task PagedStretchDriver::ResolveFault(FaultRecord fault, Stretch* stretch, Fault
   if (Obs* obs = env_.obs; obs != nullptr && obs->enabled()) {
     obs->Span(env_.sim->Now(), env_.domain, stage::kMap, 0.0, fault.id);
   }
-  if (pipeline_enabled()) {
-    // Issued after the demand read completed on purpose: replies for a
-    // coalesced chain fan out when the whole chain lands, so folding the
-    // demand page into its own cluster would delay the faulting task. The
-    // cluster instead streams while the application computes, bridged by the
-    // channel's laxity idling.
-    MaybeScheduleCleaning();
-    TopUpReadAhead(index);
-  }
+  // Issued after the demand read completed on purpose: replies for a
+  // coalesced chain fan out when the whole chain lands, so folding the
+  // demand page into its own cluster would delay the faulting task. The
+  // cluster instead streams while the application computes, bridged by the
+  // channel's laxity idling.
+  MaybeScheduleCleaning();
+  TopUpReadAhead(index);
   *result = FaultResult::kSuccess;
 }
 
 // --- Read-ahead and opportunistic cleaning -----------------------------------
 
 void PagedStretchDriver::TopUpReadAhead(size_t index) {
-  if (!pipeline_enabled() || pipeline_stopped_ || config_.forgetful) {
+  if (pipeline_stopped_ || config_.forgetful) {
     return;
   }
   // Bound the burst by the channel's free slots so speculative reads never
@@ -904,7 +787,7 @@ Task PagedStretchDriver::StageTask(size_t index) {
   Reserve(*pfn);  // reserved until consumed or cancelled
   NEM_ASSERT(pages_[index].blok.has_value());
   bool read_ok = false;
-  co_await SwapRead(*pages_[index].blok, *pfn, &read_ok, NextBgId());
+  co_await SwapIo(*pages_[index].blok, *pfn, /*is_write=*/false, &read_ok, NextBgId());
   if (pipeline_stopped_ || !read_ok || slot->state != StageSlot::State::kLoading ||
       slot->page != index || slot->abandoned) {
     ReleaseReservation(*pfn);
@@ -917,7 +800,7 @@ Task PagedStretchDriver::StageTask(size_t index) {
 }
 
 void PagedStretchDriver::MaybeScheduleCleaning() {
-  if (!pipeline_enabled() || pipeline_stopped_ || config_.writeback_batch < 2) {
+  if (pipeline_stopped_ || config_.writeback_batch < 2) {
     return;
   }
   if (cleans_inflight_ > 0 || demand_waiters_ > 0 || fifo_.size() < 2) {
@@ -956,47 +839,14 @@ void PagedStretchDriver::SpawnPipelineTask(Task task, const char* label) {
 
 Task PagedStretchDriver::RelinquishFrames(uint64_t target, uint64_t* freed) {
   FrameStack* stack = env_.frames->StackOf(env_.domain);
-  if (!pipeline_enabled()) {
-    // First hand over any already-unused pool frames.
-    for (Pfn pfn : pool_) {
-      if (*freed >= target) {
-        co_return;
-      }
-      if (env_.kernel->ramtab().StateOf(pfn) == FrameState::kUnused) {
-        if (stack != nullptr) {
-          stack->MoveToTop(pfn);
-        }
-        ++*freed;
-      }
-    }
-    // Then evict resident pages (cleaning dirty ones to swap — this is why
-    // the intrusive revocation deadline "may be relatively far in the
-    // future").
-    while (*freed < target && !fifo_.empty()) {
-      Pfn evicted = 0;
-      bool ok = false;
-      co_await EvictOne(&evicted, &ok);
-      if (!ok) {
-        co_return;
-      }
-      ReleaseReservation(evicted);
-      if (stack != nullptr) {
-        stack->MoveToTop(evicted);
-      }
-      ++*freed;
-    }
-    co_return;
-  }
-
-  // Pipeline: speculative work is the first thing to go — ready staged pages
-  // are cancelled outright, loading ones abandoned (their StageTask releases
-  // the frame when the read lands).
+  // Speculative work is the first thing to go: ready staged pages are
+  // cancelled outright, loading ones abandoned (their StageTask releases the
+  // frame when the read lands).
   for (StageSlot& slot : slots_) {
     CancelStage(slot);
   }
-  // Track what was already handed over: unlike the legacy path, this one
-  // re-scans the pool as in-flight IO drains, and must not count a frame
-  // twice.
+  // Track what was already handed over: the pool is re-scanned as in-flight
+  // IO drains, and a frame must not be counted twice.
   std::vector<Pfn> handed;
   auto hand_over_unused = [&] {
     for (Pfn pfn : pool_) {
@@ -1015,6 +865,8 @@ Task PagedStretchDriver::RelinquishFrames(uint64_t target, uint64_t* freed) {
     }
   };
   hand_over_unused();
+  // Then evict resident pages, cleaning dirty ones to swap (this is why the
+  // intrusive revocation deadline "may be relatively far in the future").
   while (*freed < target && !fifo_.empty()) {
     Pfn evicted = 0;
     bool ok = false;

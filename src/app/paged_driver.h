@@ -17,29 +17,30 @@
 // Async pager pipeline (DESIGN.md "Async pager pipeline"): the paper's §8
 // stream-paging sketch generalized into a real pipeline, an application-level
 // policy choice in the self-paging spirit (§3: "improved page replacement and
-// prefetching"). Opt-in via Config::pipeline_depth >= 1:
+// prefetching"). It is the driver's only path, with its policies as Config
+// parameters:
 //   * a staging table of up to `pipeline_depth` concurrently in-flight
-//     speculative page-ins (the single-slot stream-paging scheme is the
-//     pipeline_depth == 1 special case);
+//     speculative page-ins. Depth 0 stages nothing: that is the demand pager
+//     above. The paper's single-slot stream paging is depth 1 with
+//     max_cluster 1;
 //   * clustered read-ahead: after a fault on page i the next pages are staged
 //     in one burst sized by a sequentiality detector (window doubles on
 //     sequential faults, halves otherwise, clamped to [min_cluster,
 //     max_cluster]); swap-contiguous members pushed back-to-back coalesce
 //     into one chained disk transaction through the PR 3 UsdBatchPolicy path;
 //   * batched victim writeback (Config::writeback_batch >= 2): instead of a
-//     synchronous per-victim SwapWrite inside the fault path, up to that many
+//     synchronous per-victim swap write inside the fault path, up to that many
 //     victims are unmapped together, their dirty pages cleaned by one
 //     detached blok-sorted write chain, and clean victims handed back
 //     immediately — plus opportunistic cleaning after a resolve keeps free
 //     frames ahead of demand, so most evictions return a pre-cleaned frame.
-// With the pipeline on, every swap reply is routed by a per-request id
-// through a reply-pump task, so depth > 1 in-flight transactions can never be
-// mis-matched to waiters. Default (pipeline_depth == 0, stream_paging off)
-// keeps the exact one-page-at-a-time demand path, bit-identical.
+// Every swap reply is routed by a per-request id through a reply-pump task,
+// so concurrent transactions (staged reads, a writeback chain, or the demand
+// reads of several MMEntry workers) can never be mis-matched to waiters.
 //
-// Concurrency: the driver assumes its slow paths are serialised (the MMEntry
-// runs one worker per domain), matching the paper's single paging thread;
-// pipeline tasks interleave with it only at co_await points.
+// Concurrency: the MMEntry runs one worker per domain by default, matching
+// the paper's single paging thread. Pipeline tasks, and the slow paths of any
+// extra workers, interleave with it only at co_await points.
 #ifndef SRC_APP_PAGED_DRIVER_H_
 #define SRC_APP_PAGED_DRIVER_H_
 
@@ -47,7 +48,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/app/blok_allocator.h"
@@ -74,12 +74,8 @@ class PagedStretchDriver : public PhysicalStretchDriver {
     bool forgetful = false;   // Figure 8 mode: never page in
     Replacement replacement = Replacement::kFifo;
     uint64_t replacement_seed = 1;  // for kRandom
-    // Stream-paging (the paper's §8 future-work extension): after resolving a
-    // fault on page i, speculatively page i+1 into a staged frame so a
-    // subsequent sequential fault is satisfied without stalling on the disk.
-    // Equivalent to pipeline_depth = 1 with a fixed one-page window.
-    bool stream_paging = false;
-    // Async pager pipeline (see file comment). 0 = off. The swap UsdClient
+    // Async pager pipeline (see file comment). 0 = demand paging only. The
+    // paper's stream paging (§8) is 1 with max_cluster 1. The swap UsdClient
     // should be opened with depth >= pipeline_depth + writeback_batch so the
     // staged reads, the demand read and the writeback chain can all be in
     // flight at once (AppDomain wiring does this automatically).
@@ -105,8 +101,6 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   // detaches the swap channel and releases staged frames. Called on domain
   // kill and teardown BEFORE the swap client is closed; the driver issues no
   // further swap IO afterwards.
-  void StopPipeline();
-
   void Quiesce() override { StopPipeline(); }
 
   const char* kind() const override { return "paged"; }
@@ -123,7 +117,6 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   size_t resident_pages() const { return fifo_.size(); }
   size_t pool_size() const { return pool_.size(); }
   const BlokAllocator& bloks() const { return bloks_; }
-  bool pipeline_enabled() const { return config_.pipeline_depth >= 1; }
 
  private:
   struct PageInfo {
@@ -147,11 +140,12 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   };
 
   // Completion ticket for one pump-routed swap transaction, keyed by the
-  // unique request id. The issuer registers it before Push; the reply pump
-  // fills it and broadcasts pipeline_cv_; the issuer consumes and erases it.
+  // unique request id. PushSwap adds it; the reply pump settles it and
+  // broadcasts pipeline_cv_; TakeResult consumes and drops it.
   struct IoTicket {
+    uint64_t id = 0;
     bool done = false;
-    UsdReply reply;
+    bool ok = false;
   };
 
   // A dirty victim travelling through a batched writeback chain.
@@ -193,8 +187,8 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   void TopUpReadAhead(size_t index);
   // Speculative page-in of `index` into its (pre-claimed) staging slot.
   Task StageTask(size_t index);
-  // Routes every swap reply to its ticket by request id. Only runs (and only
-  // may run — it consumes all replies) while the pipeline is enabled.
+  // Routes every swap reply to its ticket by request id. The sole consumer
+  // of the channel's replies.
   Task PumpReplies();
   // Unmaps up to `max_victims` victims at once; clean frames are released
   // immediately, dirty ones handed to one WritebackChainTask. Returns the
@@ -214,13 +208,20 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   // `fid` is the fault trace id driving the eviction (0 outside a fault).
   Task EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid = 0);
 
-  // Swap IO (worker context): whole-page write/read through the USD channel.
-  // The frame itself is the transfer buffer, so the caller keeps it nailed
-  // until the call returns. `fid` threads the fault trace id into the
-  // UsdRequest (0 = untraced).
-  // With the pipeline enabled these route their replies through the pump.
-  Task SwapWrite(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
-  Task SwapRead(uint64_t blok, Pfn pfn, bool* ok, uint64_t fid = 0);
+  // Swap IO: a whole-page write or read through the USD channel, its reply
+  // routed through the pump. The frame itself is the transfer buffer, so the
+  // caller keeps it nailed until the call returns. `fid` threads the fault
+  // trace id into the UsdRequest (0 = untraced).
+  Task SwapIo(uint64_t blok, Pfn pfn, bool is_write, bool* ok, uint64_t fid = 0);
+  // Adds a ticket and pushes one whole-page request naming `pfn` as its
+  // buffer; the caller holds a channel slot. Returns the request id.
+  uint64_t PushSwap(uint64_t blok, Pfn pfn, bool is_write, uint64_t trace_id);
+  // True once request `io_id` is settled: its reply landed (*ok = the reply's
+  // verdict) or StopPipeline dropped its ticket (*ok = false).
+  bool TakeResult(uint64_t io_id, bool* ok);
+
+  // Stops the pipeline (see Quiesce). Idempotent.
+  void StopPipeline();
 
   UsdClient* swap_;
   Extent swap_extent_;
@@ -233,11 +234,11 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   std::deque<size_t> fifo_;  // resident pages, oldest first
   std::vector<Pfn> pool_;    // frames this driver has acquired
 
-  // Staging table (empty when the pipeline is off). Slots are stable: the
-  // vector is sized once in the constructor and never reallocated.
+  // Staging table (empty at depth 0). Slots are stable: the vector is sized
+  // once in the constructor and never reallocated.
   std::vector<StageSlot> slots_;
   std::unique_ptr<Condition> pipeline_cv_;  // staging / ticket / writeback events
-  std::unordered_map<uint64_t, IoTicket> inflight_;
+  std::vector<IoTicket> tickets_;           // in-flight swap transactions
   uint64_t next_io_id_ = 1;
   // Background (speculative) I/O trace ids: read-ahead, prefetch evictions
   // and batched writeback carry MakeBgTraceId(domain, seq) so their disk time

@@ -215,7 +215,6 @@ AppDomain::AppDomain(System& system, AppConfig config)
       PagedStretchDriver::Config driver_config;
       driver_config.max_frames = config_.driver_max_frames;
       driver_config.forgetful = config_.forgetful;
-      driver_config.stream_paging = config_.stream_paging;
       driver_config.replacement = config_.replacement;
       driver_config.pipeline_depth = config_.pipeline_depth;
       driver_config.min_cluster = config_.readahead_min_cluster;
@@ -331,11 +330,6 @@ void AppDomain::Kill() {
   }
   workloads_.clear();
   mm_entry_->Stop();
-  if (PagedStretchDriver* paged = paged_driver(); paged != nullptr) {
-    // Stop the reply pump and in-flight prefetch/writeback tasks before the
-    // swap client can be closed out from under them.
-    paged->StopPipeline();
-  }
   domain_->MarkDead();
 }
 

@@ -104,13 +104,13 @@ struct AppConfig {
   UsdBatchPolicy usd_batch{};  // request coalescing for the swap client (default OFF)
   uint64_t driver_max_frames = 2;
   bool forgetful = false;
-  bool stream_paging = false;  // enable the paper's §8 stream-paging extension
   PagedStretchDriver::Replacement replacement = PagedStretchDriver::Replacement::kFifo;
-  // Async pager pipeline (DESIGN.md "Async pager pipeline"): 0 keeps the
-  // demand pager. N >= 1 stages up to N speculative page-ins; the swap
-  // channel depth is raised to cover the staged reads, the demand read and
-  // the writeback chain, and request coalescing is switched on unless a
-  // policy was configured explicitly.
+  // Async pager pipeline (DESIGN.md "Async pager pipeline"): 0 is the plain
+  // demand pager; 1 with readahead_max_cluster 1 is the paper's §8 stream
+  // paging. N >= 1 stages up to N speculative page-ins; the swap channel
+  // depth is raised to cover the staged reads, the demand read and the
+  // writeback chain, and request coalescing is switched on unless a policy
+  // was configured explicitly.
   uint32_t pipeline_depth = 0;
   uint32_t readahead_min_cluster = 1;
   uint32_t readahead_max_cluster = 8;

@@ -552,8 +552,8 @@ TEST(StreamPaging, SequentialReadsHitStagedFrames) {
   cfg.driver_max_frames = 4;
   cfg.stretch_bytes = 32 * kDefaultPageSize;
   cfg.swap_bytes = kMiB;
-  cfg.stream_paging = true;
-  cfg.usd_depth = 2;
+  cfg.pipeline_depth = 1;  // stream paging: one staged page, no wider window
+  cfg.readahead_max_cluster = 1;
   AppDomain* app = system.CreateApp(cfg);
   struct Passes {
     static Task Run(AppDomain* app, bool* ok) {
@@ -590,8 +590,8 @@ TEST(StreamPaging, DataIntegrityPreserved) {
   cfg.driver_max_frames = 2;
   cfg.stretch_bytes = 16 * kDefaultPageSize;
   cfg.swap_bytes = kMiB;
-  cfg.stream_paging = true;
-  cfg.usd_depth = 2;
+  cfg.pipeline_depth = 1;  // stream paging: one staged page, no wider window
+  cfg.readahead_max_cluster = 1;
   AppDomain* app = system.CreateApp(cfg);
   struct Verify {
     static Task Run(AppDomain* app, bool* ok) {
@@ -629,8 +629,8 @@ TEST(StreamPaging, RandomAccessWastesArePruned) {
   cfg.driver_max_frames = 2;
   cfg.stretch_bytes = 16 * kDefaultPageSize;
   cfg.swap_bytes = kMiB;
-  cfg.stream_paging = true;
-  cfg.usd_depth = 2;
+  cfg.pipeline_depth = 1;  // stream paging: one staged page, no wider window
+  cfg.readahead_max_cluster = 1;
   AppDomain* app = system.CreateApp(cfg);
   struct Backwards {
     static Task Run(AppDomain* app, bool* ok) {

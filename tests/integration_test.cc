@@ -524,8 +524,10 @@ TEST(Integration, EightDomainsStress) {
     AppConfig cfg = PagedApp("s" + std::to_string(i), 20, 32 + 16 * (i % 3));
     cfg.driver_max_frames = 2 + (i % 3);
     cfg.contract = {2 + static_cast<uint64_t>(i % 3), 0};
-    cfg.stream_paging = (i % 2) == 0;
-    cfg.usd_depth = cfg.stream_paging ? 2 : 1;
+    if (i % 2 == 0) {  // stream paging on every other domain
+      cfg.pipeline_depth = 1;
+      cfg.readahead_max_cluster = 1;
+    }
     apps[i] = system.CreateApp(cfg);
     apps[i]->SpawnWorkload(SequentialPass(*apps[i], AccessType::kWrite, &ok[i]), "pass");
   }

@@ -1,10 +1,14 @@
 // Tests for the async pager pipeline (DESIGN.md "Async pager pipeline"):
-// multi-slot staging with reply demultiplexing at depth > 1, clustered
-// read-ahead across USD batch-cap and blok-fragmentation boundaries, batched
-// victim writeback, the forgetful-mode no-op guarantee, and teardown /
-// revocation racing in-flight speculative IO.
+// multi-slot staging with reply demultiplexing at depth > 1 and at depth 0
+// (the demand pager, with one or two MMEntry workers), clustered read-ahead
+// across USD batch-cap and blok-fragmentation boundaries, batched victim
+// writeback, the forgetful-mode no-op guarantee, and teardown / revocation
+// racing in-flight speculative IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,8 +61,9 @@ Task WriteThenRead(AppDomain* app, bool* ok) {
   *ok = w && r;
 }
 
-// Deterministic pattern write, then full readback compare.
-Task VerifyPattern(AppDomain* app, bool* ok) {
+// Deterministic pattern write, then full readback compare by `readers`
+// concurrent tasks, each reading its own slice of the stretch.
+Task VerifyPattern(AppDomain* app, bool* ok, size_t readers = 1) {
   const size_t len = app->stretch()->length();
   std::vector<uint8_t> pattern(len);
   for (size_t i = 0; i < len; ++i) {
@@ -68,10 +73,21 @@ Task VerifyPattern(AppDomain* app, bool* ok) {
   TaskHandle wh = app->SpawnWorkload(app->vmem().Write(app->stretch()->base(), pattern, &w), "w");
   co_await Join(wh);
   std::vector<uint8_t> readback(len);
-  bool r = false;
-  TaskHandle rh = app->SpawnWorkload(app->vmem().Read(app->stretch()->base(), readback, &r), "r");
-  co_await Join(rh);
-  *ok = w && r && readback == pattern;
+  auto r = std::make_unique<bool[]>(readers);  // value-initialised: all false
+  std::vector<TaskHandle> rh;
+  const size_t slice = len / readers;
+  for (size_t k = 0; k < readers; ++k) {
+    rh.push_back(app->SpawnWorkload(
+        app->vmem().Read(app->stretch()->base() + k * slice,
+                         std::span<uint8_t>(readback).subspan(k * slice, slice),
+                         &r[k]),
+        "r"));
+  }
+  for (TaskHandle& h : rh) {
+    co_await Join(h);
+  }
+  *ok = w && std::all_of(r.get(), r.get() + readers, [](bool v) { return v; }) &&
+        readback == pattern;
 }
 
 TEST(Pipeline, SequentialReadsHitStagedFrames) {
@@ -90,24 +106,51 @@ TEST(Pipeline, SequentialReadsHitStagedFrames) {
 }
 
 TEST(Pipeline, DataIntegrityUnderAllReplacementPolicies) {
-  // Depth-4 reply fan-out: replies must route to the requests that issued
-  // them (not Recv order), under every victim-selection policy.
-  const PagedStretchDriver::Replacement policies[] = {
-      PagedStretchDriver::Replacement::kFifo,
-      PagedStretchDriver::Replacement::kClock,
-      PagedStretchDriver::Replacement::kRandom,
+  // Replies must route to the requests that issued them (not Recv order),
+  // under every victim-selection policy: at depth 4 (staged reads and
+  // writeback chains fan out), at depth 0 (the plain demand pager), and at
+  // depth 0 with two MMEntry workers whose demand reads are in flight at once.
+  struct Case {
+    PagedStretchDriver::Replacement policy;
+    uint32_t depth;
+    size_t workers;
   };
-  for (const auto policy : policies) {
+  std::vector<Case> cases;
+  for (const auto policy :
+       {PagedStretchDriver::Replacement::kFifo, PagedStretchDriver::Replacement::kClock,
+        PagedStretchDriver::Replacement::kRandom}) {
+    for (const uint32_t depth : {0u, 4u}) {
+      cases.push_back({policy, depth, 1});
+    }
+  }
+  cases.push_back({PagedStretchDriver::Replacement::kFifo, 0, 2});
+  for (const Case& c : cases) {
     System system(SmallSystem());
     AppConfig cfg = PipelineApp("pipe-verify", 4, 32);
-    cfg.replacement = policy;
+    cfg.replacement = c.policy;
+    cfg.pipeline_depth = c.depth;
+    if (c.depth == 0) {
+      cfg.writeback_batch = 0;
+      cfg.mm_workers = c.workers;
+      cfg.usd_depth = c.workers;
+    }
     AppDomain* app = system.CreateApp(cfg);
     bool ok = false;
-    app->SpawnWorkload(VerifyPattern(app, &ok), "verify");
+    app->SpawnWorkload(VerifyPattern(app, &ok, c.workers), "verify");
     system.sim().RunUntil(Seconds(120));
-    EXPECT_TRUE(ok) << "policy " << static_cast<int>(policy);
-    EXPECT_GT(app->paged_driver()->prefetch_hits(), 0u);
-    EXPECT_EQ(app->swap_client()->rejected(), 0u);
+    const std::string label = "policy " + std::to_string(static_cast<int>(c.policy)) +
+                              " depth " + std::to_string(c.depth) + " workers " +
+                              std::to_string(c.workers);
+    EXPECT_TRUE(ok) << label;
+    PagedStretchDriver* driver = app->paged_driver();
+    if (c.depth == 0) {
+      EXPECT_EQ(driver->prefetch_issued(), 0u) << label;
+      EXPECT_EQ(driver->staging_highwater(), 0u) << label;
+      EXPECT_EQ(driver->writeback_batched(), 0u) << label;
+    } else {
+      EXPECT_GT(driver->prefetch_hits(), 0u) << label;
+    }
+    EXPECT_EQ(app->swap_client()->rejected(), 0u) << label;
     ExpectAuditClean(system, "pipeline policy integrity");
   }
 }

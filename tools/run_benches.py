@@ -86,8 +86,10 @@ QOS_RUNS = [
 ]
 
 # Golden byte-compare (--capture-golden / --check-golden): the figure
-# benches' stdout and side-channel trace CSVs, the scenario fuzzer's verdicts
-# and a 100-tenant storm's fault/revocation/kill counts must be byte-identical
+# benches' stdout and side-channel trace CSVs, the scenario fuzzer's verdicts,
+# a 100-tenant storm's fault/revocation/kill counts and the pager ablations
+# (read-ahead, writeback batching, stream paging, CLOCK/RANDOM replacement —
+# the pager's opt-in paths the figures never take) must be byte-identical
 # run to run — host-side changes (the static-analysis layer, the NEM_*
 # annotations, hot-path optimizations) must never perturb simulated output.
 # fig9 only writes its span trace under NEMESIS_OBS=1, so it runs a second
@@ -101,8 +103,12 @@ GOLDEN_RUNS = [
     ("scenario_fuzz", ["--seeds", "20"], "fuzz_seeds20.stdout", [], False),
     ("scenario_fuzz", ["--tenants", "100", "--seed", "3"],
      "storm_tenants100_seed3.stdout", [], False),
+    ("bench_ablation_pipeline", [], "ablation_pipeline.stdout", [], False),
+    ("bench_ablation_streampaging", [], "ablation_streampaging.stdout", [], False),
+    ("bench_ablation_replacement", [], "ablation_replacement.stdout", [], False),
 ]
-GOLDEN_TARGETS = ["scenario_fuzz"]
+GOLDEN_TARGETS = ["scenario_fuzz", "bench_ablation_pipeline", "bench_ablation_streampaging",
+                  "bench_ablation_replacement"]
 
 # (benchmark prefix, baseline template arg, optimized template arg)
 SPEEDUP_PAIRS = [
@@ -372,8 +378,8 @@ def main():
                          "regressed > 2%% vs the existing --out file")
     ap.add_argument("--capture-golden", type=Path, metavar="DIR",
                     help="record fig7/8/9 stdout and trace CSVs plus the "
-                         "scenario_fuzz and storm stdout into DIR, then exit "
-                         "(no JSON published)")
+                         "scenario_fuzz, storm and pager-ablation stdout into "
+                         "DIR, then exit (no JSON published)")
     ap.add_argument("--check-golden", type=Path, metavar="DIR",
                     help="rerun the --capture-golden set and fail unless "
                          "every output is byte-identical to DIR, then exit")
