@@ -4,12 +4,10 @@
 // stay bit-identical across refactors), this suite measures how fast the
 // substrate itself runs: TLB lookup/fill, event-loop schedule/fire/cancel
 // throughput, same-time task wakeups, and end-to-end Mmu::Translate latency.
-// Each optimized component is benchmarked against its pre-optimization
-// baseline behind the same interface — LinearScanTlb is the old
-// fully-associative linear-scan TLB, SeedEventLoop below replicates the
-// original std::priority_queue + unordered_map<id, std::function> simulator
-// loop, and StepLoop drives the wake chain with every resume queued — so the
-// speedups stay measurable in every future run.
+// Every benchmark runs the live implementation; the one pair is
+// BM_SimWakeChain, whose StepLoop drives the wake chain with every resume
+// queued and RunLoop with the simulator's handoff register, two modes of the
+// same Simulator.
 //
 // tools/run_benches.py runs this binary with --benchmark_format=json and
 // distills the results (plus the Figure 7/8 simulated-time checks) into
@@ -19,8 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/random.h"
@@ -36,72 +32,8 @@ namespace nemesis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Baseline event loop: a faithful replica of the seed Simulator's scheduling
-// core (binary priority_queue of {time, seq, id} plus a side unordered_map
-// holding std::function callback bodies, Cancel = map erase). Only the
-// callback/queue machinery is replicated — tasks are irrelevant here.
-// ---------------------------------------------------------------------------
-class SeedEventLoop {
- public:
-  uint64_t CallAt(int64_t t, std::function<void()> fn) {
-    const uint64_t id = next_id_++;
-    queue_.push(Entry{t, next_seq_++, id});
-    callbacks_.emplace(id, std::move(fn));
-    return id;
-  }
-
-  void Cancel(uint64_t id) { callbacks_.erase(id); }
-
-  bool Step() {
-    while (!queue_.empty()) {
-      const Entry entry = queue_.top();
-      auto it = callbacks_.find(entry.id);
-      queue_.pop();
-      if (it == callbacks_.end()) {
-        continue;
-      }
-      now_ = entry.time;
-      auto fn = std::move(it->second);
-      callbacks_.erase(it);
-      fn();
-      return true;
-    }
-    return false;
-  }
-
-  uint64_t Run() {
-    uint64_t n = 0;
-    while (Step()) {
-      ++n;
-    }
-    return n;
-  }
-
-  int64_t Now() const { return now_; }
-
- private:
-  struct Entry {
-    int64_t time;
-    uint64_t seq;
-    uint64_t id;
-    bool operator<(const Entry& other) const {
-      if (time != other.time) {
-        return time > other.time;
-      }
-      return seq > other.seq;
-    }
-  };
-
-  int64_t now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
-  std::priority_queue<Entry> queue_;
-  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
-};
-
-// ---------------------------------------------------------------------------
 // TLB: lookup hit, lookup miss, and fill-with-eviction throughput for the
-// set-associative Tlb vs. the original LinearScanTlb, same 64-entry capacity.
+// 64-entry set-associative Tlb.
 // ---------------------------------------------------------------------------
 
 template <class TlbT>
@@ -117,7 +49,6 @@ void BM_TlbLookupHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_TlbLookupHit, LinearScanTlb);
 BENCHMARK_TEMPLATE(BM_TlbLookupHit, Tlb);
 
 template <class TlbT>
@@ -133,7 +64,6 @@ void BM_TlbLookupMiss(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_TlbLookupMiss, LinearScanTlb);
 BENCHMARK_TEMPLATE(BM_TlbLookupMiss, Tlb);
 
 template <class TlbT>
@@ -146,12 +76,10 @@ void BM_TlbFillEvict(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_TlbFillEvict, LinearScanTlb);
 BENCHMARK_TEMPLATE(BM_TlbFillEvict, Tlb);
 
 // ---------------------------------------------------------------------------
-// Event loop: schedule+fire throughput and schedule+cancel churn for the
-// optimized Simulator vs. the seed replica.
+// Event loop: schedule+fire throughput and schedule+cancel churn.
 // ---------------------------------------------------------------------------
 
 constexpr int kBatch = 1024;
@@ -174,7 +102,6 @@ void BM_SimScheduleFire(benchmark::State& state) {
   benchmark::DoNotOptimize(*counter);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK_TEMPLATE(BM_SimScheduleFire, SeedEventLoop);
 BENCHMARK_TEMPLATE(BM_SimScheduleFire, Simulator);
 
 template <class LoopT>
@@ -197,7 +124,6 @@ void BM_SimScheduleCancelFire(benchmark::State& state) {
   benchmark::DoNotOptimize(*counter);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK_TEMPLATE(BM_SimScheduleCancelFire, SeedEventLoop);
 BENCHMARK_TEMPLATE(BM_SimScheduleCancelFire, Simulator);
 
 // A deep pending queue: events reschedule themselves, so the heap stays at
@@ -228,7 +154,6 @@ void BM_SimSelfRescheduling(benchmark::State& state) {
   benchmark::DoNotOptimize(*fired);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_SimSelfRescheduling, SeedEventLoop);
 BENCHMARK_TEMPLATE(BM_SimSelfRescheduling, Simulator);
 
 // ---------------------------------------------------------------------------

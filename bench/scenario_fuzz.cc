@@ -1,6 +1,6 @@
 // Adversarial scenario fuzz driver (see DESIGN.md "Adversarial scenarios").
 //
-//   scenario_fuzz --seed N [--observe] [--print] [--linear]
+//   scenario_fuzz --seed N [--observe] [--print]
 //   scenario_fuzz --seeds N            # seeds 1..N, one after another
 //   scenario_fuzz --script FILE       # replay a saved event script
 //   scenario_fuzz --seed N --shrink   # reduce a failing seed to a minimal script
@@ -72,8 +72,6 @@ int main(int argc, char** argv) {
       tenants = static_cast<int>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--observe") {
       options.observe = true;
-    } else if (arg == "--linear") {
-      options.linear_structures = true;
     } else if (arg == "--shrink") {
       shrink = true;
     } else if (arg == "--print") {

@@ -39,7 +39,6 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const ScenarioOptions& opti
   SystemConfig sys_cfg;
   sys_cfg.phys_frames = spec.frames;
   sys_cfg.observe = options.observe;
-  sys_cfg.indexed_structures = !options.linear_structures;
   if (options.audit >= 0) {
     sys_cfg.audit = options.audit != 0;
   }

@@ -14,10 +14,6 @@ namespace nemesis {
 
 struct ScenarioOptions {
   bool observe = false;  // fault/revocation lifecycle spans
-  // Run with the linear O(n)/O(n·f) scheduler/allocator scans instead of the
-  // indexed structures. Picks and traces are byte-identical either way; the
-  // equivalence suite byte-compares runs of the same spec across this flag.
-  bool linear_structures = false;
   // Per-batch AuditOrDie override: -1 keeps the build default (on in
   // NEMESIS_AUDIT builds). The shrinker tests set 0 so an injected violation
   // is *reported* by the final audit instead of aborting the process.

@@ -36,10 +36,6 @@ System::System(SystemConfig config)
       auditor_(frames_allocator_, kernel_.ramtab(), mmu_, stretch_allocator_, translation_) {
   auditor_.RegisterUsd(&usd_);
   auditor_.RegisterScheduler(&usd_.scheduler());
-  // Indexed vs linear hot-path structures: selected before any client is
-  // admitted (both setters assert on that).
-  frames_allocator_.set_indexed(config_.indexed_structures);
-  usd_.scheduler().set_indexed(config_.indexed_structures);
   usd_.Start();
 
   NEM_ASSERT_MSG(config_.parallel_sim == 0, "parallel_sim is retired; the simulator is serial");

@@ -69,15 +69,6 @@ struct SystemConfig {
   // Retired: the simulator is serial, and System's constructor asserts 0.
   size_t parallel_sim = 0;
 
-  // Indexed hot-path structures (DESIGN.md "Indexed scheduler and allocator
-  // structures"). On (default): the Atropos scheduler and the frames
-  // allocator maintain incremental indexes (EDF/extra-time heaps, reclaimable
-  // counters, victim heaps, free-frame index) so per-pick and per-steal cost
-  // stays near-flat at fleet density. Off: the original O(n)/O(n·f) scans,
-  // kept as the ablation baseline; all picks and traces are byte-identical
-  // either way.
-  bool indexed_structures = true;
-
   // Observability (DESIGN.md "Observability"). When on, every memory fault is
   // traced as a lifecycle span (category "span" in the TraceRecorder) and the
   // metrics registry's per-domain latency histograms are populated. Default

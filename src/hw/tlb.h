@@ -1,15 +1,10 @@
-// Software TLB models.
+// Software TLB model.
 //
-// Tlb is an N-way set-associative design (default 4-way x 16 sets = the same
-// 64-entry capacity as the original fully-associative model): Lookup/Fill
-// probe only the VPN's set, so the cost is O(ways) instead of O(entries).
-// Replacement is per-set round-robin (invalid slots are preferred), which for
-// a 1-set configuration degenerates to the original FIFO behaviour.
-//
-// LinearScanTlb preserves the original fully-associative linear-scan
-// implementation behind the same interface; bench_core benchmarks both to
-// keep the speedup measurable, and the ablation tests use it as the
-// behavioural reference.
+// Tlb is an N-way set-associative design (default 4-way x 16 sets, 64
+// entries): Lookup/Fill probe only the VPN's set, so the cost is O(ways)
+// instead of O(entries). Replacement is per-set round-robin (invalid slots
+// are preferred), so Tlb(n, n) — one set — is the fully-associative FIFO
+// model.
 //
 // Protection and mapping changes must invalidate affected entries (the cost
 // of doing so is part of what Table 1's (un)protect benchmarks measure).
@@ -98,65 +93,6 @@ class Tlb {
   size_t set_mask_;             // sets - 1; sets is a power of two
   std::vector<Entry> slots_;    // sets * ways, set-major
   std::vector<uint8_t> victims_;  // per-set round-robin pointer
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t flushes_ = 0;
-};
-
-// The original fully-associative model: every Lookup linearly scans all
-// entries, replacement is global FIFO. Kept as the baseline side of the
-// bench_core TLB comparison.
-class LinearScanTlb {
- public:
-  using Entry = TlbEntry;
-
-  explicit LinearScanTlb(size_t entries = 64) : entries_(entries) {}
-
-  const Entry* Lookup(Vpn vpn) {
-    for (auto& e : entries_) {
-      if (e.valid && e.vpn == vpn) {
-        ++hits_;
-        return &e;
-      }
-    }
-    ++misses_;
-    return nullptr;
-  }
-
-  void Fill(Vpn vpn, Pfn pfn, uint8_t rights, Sid sid) {
-    for (auto& e : entries_) {
-      if (e.valid && e.vpn == vpn) {
-        e = Entry{true, vpn, pfn, rights, sid};
-        return;
-      }
-    }
-    entries_[next_victim_] = Entry{true, vpn, pfn, rights, sid};
-    next_victim_ = (next_victim_ + 1) % entries_.size();
-  }
-
-  void Invalidate(Vpn vpn) {
-    for (auto& e : entries_) {
-      if (e.valid && e.vpn == vpn) {
-        e.valid = false;
-      }
-    }
-  }
-
-  void InvalidateAll() {
-    for (auto& e : entries_) {
-      e.valid = false;
-    }
-    ++flushes_;
-  }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t flushes() const { return flushes_; }
-  size_t capacity() const { return entries_.size(); }
-
- private:
-  std::vector<Entry> entries_;
-  size_t next_victim_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t flushes_ = 0;

@@ -92,9 +92,9 @@ class RamTab {
 
   // Nail-transition observer: fired whenever a frame enters or leaves
   // kNailed, with the owner at transition time. The frames allocator uses it
-  // to maintain per-client reclaimable-frame counters (O(1)
-  // HasReclaimableFrame) without putting the allocator on the map/unmap hot
-  // path: kUnused <-> kMapped transitions cost one predicted branch. Not a
+  // to maintain per-client reclaimable-frame counters (the victim heaps'
+  // nailed/reclaimable split) without putting the allocator on the map/unmap
+  // hot path: kUnused <-> kMapped transitions cost one predicted branch. Not a
   // mutation authority — the observer only mirrors state the RamTab already
   // committed.
   using NailObserver = std::function<void(Pfn pfn, DomainId owner, bool nailed)>;

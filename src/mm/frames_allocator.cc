@@ -26,11 +26,6 @@ FramesAllocator::FramesAllocator(Simulator& sim, RamTab& ramtab, uint64_t total_
 
 FramesAllocator::~FramesAllocator() { ramtab_.set_nail_observer(nullptr); }
 
-void FramesAllocator::set_indexed(bool enabled) {
-  NEM_ASSERT_MSG(clients_.empty(), "set_indexed must precede the first AdmitClient");
-  indexed_ = enabled;
-}
-
 FramesAllocator::Client* FramesAllocator::Find(DomainId domain) {
   g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
   if (domain >= domain_to_index_.size() || domain_to_index_[domain] == kNoHeapHandle) {
@@ -55,9 +50,6 @@ void FramesAllocator::RefreshAccounting(Client& c) {
     // Every allocated-count mutation funnels through here, so this is the
     // single frame-holding probe for the conformance monitor.
     obs_->conformance().OnFramesHeld(c.domain, sim_.Now(), c.allocated);
-  }
-  if (!indexed_) {
-    return;
   }
   const bool candidate = c.alive && c.allocated > c.contract.guaranteed;
   if (!candidate) {
@@ -161,17 +153,7 @@ std::optional<FramesError> FramesAllocator::CheckAllocation(const Client& client
   if (!*guaranteed_request && !free_pool_.empty()) {
     // Optimistic allocations are granted only from genuinely spare memory:
     // never dip into the pool needed to cover outstanding guarantees.
-    uint64_t guaranteed_outstanding = 0;
-    if (indexed_) {
-      guaranteed_outstanding = guaranteed_outstanding_;
-    } else {
-      for (const auto& cl : clients_) {
-        if (cl->alive && cl->allocated < cl->contract.guaranteed) {
-          guaranteed_outstanding += cl->contract.guaranteed - cl->allocated;
-        }
-      }
-    }
-    if (free_pool_.size() <= guaranteed_outstanding) {
+    if (free_pool_.size() <= guaranteed_outstanding_) {
       return FramesError::kNoMemory;
     }
   }
@@ -180,18 +162,8 @@ std::optional<FramesError> FramesAllocator::CheckAllocation(const Client& client
 
 Expected<Pfn, FramesError> FramesAllocator::GrantSpecific(Client& client, Pfn pfn) {
   g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
-  if (indexed_) {
-    if (!free_pool_.Erase(pfn)) {
-      return MakeUnexpected(FramesError::kNoMemory);
-    }
-  } else {
-    // Retained linear baseline: the historical std::find over the free list.
-    bool found = false;
-    free_pool_.ForEach([&found, pfn](Pfn p) { found = found || p == pfn; });
-    if (!found) {
-      return MakeUnexpected(FramesError::kNoMemory);
-    }
-    free_pool_.Erase(pfn);
+  if (!free_pool_.Erase(pfn)) {
+    return MakeUnexpected(FramesError::kNoMemory);
   }
   ramtab_.SetOwner(pfn, client.domain);
   ramtab_.SetUnused(pfn);
@@ -231,8 +203,7 @@ Expected<Pfn, FramesError> FramesAllocator::AllocFrameInRegion(DomainId domain, 
   if (auto err = CheckAllocation(*c, &guaranteed_request); err.has_value()) {
     return MakeUnexpected(*err);
   }
-  const Pfn pfn = indexed_ ? free_pool_.FirstInRegion(region_base, region_len)
-                           : free_pool_.LinearFirstInRegion(region_base, region_len);
+  const Pfn pfn = free_pool_.FirstInRegion(region_base, region_len);
   if (pfn == kNoFreePfn) {
     return MakeUnexpected(FramesError::kNoMemory);
   }
@@ -252,8 +223,7 @@ Expected<Pfn, FramesError> FramesAllocator::AllocFrameWithColour(DomainId domain
   if (auto err = CheckAllocation(*c, &guaranteed_request); err.has_value()) {
     return MakeUnexpected(*err);
   }
-  const Pfn pfn = indexed_ ? free_pool_.FirstWithColour(colour, num_colours)
-                           : free_pool_.LinearFirstWithColour(colour, num_colours);
+  const Pfn pfn = free_pool_.FirstWithColour(colour, num_colours);
   if (pfn == kNoFreePfn) {
     return MakeUnexpected(FramesError::kNoMemory);
   }
@@ -447,59 +417,20 @@ FramesAllocator::Client* FramesAllocator::PickVictim() {
   // (re-picking it would either assert or stall behind its own deadline), and
   // a candidate whose frames are all nailed can only yield frames via the
   // kill path, so it loses to any candidate with a reclaimable frame.
-  if (indexed_) {
-    uint32_t excluded = kNoHeapHandle;
-    if (revocation_active_ && revocation_victim_ < domain_to_index_.size()) {
-      excluded = domain_to_index_[revocation_victim_];
-    }
-    uint32_t pick = victims_reclaimable_.TopExcluding(excluded);
-    if (pick == kNoHeapHandle) {
-      pick = victims_nailed_.TopExcluding(excluded);
-    }
-    return pick == kNoHeapHandle ? nullptr : clients_[pick].get();
+  uint32_t excluded = kNoHeapHandle;
+  if (revocation_active_ && revocation_victim_ < domain_to_index_.size()) {
+    excluded = domain_to_index_[revocation_victim_];
   }
-  Client* best = nullptr;
-  uint64_t best_surplus = 0;
-  Client* fallback = nullptr;  // largest surplus, fully nailed
-  uint64_t fallback_surplus = 0;
-  for (auto& c : clients_) {
-    if (!c->alive || c->allocated <= c->contract.guaranteed) {
-      continue;
-    }
-    if (revocation_active_ && c->domain == revocation_victim_) {
-      continue;
-    }
-    const uint64_t surplus = c->allocated - c->contract.guaranteed;
-    if (HasReclaimableFrame(*c)) {
-      if (surplus > best_surplus) {
-        best_surplus = surplus;
-        best = c.get();
-      }
-    } else if (surplus > fallback_surplus) {
-      fallback_surplus = surplus;
-      fallback = c.get();
-    }
+  uint32_t pick = victims_reclaimable_.TopExcluding(excluded);
+  if (pick == kNoHeapHandle) {
+    pick = victims_nailed_.TopExcluding(excluded);
   }
-  return best != nullptr ? best : fallback;
+  return pick == kNoHeapHandle ? nullptr : clients_[pick].get();
 }
 
 DomainId FramesAllocator::PeekVictim() {
   Client* victim = PickVictim();
   return victim != nullptr ? victim->domain : kNoDomain;
-}
-
-bool FramesAllocator::HasReclaimableFrame(const Client& c) const {
-  g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
-  if (indexed_) {
-    return c.reclaimable > 0;
-  }
-  // Retained linear baseline: the historical per-frame stack scan.
-  for (const Pfn pfn : c.stack.frames()) {
-    if (ramtab_.StateOf(pfn) != FrameState::kNailed) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void FramesAllocator::StartIntrusiveRevocation(Client& victim, uint64_t k, DomainId aggressor) {
@@ -714,38 +645,34 @@ std::string FramesAllocator::AuditIndexes() const {
       return who + "cached outstanding-guarantee contribution is stale";
     }
     outstanding += want;
-    if (indexed_) {
-      const bool candidate = c->allocated > c->contract.guaranteed;
-      const bool in_reclaimable = victims_reclaimable_.Contains(c->index);
-      const bool in_nailed = victims_nailed_.Contains(c->index);
-      const bool expect_reclaimable = candidate && c->reclaimable > 0;
-      const bool expect_nailed = candidate && c->reclaimable == 0;
-      if (in_reclaimable != expect_reclaimable || in_nailed != expect_nailed) {
-        return who + "victim-index membership disagrees with surplus/reclaimable state";
-      }
-      const VictimKey key{~(c->allocated - c->contract.guaranteed), c->index};
-      if (expect_reclaimable && victims_reclaimable_.KeyOf(c->index) != key) {
-        return who + "victim-index key disagrees with (~surplus, admission index)";
-      }
-      if (expect_nailed && victims_nailed_.KeyOf(c->index) != key) {
-        return who + "victim-index key disagrees with (~surplus, admission index)";
-      }
-      reclaimable_victims += expect_reclaimable ? 1 : 0;
-      nailed_victims += expect_nailed ? 1 : 0;
+    const bool candidate = c->allocated > c->contract.guaranteed;
+    const bool in_reclaimable = victims_reclaimable_.Contains(c->index);
+    const bool in_nailed = victims_nailed_.Contains(c->index);
+    const bool expect_reclaimable = candidate && c->reclaimable > 0;
+    const bool expect_nailed = candidate && c->reclaimable == 0;
+    if (in_reclaimable != expect_reclaimable || in_nailed != expect_nailed) {
+      return who + "victim-index membership disagrees with surplus/reclaimable state";
     }
+    const VictimKey key{~(c->allocated - c->contract.guaranteed), c->index};
+    if (expect_reclaimable && victims_reclaimable_.KeyOf(c->index) != key) {
+      return who + "victim-index key disagrees with (~surplus, admission index)";
+    }
+    if (expect_nailed && victims_nailed_.KeyOf(c->index) != key) {
+      return who + "victim-index key disagrees with (~surplus, admission index)";
+    }
+    reclaimable_victims += expect_reclaimable ? 1 : 0;
+    nailed_victims += expect_nailed ? 1 : 0;
   }
   if (outstanding != guaranteed_outstanding_) {
     return "outstanding-guarantee sum " + std::to_string(guaranteed_outstanding_) +
            " != per-client rescan " + std::to_string(outstanding);
   }
-  if (indexed_) {
-    if (!victims_reclaimable_.SelfCheck() || !victims_nailed_.SelfCheck()) {
-      return "victim-heap structure corrupt";
-    }
-    if (victims_reclaimable_.size() != reclaimable_victims ||
-        victims_nailed_.size() != nailed_victims) {
-      return "a victim index holds entries for dead or surplus-free clients";
-    }
+  if (!victims_reclaimable_.SelfCheck() || !victims_nailed_.SelfCheck()) {
+    return "victim-heap structure corrupt";
+  }
+  if (victims_reclaimable_.size() != reclaimable_victims ||
+      victims_nailed_.size() != nailed_victims) {
+    return "a victim index holds entries for dead or surplus-free clients";
   }
   return free_pool_.SelfCheck();
 }

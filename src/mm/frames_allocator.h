@@ -12,26 +12,24 @@
 //   cleaning dirty pages first) by a deadline T (default 100 ms); a victim
 //   that fails to comply is killed and all its frames reclaimed.
 //
-// Indexed mode (default) keeps the central decisions O(1)/O(log n) at fleet
-// density instead of rescanning every client and frame:
+// The central decisions stay O(1)/O(log n) at fleet density instead of
+// rescanning every client and frame:
 //
 // * per-client reclaimable (non-nailed) frame counters, maintained by the
 //   allocator's own grant/free/steal paths plus the RamTab's nail-transition
-//   observer, make HasReclaimableFrame a counter check;
+//   observer, sort victim candidates without walking their frame stacks;
 // * two victim heaps keyed (~surplus, admission index) — candidates with a
 //   reclaimable frame, and fully-nailed candidates (the kill-path fallback) —
 //   make PickVictim a top-of-heap read that skips the in-flight revocation
-//   victim;
+//   victim; ties in surplus go to the earliest-admitted client;
 // * an incrementally-maintained sum of unmet guarantees makes the optimistic
 //   admission check O(1);
 // * the free list is a FreeFrameIndex (push-ordered list + segment tree +
 //   colour buckets), so the placement allocators stop scanning it.
 //
-// All picks are byte-identical to the linear versions: the linear victim scan
-// takes the first strictly-larger surplus over the admission-ordered client
-// vector, which is exactly the heaps' (~surplus, admission index) order.
-// set_indexed(false) retains the O(n)/O(n·f) scans as a selectable baseline
-// for the tenant-density ablation bench and the equivalence suite.
+// tests/equivalence_test.cc checks every victim, granted pfn and placement
+// against a brute-force scan over the public views (ForEachClient,
+// ForEachFreeFrame, the RamTab).
 #ifndef SRC_MM_FRAMES_ALLOCATOR_H_
 #define SRC_MM_FRAMES_ALLOCATOR_H_
 
@@ -83,12 +81,6 @@ class FramesAllocator {
   FramesAllocator(Simulator& sim, RamTab& ramtab, uint64_t total_frames,
                   TraceRecorder* trace = nullptr);
   ~FramesAllocator();
-
-  // Selects the indexed (default) or linear pick/scan implementations. Must
-  // be set before the first AdmitClient: the indexes are maintained from
-  // admission on.
-  void set_indexed(bool enabled);
-  bool indexed() const { return indexed_; }
 
   // --- Client management ---------------------------------------------------
 
@@ -182,8 +174,8 @@ class FramesAllocator {
   size_t guaranteed_waiters() const { return guaranteed_waiters_.size(); }
 
   // The domain PickVictim would choose right now (kNoDomain when none).
-  // Read-only: the tenant-density bench and the equivalence suite use it to
-  // compare victim choices without running a revocation.
+  // Read-only: the equivalence suite compares it with its reference scan
+  // without running a revocation.
   DomainId PeekVictim();
 
   // Observability hook; revoke-* spans (victim as client, aggressor in
@@ -223,8 +215,7 @@ class FramesAllocator {
   };
 
   // Victim-heap key: smallest-first order realising "largest optimistic
-  // surplus, ties to the earliest-admitted client" — the linear scan's
-  // first-strictly-larger-surplus rule over the append-only client vector.
+  // surplus, ties to the earliest-admitted client".
   using VictimKey = std::pair<uint64_t, uint64_t>;  // (~surplus, admission index)
 
   Client* Find(DomainId domain);
@@ -242,7 +233,6 @@ class FramesAllocator {
   // reclaimable (non-nailed) frame; a fully-nailed candidate is only returned
   // as a last resort (the kill path), never picked over a compliant victim.
   Client* PickVictim();
-  bool HasReclaimableFrame(const Client& c) const;
   // Recomputes the client's contribution to the outstanding-guarantee sum
   // and its victim-heap membership/keys. The single maintenance point: every
   // path that changes allocated/reclaimable/alive ends with a call.
@@ -280,14 +270,12 @@ class FramesAllocator {
   Obs* obs_ = nullptr;
   DomainAccessChecker* access_checker_ = nullptr;
   uint64_t total_frames_;
-  bool indexed_ = true;
   // Contract accounting and the frame stacks are the allocator's shared core:
   // under the threaded design they are only written inside the system
   // domain's serialized section (or its cross-domain revocation interface).
   uint64_t guaranteed_total_ NEM_GUARDED_BY(g_system_domain) = 0;
   // Sum of max(0, g - allocated) over live clients: the O(1) form of the
-  // optimistic-admission scan. Maintained in both modes (the audit
-  // cross-checks it); only the indexed CheckAllocation reads it.
+  // optimistic-admission check (the audit cross-checks it).
   uint64_t guaranteed_outstanding_ NEM_GUARDED_BY(g_system_domain) = 0;
   FreeFrameIndex free_pool_ NEM_GUARDED_BY(g_system_domain);
   std::vector<std::unique_ptr<Client>> clients_ NEM_GUARDED_BY(g_system_domain);

@@ -116,24 +116,6 @@ Pfn FreeFrameIndex::FirstWithColour(uint64_t colour, uint64_t num_colours) {
   return bucket.empty() ? kNoFreePfn : bucket.begin()->second;
 }
 
-Pfn FreeFrameIndex::LinearFirstInRegion(Pfn region_base, uint64_t region_len) const {
-  for (Pfn pfn = head_; pfn != kNoFreePfn; pfn = next_[pfn]) {
-    if (pfn >= region_base && pfn < region_base + region_len) {
-      return pfn;
-    }
-  }
-  return kNoFreePfn;
-}
-
-Pfn FreeFrameIndex::LinearFirstWithColour(uint64_t colour, uint64_t num_colours) const {
-  for (Pfn pfn = head_; pfn != kNoFreePfn; pfn = next_[pfn]) {
-    if (pfn % num_colours == colour) {
-      return pfn;
-    }
-  }
-  return kNoFreePfn;
-}
-
 std::string FreeFrameIndex::SelfCheck() const {
   uint64_t walked = 0;
   uint64_t last_seq = 0;

@@ -1,24 +1,18 @@
 // Indexed free-frame pool for the frames allocator.
 //
-// The allocator's original free list was a plain vector used as a LIFO
-// (TakeFreeFrame pops the back) whose placement paths — AllocFrameInRegion /
-// AllocFrameWithColour — scanned front-to-back for the first match, an O(free)
-// cost per placement request. Because the vector only ever grows at the back
-// and shrinks by middle-erase, front-to-back order is exactly push order; this
-// container preserves that order explicitly (a doubly-linked list threaded
-// through pfn slots, each stamped with a monotonically increasing push
-// sequence) so the "first match in scan order" a linear walk would return is
-// precisely the minimum-sequence member of the query set. Two indexes answer
-// that in sublinear time, byte-identical to the scan:
+// The free list is a LIFO (TakeFreeFrame pops the back) whose placement
+// paths — AllocFrameInRegion / AllocFrameWithColour — take the first match in
+// push order. The container keeps that order explicitly (a doubly-linked list
+// threaded through pfn slots, each stamped with a monotonically increasing
+// push sequence), so the first match in list order is precisely the
+// minimum-sequence member of the query set. Two indexes answer that in
+// sublinear time:
 //
 //  * region queries: a segment tree over pfn space holding each free frame's
 //    push sequence — FirstInRegion is a range-min, O(log frames);
 //  * colour queries: per-residue buckets ordered by (sequence, pfn), rebuilt
 //    lazily when a caller's colour modulus changes — FirstWithColour is a
 //    bucket-front read, O(log frames) per mutation.
-//
-// The linear walks are kept as LinearFirst* so the tenant-density bench can
-// measure the ablation against the retained baseline.
 #ifndef SRC_MM_FREE_FRAME_INDEX_H_
 #define SRC_MM_FREE_FRAME_INDEX_H_
 
@@ -56,11 +50,6 @@ class FreeFrameIndex {
   // First frame in list order with pfn % num_colours == colour. Rebuilds the
   // residue buckets when `num_colours` differs from the last query's modulus.
   Pfn FirstWithColour(uint64_t colour, uint64_t num_colours);
-
-  // Retained linear baselines: the original O(free) scans, over the same
-  // storage, for the bench ablation and the equivalence suite.
-  Pfn LinearFirstInRegion(Pfn region_base, uint64_t region_len) const;
-  Pfn LinearFirstWithColour(uint64_t colour, uint64_t num_colours) const;
 
   // Visits every free frame front-to-back (push order) — the auditor's
   // replacement for iterating the old vector.

@@ -29,11 +29,6 @@ AtroposScheduler::~AtroposScheduler() {
   }
 }
 
-void AtroposScheduler::set_indexed(bool enabled) {
-  NEM_ASSERT_MSG(clients_.empty(), "set_indexed must precede the first Admit");
-  indexed_ = enabled;
-}
-
 AtroposScheduler::Client* AtroposScheduler::Find(SchedClientId id) {
   if (id >= id_to_index_.size() || id_to_index_[id] == kNoHeapHandle) {
     return nullptr;
@@ -47,9 +42,6 @@ const AtroposScheduler::Client* AtroposScheduler::Find(SchedClientId id) const {
 }
 
 void AtroposScheduler::Reindex(uint32_t i) {
-  if (!indexed_) {
-    return;
-  }
   const Client& c = clients_[i];
   const bool runnable = c.alive && c.state == SchedClientState::kRunnable;
   const bool active = runnable && c.remain > 0;
@@ -167,15 +159,15 @@ void AtroposScheduler::SetQueued(SchedClientId id, uint32_t queued) {
 
 void AtroposScheduler::DrainPendingTransitions() {
   // Exhausted but not yet moved (a refresh landed with a carried deficit):
-  // treat as waiting until the refresh timer fires. Silent, like the scan.
+  // treat as waiting until the refresh timer fires. Silent: no trace record.
   for (const uint32_t i : deficit_pending_) {
     clients_[i].state = SchedClientState::kWaiting;
   }
   deficit_pending_.clear();
   // The paper's idle transition: no pending transactions and no laxity
   // budget left — ignored until the next periodic allocation. Drained in
-  // client-index order == id order == the linear scan's vector order, so the
-  // "idle" trace records land in the same order as the scan emitted them.
+  // client-index order == id order, so the "idle" trace records land in id
+  // order.
   for (const uint32_t i : idle_pending_) {
     Client& c = clients_[i];
     c.state = SchedClientState::kIdle;
@@ -188,83 +180,25 @@ void AtroposScheduler::DrainPendingTransitions() {
   idle_pending_.clear();
 }
 
-template <typename Pred>
-const AtroposScheduler::Client* AtroposScheduler::ScanMinDeadline(Pred eligible) const {
-  // Retained linear baseline. First strictly smaller deadline wins: with the
-  // append-only, admission-ordered vector this is the (deadline, id)
-  // tie-break the indexed heaps key on (see the header comment).
-  const Client* best = nullptr;
-  for (const auto& c : clients_) {
-    if (!eligible(c)) {
-      continue;
-    }
-    if (best == nullptr || c.deadline < best->deadline) {
-      best = &c;
-    }
-  }
-  return best;
-}
-
 std::optional<AtroposScheduler::Pick> AtroposScheduler::PickNext() {
-  Client* best = nullptr;
-  if (indexed_) {
-    DrainPendingTransitions();
-    if (!edf_.empty()) {
-      best = &clients_[edf_.TopHandle()];
-    }
-  } else {
-    // Linear baseline: apply the lazy transitions in one pass over the
-    // vector (exactly the indexed mode's drain, fused into the walk), then
-    // select. The transition conditions are per-client, so applying them all
-    // before selecting is equivalent to the historical interleaved scan.
-    for (auto& c : clients_) {
-      if (!c.alive || c.state != SchedClientState::kRunnable) {
-        continue;
-      }
-      if (c.remain <= 0) {
-        // Exhausted but not yet moved (executor charged somebody else last):
-        // treat as waiting until the refresh timer fires.
-        c.state = SchedClientState::kWaiting;
-        continue;
-      }
-      if (c.queued == 0 && c.spec.laxity - c.lax_used <= 0) {
-        // The paper's idle transition: no pending transactions and no laxity
-        // budget left — ignored until the next periodic allocation.
-        c.state = SchedClientState::kIdle;
-        if (trace_ != nullptr) {
-          trace_->Record(sim_.Now(), trace_category_, static_cast<int>(c.id), kIdle,
-                         ToMilliseconds(c.remain), 0.0);
-        }
-      }
-    }
-    best = const_cast<Client*>(ScanMinDeadline([](const Client& c) {
-      return c.alive && c.state == SchedClientState::kRunnable && c.remain > 0;
-    }));
-  }
-  if (best == nullptr) {
+  DrainPendingTransitions();
+  if (edf_.empty()) {
     return std::nullopt;
   }
-  const bool has_work = best->queued > 0;
-  SimDuration budget = best->remain;
+  const Client& best = clients_[edf_.TopHandle()];
+  const bool has_work = best.queued > 0;
+  SimDuration budget = best.remain;
   if (!has_work) {
-    budget = std::min(budget, best->spec.laxity - best->lax_used);
+    budget = std::min(budget, best.spec.laxity - best.lax_used);
   }
-  return Pick{best->id, !has_work, budget, best->remain, best->deadline};
+  return Pick{best.id, !has_work, budget, best.remain, best.deadline};
 }
 
 std::optional<SchedClientId> AtroposScheduler::PickSlack() const {
-  if (indexed_) {
-    if (extra_.empty()) {
-      return std::nullopt;
-    }
-    return clients_[extra_.TopHandle()].id;
-  }
-  const Client* best = ScanMinDeadline(
-      [](const Client& c) { return c.alive && c.spec.extra && c.queued > 0; });
-  if (best == nullptr) {
+  if (extra_.empty()) {
     return std::nullopt;
   }
-  return best->id;
+  return clients_[extra_.TopHandle()].id;
 }
 
 void AtroposScheduler::Charge(SchedClientId id, SimDuration used, bool was_lax) {
@@ -360,9 +294,6 @@ size_t AtroposScheduler::client_count() const {
 }
 
 std::string AtroposScheduler::AuditIndexes() const {
-  if (!indexed_) {
-    return "";
-  }
   const std::string self = "atropos(" + std::string(trace_category_.str()) + ")";
   if (!edf_.SelfCheck() || !extra_.SelfCheck()) {
     return self + ": heap structure corrupt";
@@ -420,7 +351,7 @@ std::string AtroposScheduler::AuditIndexes() const {
 }
 
 void AtroposScheduler::TestOnlyCorruptEdfKey() {
-  if (!indexed_ || edf_.empty()) {
+  if (edf_.empty()) {
     return;
   }
   const uint32_t top = edf_.TopHandle();

@@ -17,25 +17,20 @@
 // Once its laxity is used up the client is marked idle and — as in the paper
 // — ignored until its next periodic allocation.
 //
-// Indexed mode (default): picks read the top of incrementally-maintained
-// heaps instead of scanning every client. The EDF index holds the runnable
-// clients with time remaining, keyed (deadline, id); the extra-time index
-// holds the slack-eligible clients (x=true with queued work), same key; both
-// are updated on the events that change a key — Admit/Remove, Charge,
-// periodic refresh, work arrival — so a pick is O(1) and an update O(log n).
-// The exhausted/idle transitions the linear scan applied mid-walk are
-// tracked event-driven in two pending sets and drained at PickNext entry in
-// client-id order, which is exactly the append-only vector's scan order, so
-// state changes and "idle" trace records happen at the same simulated time,
-// in the same order, as the linear walk. set_indexed(false) retains the
-// original O(n) scans as a selectable baseline (the LinearScanTlb precedent)
-// for the tenant-density ablation bench and the equivalence suite.
+// Picks read the top of incrementally-maintained heaps instead of scanning
+// every client. The EDF index holds the runnable clients with time
+// remaining, keyed (deadline, id); the extra-time index holds the
+// slack-eligible clients (x=true with queued work), same key; both are
+// updated on the events that change a key — Admit/Remove, Charge, periodic
+// refresh, work arrival — so a pick is O(1) and an update O(log n). The
+// exhausted/idle transitions are tracked event-driven in two pending sets and
+// drained at PickNext entry in client-id order, so "idle" trace records land
+// in id order at the pick's simulated time.
 //
-// Tie-break rule (both modes): earliest deadline wins; equal deadlines go to
-// the smaller client id. Ids are handed out in admission order and clients_
-// is append-only, so the linear scan's "first strictly smaller deadline wins"
-// over the vector realises the same total order as the heaps' (deadline, id)
-// key — this is what keeps indexed picks byte-identical to the scan.
+// Tie-break rule: earliest deadline wins; equal deadlines go to the smaller
+// client id, which is the earlier-admitted client since ids are handed out in
+// admission order. tests/equivalence_test.cc checks every pick against a
+// brute-force scan over the public accessors.
 #ifndef SRC_SCHED_ATROPOS_H_
 #define SRC_SCHED_ATROPOS_H_
 
@@ -102,11 +97,6 @@ class AtroposScheduler {
   // paper.
   void set_rollover(bool enabled) { rollover_ = enabled; }
 
-  // Selects the indexed (default) or linear pick implementation. Must be set
-  // before the first Admit: the indexes are maintained from admission on.
-  void set_indexed(bool enabled);
-  bool indexed() const { return indexed_; }
-
   // Admission control: rejects the client if the sum of reserved fractions
   // would exceed 1. The first allocation is granted immediately.
   Expected<SchedClientId, AdmitError> Admit(std::string name, QosSpec spec);
@@ -161,7 +151,7 @@ class AtroposScheduler {
 
   // Corrupts the EDF index key of an arbitrary member. Index corruption is
   // unreachable through the public API, so the auditor rule's unit test
-  // needs this back door. No-op in linear mode or with an empty index.
+  // needs this back door. No-op with an empty index.
   void TestOnlyCorruptEdfKey();
 
  private:
@@ -191,15 +181,9 @@ class AtroposScheduler {
   // Re-evaluates every index membership/key for clients_[i] from its state.
   // The single maintenance point: every mutation path ends with a Reindex.
   void Reindex(uint32_t i);
-  // Applies the lazy exhausted/idle transitions at PickNext entry (indexed
-  // mode): pending sets are drained in client-index order == id order ==
-  // the linear scan's order.
+  // Applies the lazy exhausted/idle transitions at PickNext entry: pending
+  // sets are drained in client-index order == id order.
   void DrainPendingTransitions();
-  // Linear min-deadline selection shared by PickNext and PickSlack (the
-  // retained baseline): first strictly smaller deadline wins, realising the
-  // (deadline, id) tie-break over the append-only, id-ordered vector.
-  template <typename Pred>
-  const Client* ScanMinDeadline(Pred eligible) const;
 
   Simulator& sim_;
   TraceRecorder* trace_;
@@ -209,14 +193,13 @@ class AtroposScheduler {
   std::function<void(SchedClientId, SimTime, SimDuration, bool)> refresh_hook_;
   std::function<void(SchedClientId, SimTime, bool)> queue_hook_;
   bool rollover_ = true;
-  bool indexed_ = true;
   double reserved_fraction_ = 0.0;
   SchedClientId next_id_ = 1;
   std::vector<Client> clients_;
   // id -> index into clients_ (kNoHeapHandle when dead/unknown): O(1) Find.
   std::vector<uint32_t> id_to_index_;
 
-  // Indexed-mode structures; handles are clients_ indexes.
+  // Pick indexes; handles are clients_ indexes.
   IndexedHeap<EdfKey> edf_;           // alive, runnable, remain > 0
   IndexedHeap<EdfKey> extra_;         // alive, x=true, queued > 0
   std::set<uint32_t> idle_pending_;   // EDF members due the idle transition

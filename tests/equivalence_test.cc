@@ -1,223 +1,171 @@
-// Linear-vs-indexed equivalence suite (DESIGN.md "Indexed scheduler and
-// allocator structures"): the EDF heap and the O(1) frame accounting must be
-// bit-identical to the linear scans they replace. Covered here:
-//   * generated scenarios, 20 seeds: identical trace CSVs and outcome
-//     counters under ScenarioOptions::linear_structures
-//   * a tenant-storm spec (the fleet-density preset) under the same flag
-//   * EDF heap decrease/increase-key across Charge and periodic refresh,
-//     checked pick-by-pick against a linear twin
-//   * reclaimable counters and victim/colour/region choices across
-//     nail/unnail, steals, frees, and client teardown, against a linear twin
-//   * the auditor's indexed-structures rule trips on injected corruption
+// Reference-model suite (DESIGN.md "Indexed scheduler and allocator
+// structures"): the Atropos heaps and the frames allocator's counters, victim
+// heaps and free-frame index are the only implementation of each decision.
+// Each test drives one production instance and, after every decision,
+// compares the result with a brute-force scan computed here from public
+// views only:
+//   * EDF pick: minimum (deadline, id) over live clients that are runnable
+//     with time remaining
+//   * slack pick: minimum (deadline, id) over extra-time clients with queued
+//     work (the test records the queued counts it sets)
+//   * victim: largest optimistic surplus in admission order, a client owning
+//     a frame the RamTab does not show as nailed beating any fully-nailed one,
+//     skipping the victim of an in-flight intrusive revocation
+//   * granted pfn: the back of the free list, or the victim's stack top when
+//     the pool is empty
+//   * colour/region placement: the first match in free-list order
+// AuditIndexes() runs after every step, and the auditor's
+// indexed-structures rule must trip on injected corruption.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <memory>
-#include <sstream>
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/invariants.h"
-#include "src/core/scenario_runner.h"
 #include "src/core/system.h"
 #include "src/kernel/ramtab.h"
 #include "src/mm/frames_allocator.h"
 #include "src/sched/atropos.h"
-#include "src/sim/scenario_gen.h"
 #include "src/sim/simulator.h"
 
 namespace nemesis {
 namespace {
 
-// --- Scenario-level equivalence ---------------------------------------------
-
-// Small-but-adversarial generator shape (as in scenario_test.cc): enough
-// pressure to revoke and kill, small enough for 20x4 runs in tier-1 budgets.
-GeneratorConfig FastConfig() {
-  GeneratorConfig cfg;
-  cfg.min_frames = 24;
-  cfg.max_frames = 48;
-  cfg.min_domains = 2;
-  cfg.max_domains = 4;
-  cfg.max_events = 14;
-  cfg.horizon = Milliseconds(200);
-  cfg.max_burst_ops = 96;
-  return cfg;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// Counters in one comparable string (also the failure message on mismatch).
-std::string Fingerprint(const ScenarioResult& r) {
-  std::ostringstream out;
-  out << "ok=" << r.ok << " faults=" << r.faults << " transparent=" << r.revocations_transparent
-      << " intrusive=" << r.revocations_intrusive << " cancelled=" << r.revocations_cancelled
-      << " killed=" << r.domains_killed;
-  return out.str();
-}
-
-struct RunOutput {
-  ScenarioResult result;
-  std::string trace;
-};
-
-RunOutput RunVariant(const ScenarioSpec& spec, bool linear) {
-  static int run_counter = 0;
-  ScenarioOptions options;
-  options.linear_structures = linear;
-  options.trace_path = ::testing::TempDir() + "/equivalence_trace_" +
-                       std::to_string(run_counter++) + ".csv";
-  RunOutput out;
-  out.result = RunScenario(spec, options);
-  out.trace = ReadFile(options.trace_path);
-  EXPECT_FALSE(out.trace.empty());
-  return out;
-}
-
-TEST(ScenarioEquivalence, TwentySeedsLinearAndIndexed) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const ScenarioSpec spec = GenerateScenario(seed, FastConfig());
-    const RunOutput linear = RunVariant(spec, /*linear=*/true);
-    const RunOutput indexed = RunVariant(spec, /*linear=*/false);
-    EXPECT_TRUE(indexed.result.ok) << "seed " << seed << ": " << indexed.result.failure;
-    EXPECT_EQ(Fingerprint(linear.result), Fingerprint(indexed.result)) << "seed " << seed;
-    // The trace is the full pick/fault/revocation record, so equality here
-    // means identical decision sequences.
-    EXPECT_EQ(linear.trace, indexed.trace) << "seed " << seed;
-  }
-}
-
-TEST(ScenarioEquivalence, TenantStormMatches) {
-  // The fleet-density preset (>10 domains engages the scaled disk QoS and
-  // exact swap sizing), small enough for a unit-test budget.
-  const ScenarioSpec spec = GenerateTenantStorm(1, 32, Milliseconds(200));
-  const RunOutput linear = RunVariant(spec, /*linear=*/true);
-  const RunOutput indexed = RunVariant(spec, /*linear=*/false);
-  EXPECT_TRUE(indexed.result.ok) << indexed.result.failure;
-  EXPECT_EQ(Fingerprint(linear.result), Fingerprint(indexed.result));
-  EXPECT_EQ(linear.trace, indexed.trace);
-}
-
-// --- EDF heap unit tests ----------------------------------------------------
+// --- Atropos against its reference scans ------------------------------------
 
 QosSpec Spec(int64_t period_ms, int64_t slice_ms, int64_t laxity_ms = 0, bool extra = false) {
   return QosSpec{Milliseconds(period_ms), Milliseconds(slice_ms), extra, Milliseconds(laxity_ms)};
 }
 
-// Twin schedulers (one linear, one indexed) fed identical operations. Every
-// Charge is a heap increase-key (deadline advances on refresh) and every
-// periodic reallocation a decrease-key relative to peers; the pick sequence
-// is the observable that proves the keys stayed right.
-struct SchedTwins {
-  Simulator sim_linear;
-  Simulator sim_indexed;
-  AtroposScheduler linear{sim_linear};
-  AtroposScheduler indexed{sim_indexed};
+// One scheduler plus the bookkeeping the reference scans need: the live ids
+// and the queued count last set for each. Every Charge is a heap
+// increase-key (deadline advances on refresh) and every periodic
+// reallocation a decrease-key relative to peers; the pick sequence is the
+// observable that proves the keys stayed right.
+struct SchedReference {
+  Simulator sim;
+  AtroposScheduler sched{sim};
+  std::vector<SchedClientId> ids;
+  std::map<SchedClientId, uint32_t> queued;
 
-  SchedTwins() {
-    linear.set_indexed(false);
-    // indexed mode is the default; assert rather than assume.
-    EXPECT_TRUE(indexed.indexed());
+  SchedClientId Admit(const std::string& name, QosSpec spec) {
+    auto id = sched.Admit(name, spec);
+    EXPECT_TRUE(id.has_value());
+    ids.push_back(*id);
+    return *id;
   }
 
-  SchedClientId AdmitBoth(const std::string& name, QosSpec spec) {
-    auto a = linear.Admit(name, spec);
-    auto b = indexed.Admit(name, spec);
-    EXPECT_TRUE(a.has_value() && b.has_value());
-    EXPECT_EQ(*a, *b);
-    return *a;
+  void SetQueued(SchedClientId id, uint32_t n) {
+    sched.SetQueued(id, n);
+    queued[id] = n;
   }
 
-  void RunUntilBoth(SimTime t) {
-    sim_linear.RunUntil(t);
-    sim_indexed.RunUntil(t);
+  void Remove(SchedClientId id) {
+    sched.Remove(id);
+    std::erase(ids, id);
+    queued.erase(id);
   }
 
-  // One pick+charge step on both; returns false when both were nullopt.
-  // Asserts the picks (and slack fallbacks) are identical.
+  // Minimum (deadline, id) over the live clients `eligible` accepts.
+  template <typename Pred>
+  std::optional<SchedClientId> ScanMin(Pred eligible) const {
+    std::optional<std::pair<SimTime, SchedClientId>> best;
+    for (const SchedClientId id : ids) {
+      const std::pair<SimTime, SchedClientId> key{sched.deadline(id), id};
+      if (eligible(id) && (!best.has_value() || key < *best)) {
+        best = key;
+      }
+    }
+    if (!best.has_value()) {
+      return std::nullopt;
+    }
+    return best->second;
+  }
+
+  // PickNext applies the lazy exhausted/idle transitions before it reads the
+  // heap, so the reference reads the client states after the call.
+  std::optional<SchedClientId> ReferenceEdf() const {
+    return ScanMin([this](SchedClientId id) {
+      return sched.state(id) == SchedClientState::kRunnable && sched.remaining(id) > 0;
+    });
+  }
+
+  std::optional<SchedClientId> ReferenceSlack() const {
+    return ScanMin([this](SchedClientId id) {
+      const auto it = queued.find(id);
+      return sched.spec(id).extra && it != queued.end() && it->second > 0;
+    });
+  }
+
+  // One pick+charge step; returns false when PickNext had nothing. Asserts
+  // the pick (or the slack fallback) matches the reference.
   bool Step() {
-    auto a = linear.PickNext();
-    auto b = indexed.PickNext();
-    EXPECT_EQ(a.has_value(), b.has_value());
-    if (a.has_value() && b.has_value()) {
-      EXPECT_EQ(a->client, b->client);
-      EXPECT_EQ(a->lax, b->lax);
-      EXPECT_EQ(a->deadline, b->deadline);
-      EXPECT_EQ(a->budget, b->budget);
-      linear.Charge(a->client, a->budget, a->lax);
-      indexed.Charge(b->client, b->budget, b->lax);
-      EXPECT_EQ(indexed.AuditIndexes(), "");
+    const auto pick = sched.PickNext();
+    const auto want = ReferenceEdf();
+    EXPECT_EQ(pick.has_value(), want.has_value());
+    if (pick.has_value() && want.has_value()) {
+      EXPECT_EQ(pick->client, *want);
+      EXPECT_EQ(pick->deadline, sched.deadline(pick->client));
+      EXPECT_EQ(pick->slice_remaining, sched.remaining(pick->client));
+      EXPECT_EQ(pick->lax, queued[pick->client] == 0);
+      if (!pick->lax) {
+        EXPECT_EQ(pick->budget, sched.remaining(pick->client));
+      }
+      sched.Charge(pick->client, pick->budget, pick->lax);
+      EXPECT_EQ(sched.AuditIndexes(), "");
       return true;
     }
-    auto sa = linear.PickSlack();
-    auto sb = indexed.PickSlack();
-    EXPECT_EQ(sa.has_value(), sb.has_value());
-    if (sa.has_value() && sb.has_value()) {
-      EXPECT_EQ(*sa, *sb);
-    }
+    EXPECT_EQ(sched.PickSlack(), ReferenceSlack());
     return false;
   }
 };
 
 TEST(EdfHeapEquivalence, ChargeAndRefreshKeepPicksIdentical) {
-  SchedTwins twins;
-  std::vector<SchedClientId> ids;
+  SchedReference ref;
   for (int i = 0; i < 6; ++i) {
-    ids.push_back(twins.AdmitBoth("c" + std::to_string(i),
-                                  Spec(20 + 5 * (i % 3), 2, /*laxity_ms=*/1, i % 2 == 0)));
+    const SchedClientId id = ref.Admit("c" + std::to_string(i),
+                                       Spec(20 + 5 * (i % 3), 2, /*laxity_ms=*/1, i % 2 == 0));
+    ref.SetQueued(id, 4);
   }
-  for (SchedClientId id : ids) {
-    twins.linear.SetQueued(id, 4);
-    twins.indexed.SetQueued(id, 4);
-  }
-  ASSERT_EQ(twins.indexed.AuditIndexes(), "");
+  ASSERT_EQ(ref.sched.AuditIndexes(), "");
   // Interleave picks with time: exhaustion parks clients (heap removal),
   // periodic refresh re-arms them (heap insert with a new key).
   SimTime t = 0;
   for (int round = 0; round < 200; ++round) {
-    while (twins.Step()) {
+    while (ref.Step()) {
     }
     t += Microseconds(500);
-    twins.RunUntilBoth(t);
-    EXPECT_EQ(twins.indexed.AuditIndexes(), "") << "round " << round;
-  }
-  for (SchedClientId id : ids) {
-    EXPECT_EQ(twins.linear.total_charged(id), twins.indexed.total_charged(id)) << "client " << id;
-    EXPECT_EQ(twins.linear.deadline(id), twins.indexed.deadline(id)) << "client " << id;
+    ref.sim.RunUntil(t);
+    EXPECT_EQ(ref.sched.AuditIndexes(), "") << "round " << round;
   }
 }
 
 TEST(EdfHeapEquivalence, WorkArrivalAndRemovalKeepPicksIdentical) {
-  SchedTwins twins;
-  const SchedClientId a = twins.AdmitBoth("a", Spec(50, 5));
-  const SchedClientId b = twins.AdmitBoth("b", Spec(30, 3));
-  const SchedClientId c = twins.AdmitBoth("c", Spec(40, 4, /*laxity_ms=*/2, /*extra=*/true));
+  SchedReference ref;
+  const SchedClientId a = ref.Admit("a", Spec(50, 5));
+  const SchedClientId b = ref.Admit("b", Spec(30, 3));
+  const SchedClientId c = ref.Admit("c", Spec(40, 4, /*laxity_ms=*/2, /*extra=*/true));
   for (SchedClientId id : {a, b, c}) {
-    twins.linear.SetQueued(id, 2);
-    twins.indexed.SetQueued(id, 2);
+    ref.SetQueued(id, 2);
   }
-  while (twins.Step()) {
+  while (ref.Step()) {
   }
   // Drain one client's queue, then remove another mid-stream.
-  twins.linear.SetQueued(a, 0);
-  twins.indexed.SetQueued(a, 0);
-  twins.RunUntilBoth(Milliseconds(60));
-  while (twins.Step()) {
+  ref.SetQueued(a, 0);
+  ref.sim.RunUntil(Milliseconds(60));
+  while (ref.Step()) {
   }
-  twins.linear.Remove(b);
-  twins.indexed.Remove(b);
-  EXPECT_EQ(twins.indexed.AuditIndexes(), "");
-  twins.linear.SetQueued(a, 3);
-  twins.indexed.SetQueued(a, 3);
-  twins.RunUntilBoth(Milliseconds(120));
-  while (twins.Step()) {
+  ref.Remove(b);
+  EXPECT_EQ(ref.sched.AuditIndexes(), "");
+  ref.SetQueued(a, 3);
+  ref.sim.RunUntil(Milliseconds(120));
+  while (ref.Step()) {
   }
-  EXPECT_EQ(twins.indexed.AuditIndexes(), "");
+  EXPECT_EQ(ref.sched.AuditIndexes(), "");
 }
 
 TEST(EdfHeapEquivalence, AuditIndexesDetectsCorruptKey) {
@@ -231,162 +179,240 @@ TEST(EdfHeapEquivalence, AuditIndexesDetectsCorruptKey) {
   EXPECT_NE(sched.AuditIndexes(), "");
 }
 
-// --- Frame accounting unit tests --------------------------------------------
+// --- Frames allocator against its reference scans ---------------------------
 
-// Twin allocators (one linear, one indexed) fed identical operations; the
-// observables are victim choices, granted pfns, and the indexed self-audit.
+// One allocator, checked after every decision against the scans below; the
+// observables are victim choices, granted pfns, and the allocator's
+// self-audit.
 class FramesTwins : public ::testing::Test {
  protected:
   static constexpr uint64_t kTotal = 24;
-
-  FramesTwins()
-      : ramtab_linear_(kTotal),
-        ramtab_indexed_(kTotal),
-        linear_(sim_linear_, ramtab_linear_, kTotal),
-        indexed_(sim_indexed_, ramtab_indexed_, kTotal) {
-    linear_.set_indexed(false);
-    EXPECT_TRUE(indexed_.indexed());
-  }
-
-  void AdmitBoth(DomainId dom, FramesContract contract) {
-    ASSERT_TRUE(linear_.AdmitClient(dom, contract).ok());
-    ASSERT_TRUE(indexed_.AdmitClient(dom, contract).ok());
-  }
-
-  void RemoveBoth(DomainId dom) {
-    ASSERT_TRUE(linear_.RemoveClient(dom).ok());
-    ASSERT_TRUE(indexed_.RemoveClient(dom).ok());
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
-  }
-
-  // Allocates on both twins, asserting the same pfn (or the same error).
-  Pfn AllocBoth(DomainId dom) {
-    auto a = linear_.AllocFrame(dom);
-    auto b = indexed_.AllocFrame(dom);
-    EXPECT_EQ(a.has_value(), b.has_value());
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
-    if (!a.has_value() || !b.has_value()) return kNoPfn;
-    EXPECT_EQ(*a, *b);
-    return *a;
-  }
-
-  void ExpectSameVictim() { EXPECT_EQ(linear_.PeekVictim(), indexed_.PeekVictim()); }
-
   static constexpr Pfn kNoPfn = static_cast<Pfn>(-1);
 
-  Simulator sim_linear_;
-  Simulator sim_indexed_;
-  RamTab ramtab_linear_;
-  RamTab ramtab_indexed_;
-  FramesAllocator linear_;
-  FramesAllocator indexed_;
+  FramesTwins() : ramtab_(kTotal), alloc_(sim_, ramtab_, kTotal) {
+    alloc_.set_revocation_notifier(
+        [this](DomainId victim, uint64_t, SimTime) { revoking_ = victim; });
+  }
+
+  void Admit(DomainId dom, FramesContract contract) {
+    ASSERT_TRUE(alloc_.AdmitClient(dom, contract).ok());
+  }
+
+  void Remove(DomainId dom) {
+    ASSERT_TRUE(alloc_.RemoveClient(dom).ok());
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
+  }
+
+  // Largest optimistic surplus, first in admission order on ties; a client
+  // owning a frame that is not nailed beats any fully-nailed one; the victim
+  // of an in-flight intrusive revocation is skipped.
+  DomainId ReferenceVictim() const {
+    const DomainId skip = alloc_.revocation_in_progress() ? revoking_ : kNoDomain;
+    DomainId best = kNoDomain;
+    uint64_t best_surplus = 0;
+    DomainId fallback = kNoDomain;
+    uint64_t fallback_surplus = 0;
+    alloc_.ForEachClient([&](const FramesAllocator::ClientView& c) {
+      if (c.domain == skip || c.allocated <= c.contract.guaranteed) {
+        return;
+      }
+      const uint64_t surplus = c.allocated - c.contract.guaranteed;
+      const auto& frames = c.stack->frames();
+      const bool reclaimable = std::any_of(frames.begin(), frames.end(), [this](Pfn pfn) {
+        return ramtab_.StateOf(pfn) != FrameState::kNailed;
+      });
+      if (reclaimable && surplus > best_surplus) {
+        best = c.domain;
+        best_surplus = surplus;
+      } else if (!reclaimable && surplus > fallback_surplus) {
+        fallback = c.domain;
+        fallback_surplus = surplus;
+      }
+    });
+    return best != kNoDomain ? best : fallback;
+  }
+
+  void ExpectReferenceVictim() { EXPECT_EQ(alloc_.PeekVictim(), ReferenceVictim()); }
+
+  // The pfn AllocFrame grants: the back of the free list, else the top of the
+  // victim's stack (a transparent steal pushes it, the grant pops it).
+  Pfn ReferenceGrant() {
+    Pfn back = kNoPfn;
+    alloc_.ForEachFreeFrame([&back](Pfn pfn) { back = pfn; });
+    if (back != kNoPfn) {
+      return back;
+    }
+    const DomainId victim = ReferenceVictim();
+    return victim == kNoDomain ? kNoPfn : alloc_.StackOf(victim)->Top();
+  }
+
+  // First free frame in list order that `match` accepts.
+  template <typename Pred>
+  Pfn ReferencePlacement(Pred match) const {
+    Pfn first = kNoPfn;
+    alloc_.ForEachFreeFrame([&](Pfn pfn) {
+      if (first == kNoPfn && match(pfn)) {
+        first = pfn;
+      }
+    });
+    return first;
+  }
+
+  // Allocates, asserting the granted pfn matches the reference.
+  Pfn Alloc(DomainId dom) {
+    ExpectReferenceVictim();
+    const Pfn want = ReferenceGrant();
+    auto got = alloc_.AllocFrame(dom);
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
+    if (!got.has_value()) return kNoPfn;
+    EXPECT_EQ(*got, want);
+    return *got;
+  }
+
+  Simulator sim_;
+  RamTab ramtab_;
+  FramesAllocator alloc_;
+  DomainId revoking_ = kNoDomain;  // last victim handed to the notifier
 };
 
 TEST_F(FramesTwins, VictimChoiceMatchesAcrossStealsAndTeardown) {
-  AdmitBoth(1, {2, 10});
-  AdmitBoth(2, {2, 10});
+  Admit(1, {2, 10});
+  Admit(2, {2, 10});
   // Alternate optimistic fills so both hogs own interleaved pfns.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_NE(AllocBoth(1 + (i % 2)), kNoPfn);
+    ASSERT_NE(Alloc(1 + (i % 2)), kNoPfn);
   }
-  ExpectSameVictim();
+  ExpectReferenceVictim();
   // A guaranteed newcomer steals from the surplus-largest hog: every steal
   // changes both surplus keys, so victim order is re-derived each time.
-  AdmitBoth(3, {6, 0});
+  Admit(3, {6, 0});
   for (int i = 0; i < 6; ++i) {
-    ExpectSameVictim();
-    ASSERT_NE(AllocBoth(3), kNoPfn);
+    ASSERT_NE(Alloc(3), kNoPfn);
   }
-  ExpectSameVictim();
+  ExpectReferenceVictim();
   // Teardown returns the newcomer's frames; the hogs re-absorb them.
-  RemoveBoth(3);
+  Remove(3);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_NE(AllocBoth(1 + (i % 2)), kNoPfn);
+    ASSERT_NE(Alloc(1 + (i % 2)), kNoPfn);
   }
-  ExpectSameVictim();
-  RemoveBoth(1);
-  ExpectSameVictim();
-  RemoveBoth(2);
-  EXPECT_EQ(linear_.PeekVictim(), kNoDomain);
-  EXPECT_EQ(indexed_.PeekVictim(), kNoDomain);
+  ExpectReferenceVictim();
+  Remove(1);
+  ExpectReferenceVictim();
+  Remove(2);
+  EXPECT_EQ(alloc_.PeekVictim(), kNoDomain);
 }
 
 TEST_F(FramesTwins, ReclaimableCountersTrackNailTransitions) {
-  AdmitBoth(1, {2, 10});
+  Admit(1, {2, 10});
   std::vector<Pfn> owned;
   for (int i = 0; i < 8; ++i) {
-    owned.push_back(AllocBoth(1));
+    owned.push_back(Alloc(1));
     ASSERT_NE(owned.back(), kNoPfn);
   }
   // Nail half: each kNailed entry must decrement the reclaimable counter via
-  // the RamTab observer (the indexed self-audit recomputes ground truth).
+  // the RamTab observer (the self-audit recomputes ground truth).
   for (int i = 0; i < 4; ++i) {
-    ramtab_linear_.SetNailed(owned[i]);
-    ramtab_indexed_.SetNailed(owned[i]);
-    EXPECT_EQ(indexed_.AuditIndexes(), "") << "after nailing " << owned[i];
+    ramtab_.SetNailed(owned[i]);
+    EXPECT_EQ(alloc_.AuditIndexes(), "") << "after nailing " << owned[i];
   }
-  ExpectSameVictim();
+  ExpectReferenceVictim();
   // A guaranteed newcomer can only steal the 4 unnailed frames (plus the 12
   // still-free ones). Exhaust free memory first so steals actually happen.
-  AdmitBoth(2, {2, 14});  // limit 16 == the frames still free at this point
-  while (linear_.free_frames() > 0) {
-    ASSERT_NE(AllocBoth(2), kNoPfn);
+  Admit(2, {2, 14});  // limit 16 == the frames still free at this point
+  while (alloc_.free_frames() > 0) {
+    ASSERT_NE(Alloc(2), kNoPfn);
   }
-  AdmitBoth(3, {4, 0});
+  Admit(3, {4, 0});
   for (int i = 0; i < 4; ++i) {
-    ExpectSameVictim();
-    ASSERT_NE(AllocBoth(3), kNoPfn);
+    ASSERT_NE(Alloc(3), kNoPfn);
   }
-  // Unnail: frames become reclaimable again on both sides.
+  // Unnail: frames become reclaimable again.
   for (int i = 0; i < 4; ++i) {
-    ramtab_linear_.SetUnused(owned[i]);
-    ramtab_indexed_.SetUnused(owned[i]);
-    EXPECT_EQ(indexed_.AuditIndexes(), "") << "after unnailing " << owned[i];
+    ramtab_.SetUnused(owned[i]);
+    EXPECT_EQ(alloc_.AuditIndexes(), "") << "after unnailing " << owned[i];
   }
-  ExpectSameVictim();
-  RemoveBoth(3);
-  RemoveBoth(2);
-  RemoveBoth(1);
+  ExpectReferenceVictim();
+  Remove(3);
+  Remove(2);
+  Remove(1);
+}
+
+TEST_F(FramesTwins, VictimSkipsIntrusiveRevocationInFlight) {
+  Admit(1, {2, 12});  // fills to 14: surplus 12, the first victim
+  Admit(2, {2, 8});   // fills to 10: surplus 8, the runner-up
+  for (int i = 0; i < 14; ++i) {
+    ASSERT_NE(Alloc(1), kNoPfn);
+  }
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_NE(Alloc(2), kNoPfn);
+  }
+  ASSERT_EQ(alloc_.free_frames(), 0u);
+  ASSERT_EQ(alloc_.PeekVictim(), 1u);
+  // A mapped top frame cannot be stolen transparently, so the newcomer's
+  // guaranteed fault starts an intrusive revocation against domain 1.
+  ramtab_.SetMapped(alloc_.StackOf(1)->Top(), /*vpn=*/0x40);
+  Admit(3, {4, 0});
+  ExpectReferenceVictim();
+  const auto pending = alloc_.AllocFrame(3);
+  ASSERT_FALSE(pending.has_value());
+  EXPECT_EQ(pending.error(), FramesError::kRevocationPending);
+  ASSERT_TRUE(alloc_.revocation_in_progress());
+  ASSERT_EQ(revoking_, 1u);
+  EXPECT_EQ(alloc_.revocations_intrusive(), 1u);
+  // While it is in flight the reclaimable heap's top is skipped: the next
+  // victim is the runner-up.
+  EXPECT_EQ(ReferenceVictim(), 2u);
+  ExpectReferenceVictim();
+  EXPECT_EQ(alloc_.AuditIndexes(), "");
+  // Domain 1 never unmaps its frame: past the deadline it is killed and all
+  // of its frames return to the pool.
+  sim_.RunUntil(Milliseconds(150));
+  EXPECT_FALSE(alloc_.revocation_in_progress());
+  EXPECT_EQ(alloc_.domains_killed(), 1u);
+  EXPECT_FALSE(alloc_.IsClient(1));
+  EXPECT_EQ(ReferenceVictim(), 2u);
+  ExpectReferenceVictim();
+  EXPECT_EQ(alloc_.AuditIndexes(), "");
+  ASSERT_NE(Alloc(3), kNoPfn);
 }
 
 TEST_F(FramesTwins, ColourAndRegionPlacementMatches) {
-  AdmitBoth(1, {0, 24});
+  Admit(1, {0, 24});
   // Colour allocations from a fresh pool, with interleaved frees so the
-  // colour buckets see both pops and pushes (lazy rebuild on the indexed
-  // side; linear twin scans the stack).
+  // colour buckets see both pops and pushes (and a lazy rebuild).
   std::vector<Pfn> got;
   for (int i = 0; i < 12; ++i) {
-    auto a = linear_.AllocFrameWithColour(1, i % 4, 4);
-    auto b = indexed_.AllocFrameWithColour(1, i % 4, 4);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i;
-    if (a.has_value()) {
-      EXPECT_EQ(*a, *b) << "i=" << i;
-      got.push_back(*a);
+    const uint64_t colour = i % 4;
+    const Pfn want = ReferencePlacement([colour](Pfn pfn) { return pfn % 4 == colour; });
+    auto pfn = alloc_.AllocFrameWithColour(1, colour, 4);
+    ASSERT_EQ(pfn.has_value(), want != kNoPfn) << "i=" << i;
+    if (pfn.has_value()) {
+      EXPECT_EQ(*pfn, want) << "i=" << i;
+      got.push_back(*pfn);
     }
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
   }
   for (size_t i = 0; i < got.size(); i += 2) {
-    ASSERT_TRUE(linear_.FreeFrame(1, got[i]).ok());
-    ASSERT_TRUE(indexed_.FreeFrame(1, got[i]).ok());
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
+    ASSERT_TRUE(alloc_.FreeFrame(1, got[i]).ok());
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
   }
   for (int i = 0; i < 6; ++i) {
-    auto a = linear_.AllocFrameInRegion(1, 4, 16);
-    auto b = indexed_.AllocFrameInRegion(1, 4, 16);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i;
-    if (a.has_value()) {
-      EXPECT_EQ(*a, *b) << "i=" << i;
+    const Pfn want = ReferencePlacement([](Pfn pfn) { return pfn >= 4 && pfn < 4 + 16; });
+    auto pfn = alloc_.AllocFrameInRegion(1, 4, 16);
+    ASSERT_EQ(pfn.has_value(), want != kNoPfn) << "i=" << i;
+    if (pfn.has_value()) {
+      EXPECT_EQ(*pfn, want) << "i=" << i;
     }
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
   }
 }
 
 TEST_F(FramesTwins, AuditIndexesDetectsCorruptCounter) {
-  AdmitBoth(1, {2, 2});
-  ASSERT_NE(AllocBoth(1), kNoPfn);
-  ASSERT_EQ(indexed_.AuditIndexes(), "");
-  indexed_.TestOnlyCorruptReclaimable(1, +1);
-  EXPECT_NE(indexed_.AuditIndexes(), "");
+  Admit(1, {2, 2});
+  ASSERT_NE(Alloc(1), kNoPfn);
+  ASSERT_EQ(alloc_.AuditIndexes(), "");
+  alloc_.TestOnlyCorruptReclaimable(1, +1);
+  EXPECT_NE(alloc_.AuditIndexes(), "");
 }
 
 // --- System-level auditor rule ----------------------------------------------

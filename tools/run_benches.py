@@ -15,11 +15,11 @@ Two layers of results go into the JSON:
 
   * "core": ns/op and items/s for every bench_core microbenchmark (plus
     ns_per_resume for BM_SimWakeChain, the cost of one same-time task
-    wakeup), and the baseline-vs-optimized speedups the PR acceptance gates
-    on (set-associative Tlb vs LinearScanTlb, bucketed Simulator vs the seed
-    event-loop replica, held vs queued task wakeups).
-    Both sides of each pair run behind the same interface in the same binary,
-    so the speedups stay measurable in any future checkout.
+    wakeup), and one speedup: held vs queued task wakeups
+    (BM_SimWakeChain RunLoop vs StepLoop), two modes of the live simulator
+    in the same binary. Benchmarks never run a retired implementation; the
+    last published speedups over the retired TLB and event-loop baselines
+    are recorded in DESIGN.md.
   * "simulated": the Figure 7/8/9 shape checks (progress ratios and
     PASS/FAIL), which must not move at all — wall-clock optimizations are
     only valid if the simulated-time results stay put.
@@ -112,12 +112,6 @@ GOLDEN_TARGETS = ["scenario_fuzz", "bench_ablation_pipeline", "bench_ablation_st
 
 # (benchmark prefix, baseline template arg, optimized template arg)
 SPEEDUP_PAIRS = [
-    ("BM_TlbLookupHit", "LinearScanTlb", "Tlb"),
-    ("BM_TlbLookupMiss", "LinearScanTlb", "Tlb"),
-    ("BM_TlbFillEvict", "LinearScanTlb", "Tlb"),
-    ("BM_SimScheduleFire", "SeedEventLoop", "Simulator"),
-    ("BM_SimScheduleCancelFire", "SeedEventLoop", "Simulator"),
-    ("BM_SimSelfRescheduling", "SeedEventLoop", "Simulator"),
     # Same-time task wakeups: every resume queued (Step-driven) vs. run from
     # the simulator's handoff register (Run-driven).
     ("BM_SimWakeChain", "StepLoop", "RunLoop"),
