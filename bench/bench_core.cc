@@ -223,7 +223,7 @@ BENCHMARK_TEMPLATE(BM_SimWakeChain, RunLoop);
 // ---------------------------------------------------------------------------
 
 void BM_TranslateTlbHit(benchmark::State& state) {
-  LinearPageTable pt(1 << 16);
+  PageTable pt(1 << 16);
   Mmu mmu(&pt);
   ProtectionDomain pdom(1);
   pdom.SetRights(1, kRightRead | kRightWrite);
@@ -247,7 +247,7 @@ BENCHMARK(BM_TranslateTlbHit);
 void BM_TranslateTlbMiss(benchmark::State& state) {
   // 4096 mapped pages against 64 TLB entries, random walk: ~every access
   // misses the TLB and pays the page-table walk + fill.
-  LinearPageTable pt(1 << 16);
+  PageTable pt(1 << 16);
   Mmu mmu(&pt);
   ProtectionDomain pdom(1);
   pdom.SetRights(1, kRightRead | kRightWrite);
@@ -272,35 +272,6 @@ void BM_TranslateTlbMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TranslateTlbMiss);
-
-void BM_TranslateGuardedPtMiss(benchmark::State& state) {
-  // Same miss workload over the guarded (3-level radix) page table, where the
-  // walk cache and O(ways) TLB matter most.
-  GuardedPageTable pt(1 << 20);
-  Mmu mmu(&pt);
-  ProtectionDomain pdom(1);
-  pdom.SetRights(1, kRightRead | kRightWrite);
-  const size_t kPages = 4096;
-  for (Vpn v = 0; v < kPages; ++v) {
-    Pte* pte = pt.Ensure(v * 257 % (1 << 20));  // scattered across leaves
-    pte->valid = true;
-    pte->pfn = v + 8;
-    pte->rights = kRightRead;
-    pte->sid = 1;
-  }
-  std::vector<VirtAddr> vas(8192);
-  Random rng(7);
-  for (auto& va : vas) {
-    va = (rng.NextBelow(kPages) * 257 % (1 << 20)) * mmu.page_size();
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mmu.Translate(vas[i], AccessType::kRead, &pdom));
-    i = (i + 1) & (vas.size() - 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TranslateGuardedPtMiss);
 
 }  // namespace
 }  // namespace nemesis

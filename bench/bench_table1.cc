@@ -79,7 +79,7 @@ class NemesisFixture {
   }
 
   Simulator sim_;
-  LinearPageTable pt_;
+  PageTable pt_;
   Mmu mmu_;
   Kernel kernel_;
   TranslationSystem translation_;

@@ -78,7 +78,7 @@ class CentralVm {
   size_t page_size_;
   Mutex kernel_lock_;
   std::map<VirtAddr, Vma> vmas_ NEM_GUARDED_BY(kernel_lock_);
-  LinearPageTable pt_ NEM_GUARDED_BY(kernel_lock_);
+  PageTable pt_ NEM_GUARDED_BY(kernel_lock_);
   Tlb tlb_ NEM_GUARDED_BY(kernel_lock_);
   SignalHandler handler_;
   SavedContext live_context_{};

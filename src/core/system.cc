@@ -8,23 +8,12 @@
 
 namespace nemesis {
 
-namespace {
-
-std::unique_ptr<PageTable> MakePageTable(const SystemConfig& config) {
-  if (config.guarded_page_table) {
-    return std::make_unique<GuardedPageTable>(config.va_pages);
-  }
-  return std::make_unique<LinearPageTable>(config.va_pages);
-}
-
-}  // namespace
-
 System::System(SystemConfig config)
     : config_(config),
       obs_(&trace_),
       phys_(config.phys_frames, config.page_size),
-      page_table_(MakePageTable(config)),
-      mmu_(page_table_.get(), config.page_size),
+      page_table_(config.va_pages),
+      mmu_(&page_table_, config.page_size),
       disk_(config.disk),
       kernel_(sim_, mmu_, config.phys_frames, config.kernel_costs),
       translation_(mmu_),

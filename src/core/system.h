@@ -41,7 +41,6 @@ struct SystemConfig {
   uint64_t phys_frames = 2048;  // 16 MiB of main memory at 8 KiB pages
   size_t page_size = kDefaultPageSize;
   Vpn va_pages = 1 << 20;  // bounded virtual address space (8 GiB at 8 KiB)
-  bool guarded_page_table = false;
   DiskGeometry disk;
   KernelCostModel kernel_costs;
 
@@ -131,7 +130,7 @@ class System {
   TraceRecorder& trace() { return trace_; }
   Obs& obs() { return obs_; }
   PhysicalMemory& phys() { return phys_; }
-  PageTable& page_table() { return *page_table_; }
+  PageTable& page_table() { return page_table_; }
   Mmu& mmu() { return mmu_; }
   Disk& disk() { return disk_; }
   Kernel& kernel() { return kernel_; }
@@ -168,7 +167,7 @@ class System {
   TraceRecorder trace_;
   Obs obs_;
   PhysicalMemory phys_;
-  std::unique_ptr<PageTable> page_table_;
+  PageTable page_table_;
   Mmu mmu_;
   Disk disk_;
   Kernel kernel_;

@@ -95,8 +95,8 @@ class Mmu {
 
   // Drops the MMU-internal translation caches (the last-PTE walk cache and
   // the last-resolved rights cache). Must be called whenever page-table
-  // entries are removed or page-table memory is reclaimed (the translation
-  // system does this in RemoveRange); TLB invalidation is separate.
+  // entries are removed (the translation system does this in RemoveRange);
+  // TLB invalidation is separate.
   void InvalidateTranslationCaches() {
     last_walk_pte_ = nullptr;
     rights_cache_resolver_ = nullptr;

@@ -1,16 +1,14 @@
-// Page-table implementations.
+// The page table.
 //
 // The paper's Nemesis uses a linear page table ("an 8 GB array in the virtual
 // address space with a secondary page table used to map it on double faults")
 // and notes that an earlier guarded-page-table implementation was about three
-// times slower. Both are provided behind a common interface; the ablation
-// bench (bench_ablation_pagetable) reproduces the comparison.
+// times slower. This is that linear table: a flat array of PTEs indexed by
+// VPN over a bounded VA range.
 #ifndef SRC_HW_PAGE_TABLE_H_
 #define SRC_HW_PAGE_TABLE_H_
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/base/units.h"
@@ -20,41 +18,19 @@ namespace nemesis {
 
 class PageTable {
  public:
-  virtual ~PageTable() = default;
+  explicit PageTable(Vpn max_vpn) : entries_(max_vpn) {}
 
   // Returns the PTE for `vpn` or nullptr if no entry exists (unallocated).
-  virtual Pte* Lookup(Vpn vpn) = 0;
-  const Pte* Lookup(Vpn vpn) const { return const_cast<PageTable*>(this)->Lookup(vpn); }
-
-  // Returns the PTE for `vpn`, creating a zeroed entry if necessary.
-  virtual Pte* Ensure(Vpn vpn) = 0;
-
-  // Removes the entry (returns it to the unallocated state).
-  virtual void Remove(Vpn vpn) = 0;
-
-  virtual Vpn max_vpn() const = 0;
-
-  // Approximate bytes consumed by translation structures (reported in stats).
-  virtual size_t footprint_bytes() const = 0;
-
-  // Visits every allocated PTE. Audit/debug path only: a full sweep is O(VA
-  // space) for the linear table, so the hot simulation loop never calls it.
-  virtual void ForEachAllocated(const std::function<void(Vpn, const Pte&)>& fn) const = 0;
-};
-
-// Flat array of PTEs indexed by VPN over a bounded virtual address space.
-class LinearPageTable : public PageTable {
- public:
-  explicit LinearPageTable(Vpn max_vpn) : entries_(max_vpn) {}
-
-  Pte* Lookup(Vpn vpn) override {
+  Pte* Lookup(Vpn vpn) {
     if (vpn >= entries_.size() || !entries_[vpn].allocated) {
       return nullptr;
     }
     return &entries_[vpn];
   }
+  const Pte* Lookup(Vpn vpn) const { return const_cast<PageTable*>(this)->Lookup(vpn); }
 
-  Pte* Ensure(Vpn vpn) override {
+  // Returns the PTE for `vpn`, creating a zeroed entry if necessary.
+  Pte* Ensure(Vpn vpn) {
     if (vpn >= entries_.size()) {
       return nullptr;
     }
@@ -62,16 +38,18 @@ class LinearPageTable : public PageTable {
     return &entries_[vpn];
   }
 
-  void Remove(Vpn vpn) override {
+  // Removes the entry (returns it to the unallocated state).
+  void Remove(Vpn vpn) {
     if (vpn < entries_.size()) {
       entries_[vpn] = Pte{};
     }
   }
 
-  Vpn max_vpn() const override { return entries_.size(); }
-  size_t footprint_bytes() const override { return entries_.size() * sizeof(Pte); }
+  Vpn max_vpn() const { return entries_.size(); }
 
-  void ForEachAllocated(const std::function<void(Vpn, const Pte&)>& fn) const override {
+  // Visits every allocated PTE in ascending VPN order. Audit/debug path only:
+  // a full sweep is O(VA space), so the hot simulation loop never calls it.
+  void ForEachAllocated(const std::function<void(Vpn, const Pte&)>& fn) const {
     for (Vpn vpn = 0; vpn < entries_.size(); ++vpn) {
       if (entries_[vpn].allocated) {
         fn(vpn, entries_[vpn]);
@@ -81,40 +59,6 @@ class LinearPageTable : public PageTable {
 
  private:
   std::vector<Pte> entries_;
-};
-
-// Three-level radix tree in the spirit of guarded page tables: lookups chase
-// two directory levels before reaching the leaf PTE. Slower per lookup but
-// allocates translation memory lazily.
-class GuardedPageTable : public PageTable {
- public:
-  explicit GuardedPageTable(Vpn max_vpn) : max_vpn_(max_vpn) {}
-
-  Pte* Lookup(Vpn vpn) override;
-  Pte* Ensure(Vpn vpn) override;
-  void Remove(Vpn vpn) override;
-  Vpn max_vpn() const override { return max_vpn_; }
-  size_t footprint_bytes() const override { return footprint_; }
-  void ForEachAllocated(const std::function<void(Vpn, const Pte&)>& fn) const override;
-
- private:
-  static constexpr unsigned kLevelBits = 9;  // 512-entry directories
-  static constexpr size_t kFanout = size_t{1} << kLevelBits;
-
-  struct Leaf {
-    Pte entries[kFanout];
-    // Live entries in this leaf; the leaf is freed (and footprint_ shrinks)
-    // when the count returns to zero.
-    uint32_t allocated_count = 0;
-  };
-  struct Mid {
-    std::unique_ptr<Leaf> leaves[kFanout];
-    uint32_t leaf_count = 0;
-  };
-
-  Vpn max_vpn_;
-  size_t footprint_ = 0;
-  std::vector<std::unique_ptr<Mid>> top_;
 };
 
 }  // namespace nemesis

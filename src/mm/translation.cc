@@ -23,8 +23,8 @@ void TranslationSystem::RemoveRange(VirtAddr base, size_t npages) {
     mmu_.page_table()->Remove(first + i);
     mmu_.tlb().Invalidate(first + i);
   }
-  // Remove() may reclaim page-table memory (GuardedPageTable frees empty
-  // leaves), so the MMU's last-PTE pointer must not survive this call.
+  // Mmu's contract: its translation caches are dropped whenever entries are
+  // removed.
   mmu_.InvalidateTranslationCaches();
 }
 

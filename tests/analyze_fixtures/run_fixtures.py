@@ -13,8 +13,10 @@ works on any machine — and the runner asserts:
 Two regression tests ride along:
 
   * reintroducing the orphan-task bug class in shipped code (deleting the
-    handler_tasks_.KillAll() line from the real src/app/idc.h) must be
-    caught by the task-lifetime rule, and
+    resolve_tasks_.KillAll() line from the real
+    src/baseline/external_pager.cc) must be caught by the task-lifetime
+    rule, which builds ExternalPagerSystem's class model across the staged
+    .h/.cc pair, and
   * the real tree as-is must be clean.
 
 Run from anywhere:  python3 tests/analyze_fixtures/run_fixtures.py
@@ -87,31 +89,40 @@ def stage_and_check(fixture, dest, expect):
 
 def check_missing_killall_caught():
     """Deleting the KillAll from a real OwnedTaskSet owner must be caught."""
-    idc_h = os.path.join(REPO, "src", "app", "idc.h")
-    with open(idc_h, encoding="utf-8") as f:
-        original = f.read()
-    buggy, n = re.subn(r"^.*handler_tasks_\.KillAll\(\).*\n", "", original,
-                       flags=re.M)
+    baseline = os.path.join(REPO, "src", "baseline")
+    sources = {}
+    for name in ("external_pager.h", "external_pager.cc"):
+        with open(os.path.join(baseline, name), encoding="utf-8") as f:
+            sources[name] = f.read()
+    buggy, n = re.subn(r"^.*resolve_tasks_\.KillAll\(\);.*\n", "",
+                       sources["external_pager.cc"], flags=re.M)
     if n != 1:
-        return ("idc.h: expected exactly one handler_tasks_.KillAll() "
-                f"line to delete, found {n}")
+        return ("external_pager.cc: expected exactly one "
+                f"resolve_tasks_.KillAll(); line to delete, found {n}")
     with tempfile.TemporaryDirectory(prefix="analyze_killall_") as tmp:
-        app = os.path.join(tmp, "src", "app")
-        os.makedirs(app)
-        staged = os.path.join(app, "idc.h")
-        with open(staged, "w", encoding="utf-8") as f:
-            f.write(buggy)
+        staged = os.path.join(tmp, "src", "baseline")
+        os.makedirs(staged)
+
+        def stage(cc_text):
+            for name, text in sources.items():
+                if name == "external_pager.cc":
+                    text = cc_text
+                with open(os.path.join(staged, name), "w",
+                          encoding="utf-8") as f:
+                    f.write(text)
+
+        stage(buggy)
         code, fired, output = run_analyze(tmp)
         if code == 0 or "task-lifetime" not in fired:
-            return ("IdcService teardown without handler_tasks_.KillAll() "
-                    f"was NOT caught; rules fired: {sorted(fired)}\n{output}")
-        # and the unmodified header must be clean
-        with open(staged, "w", encoding="utf-8") as f:
-            f.write(original)
+            return ("ExternalPagerSystem teardown without "
+                    "resolve_tasks_.KillAll() was NOT caught; rules fired: "
+                    f"{sorted(fired)}\n{output}")
+        # and the unmodified pair must be clean
+        stage(sources["external_pager.cc"])
         code, fired, output = run_analyze(tmp)
         if code != 0:
-            return (f"unmodified idc.h not clean: {sorted(fired)}\n"
-                    f"{output}")
+            return (f"unmodified external_pager.{{h,cc}} not clean: "
+                    f"{sorted(fired)}\n{output}")
     return None
 
 

@@ -1,6 +1,6 @@
 // Edge-case and robustness tests across subsystems: USD client lifecycle and
-// extent edge conditions, unaligned VMem accesses, guarded-page-table system
-// configurations, disk geometry variants, task self-kill, and teardown paths.
+// extent edge conditions, unaligned VMem accesses, system configurations,
+// disk geometry variants, task self-kill, and teardown paths.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -154,24 +154,6 @@ TEST_F(VmemEdgeTest, SingleByteAccess) {
 }
 
 // --- System variants -----------------------------------------------------------
-
-TEST(SystemVariants, GuardedPageTableEndToEnd) {
-  SystemConfig sys_cfg;
-  sys_cfg.phys_frames = 64;
-  sys_cfg.guarded_page_table = true;
-  System system(sys_cfg);
-  AppConfig cfg;
-  cfg.name = "gpt";
-  cfg.contract = {2, 0};
-  cfg.stretch_bytes = 8 * kDefaultPageSize;
-  cfg.swap_bytes = kMiB;
-  AppDomain* app = system.CreateApp(cfg);
-  bool ok = false;
-  app->SpawnWorkload(SequentialPass(*app, AccessType::kWrite, &ok), "pass");
-  system.sim().RunUntil(Seconds(30));
-  EXPECT_TRUE(ok);
-  EXPECT_GT(app->paged_driver()->pageouts(), 0u);
-}
 
 TEST(SystemVariants, SmallPagesSupported) {
   SystemConfig sys_cfg;

@@ -41,127 +41,88 @@ TEST(PhysMem, ZeroFrame) {
   }
 }
 
-template <typename PT>
 class PageTableTest : public ::testing::Test {
  public:
   PageTableTest() : pt_(1 << 20) {}
-  PT pt_;
+  PageTable pt_;
 };
 
-using PageTableTypes = ::testing::Types<LinearPageTable, GuardedPageTable>;
-TYPED_TEST_SUITE(PageTableTest, PageTableTypes);
-
-TYPED_TEST(PageTableTest, LookupOnEmptyReturnsNull) {
-  EXPECT_EQ(this->pt_.Lookup(0), nullptr);
-  EXPECT_EQ(this->pt_.Lookup(12345), nullptr);
+TEST_F(PageTableTest, LookupOnEmptyReturnsNull) {
+  EXPECT_EQ(pt_.Lookup(0), nullptr);
+  EXPECT_EQ(pt_.Lookup(12345), nullptr);
 }
 
-TYPED_TEST(PageTableTest, EnsureThenLookup) {
-  Pte* pte = this->pt_.Ensure(77);
+TEST_F(PageTableTest, EnsureThenLookup) {
+  Pte* pte = pt_.Ensure(77);
   ASSERT_NE(pte, nullptr);
   pte->valid = true;
   pte->pfn = 5;
   pte->sid = 3;
-  Pte* again = this->pt_.Lookup(77);
+  Pte* again = pt_.Lookup(77);
   ASSERT_NE(again, nullptr);
   EXPECT_EQ(again->pfn, 5u);
   EXPECT_EQ(again->sid, 3);
   EXPECT_EQ(again, pte);
 }
 
-TYPED_TEST(PageTableTest, RemoveClearsEntry) {
-  Pte* pte = this->pt_.Ensure(100);
+TEST_F(PageTableTest, RemoveClearsEntry) {
+  Pte* pte = pt_.Ensure(100);
   pte->valid = true;
-  this->pt_.Remove(100);
-  EXPECT_EQ(this->pt_.Lookup(100), nullptr);
+  pt_.Remove(100);
+  EXPECT_EQ(pt_.Lookup(100), nullptr);
 }
 
-TYPED_TEST(PageTableTest, OutOfRangeVpn) {
-  EXPECT_EQ(this->pt_.Lookup(this->pt_.max_vpn() + 1), nullptr);
-  EXPECT_EQ(this->pt_.Ensure(this->pt_.max_vpn() + 1), nullptr);
+TEST_F(PageTableTest, RemoveIsIdempotentAndSweepSeesOnlyLiveEntries) {
+  pt_.Remove(9);                  // never allocated
+  pt_.Remove(pt_.max_vpn() + 1);  // out of range
+  EXPECT_EQ(pt_.Lookup(9), nullptr);
+
+  for (Vpn vpn : {700, 3, 40, 41}) {
+    Pte* pte = pt_.Ensure(vpn);
+    ASSERT_NE(pte, nullptr);
+    pte->pfn = vpn + 1;
+  }
+  pt_.Remove(40);
+  pt_.Remove(40);  // repeated remove
+  EXPECT_EQ(pt_.Lookup(40), nullptr);
+  EXPECT_NE(pt_.Lookup(41), nullptr);
+
+  std::vector<Vpn> seen;
+  pt_.ForEachAllocated([&](Vpn vpn, const Pte& pte) {
+    EXPECT_TRUE(pte.allocated);
+    EXPECT_EQ(pte.pfn, vpn + 1);
+    seen.push_back(vpn);
+  });
+  EXPECT_EQ(seen, (std::vector<Vpn>{3, 41, 700}));
+
+  // A removed entry comes back zeroed.
+  Pte* again = pt_.Ensure(40);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->pfn, 0u);
+  EXPECT_EQ(pt_.Lookup(40), again);
 }
 
-TYPED_TEST(PageTableTest, ManyRandomEntries) {
+TEST_F(PageTableTest, OutOfRangeVpn) {
+  EXPECT_EQ(pt_.Lookup(pt_.max_vpn() + 1), nullptr);
+  EXPECT_EQ(pt_.Ensure(pt_.max_vpn() + 1), nullptr);
+}
+
+TEST_F(PageTableTest, ManyRandomEntries) {
   Random rng(42);
   std::vector<Vpn> vpns;
   for (int i = 0; i < 500; ++i) {
     const Vpn vpn = rng.NextBelow(1 << 20);
-    Pte* pte = this->pt_.Ensure(vpn);
+    Pte* pte = pt_.Ensure(vpn);
     ASSERT_NE(pte, nullptr);
     pte->valid = true;
     pte->pfn = vpn % 97;
     vpns.push_back(vpn);
   }
   for (Vpn vpn : vpns) {
-    Pte* pte = this->pt_.Lookup(vpn);
+    Pte* pte = pt_.Lookup(vpn);
     ASSERT_NE(pte, nullptr);
     EXPECT_EQ(pte->pfn, vpn % 97);
   }
-}
-
-TEST(GuardedPageTableModel, RemoveReclaimsLeafAndMidFootprint) {
-  GuardedPageTable pt(1 << 20);
-  const size_t empty = pt.footprint_bytes();
-  // Two VPNs in the same leaf, one in a sibling leaf under the same mid.
-  const Vpn a = 5;
-  const Vpn b = 6;
-  const Vpn c = 5 + 512;  // next leaf
-  ASSERT_NE(pt.Ensure(a), nullptr);
-  const size_t one_leaf = pt.footprint_bytes();
-  EXPECT_GT(one_leaf, empty);
-  ASSERT_NE(pt.Ensure(b), nullptr);
-  EXPECT_EQ(pt.footprint_bytes(), one_leaf);  // same leaf: no new structure
-  ASSERT_NE(pt.Ensure(c), nullptr);
-  const size_t two_leaves = pt.footprint_bytes();
-  EXPECT_GT(two_leaves, one_leaf);
-
-  pt.Remove(a);
-  EXPECT_EQ(pt.footprint_bytes(), two_leaves);  // leaf still holds `b`
-  EXPECT_EQ(pt.Lookup(a), nullptr);
-  EXPECT_NE(pt.Lookup(b), nullptr);
-  pt.Remove(b);
-  EXPECT_EQ(pt.footprint_bytes(), one_leaf);  // first leaf freed
-  EXPECT_NE(pt.Lookup(c), nullptr);           // sibling leaf untouched
-  pt.Remove(c);
-  EXPECT_EQ(pt.footprint_bytes(), empty);  // mid freed too: back to baseline
-  EXPECT_EQ(pt.Lookup(c), nullptr);
-}
-
-TEST(GuardedPageTableModel, RemoveOfUnallocatedOrRepeatIsNoOp) {
-  GuardedPageTable pt(1 << 20);
-  const size_t empty = pt.footprint_bytes();
-  pt.Remove(123);  // nothing mapped at all
-  EXPECT_EQ(pt.footprint_bytes(), empty);
-
-  ASSERT_NE(pt.Ensure(123), nullptr);
-  pt.Remove(124);  // same leaf, never allocated
-  EXPECT_NE(pt.Lookup(123), nullptr);
-  pt.Remove(123);
-  const size_t after = pt.footprint_bytes();
-  EXPECT_EQ(after, empty);
-  pt.Remove(123);  // double remove must not underflow the counters
-  EXPECT_EQ(pt.footprint_bytes(), empty);
-  // The structure still works after a full drain.
-  ASSERT_NE(pt.Ensure(123), nullptr);
-  EXPECT_NE(pt.Lookup(123), nullptr);
-}
-
-TEST(GuardedPageTableModel, ChurnReturnsFootprintToBaseline) {
-  GuardedPageTable pt(1 << 20);
-  const size_t empty = pt.footprint_bytes();
-  Random rng(7);
-  std::vector<Vpn> vpns;
-  for (int i = 0; i < 300; ++i) {
-    const Vpn vpn = rng.NextBelow(1 << 20);
-    if (pt.Ensure(vpn) != nullptr) {
-      vpns.push_back(vpn);
-    }
-  }
-  EXPECT_GT(pt.footprint_bytes(), empty);
-  for (Vpn vpn : vpns) {
-    pt.Remove(vpn);
-  }
-  EXPECT_EQ(pt.footprint_bytes(), empty);
 }
 
 TEST(TlbModel, HitAfterFill) {
@@ -317,7 +278,7 @@ class MmuTest : public ::testing::Test {
     return pte;
   }
 
-  LinearPageTable pt_;
+  PageTable pt_;
   Mmu mmu_;
 };
 

@@ -31,7 +31,7 @@ class KernelTest : public ::testing::Test {
   }
 
   Simulator sim_;
-  LinearPageTable pt_;
+  PageTable pt_;
   Mmu mmu_;
   Kernel kernel_;
 };

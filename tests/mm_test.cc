@@ -66,7 +66,7 @@ class MmTest : public ::testing::Test {
         translation_(mmu_),
         salloc_(translation_, 16 * kPage, (16 + 1024) * kPage, kPage) {}
 
-  LinearPageTable pt_;
+  PageTable pt_;
   Mmu mmu_;
   TranslationSystem translation_;
   StretchAllocator salloc_;
