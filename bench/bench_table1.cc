@@ -248,7 +248,7 @@ void BM_Trap_Nemesis(benchmark::State& state) {
   const VirtAddr va = fx.pages_[0]->base();
   for (auto _ : state) {
     fx.kernel_.RaiseFault(fx.domain_->id(),
-                          FaultRecord{va, FaultType::kFaultTnv, AccessType::kRead, 0});
+                          FaultRecord{va, FaultType::kFaultTnv, AccessType::kRead});
     fx.domain_->DispatchPendingEvents();
   }
   benchmark::DoNotOptimize(handled);
@@ -299,7 +299,7 @@ void BM_Appel1_Nemesis(benchmark::State& state) {
     const VirtAddr va = fx.pages_[protected_page]->base();
     TranslateResult r = fx.mmu_.Translate(va, AccessType::kRead, fx.pdom_);
     if (r.fault != FaultType::kNone) {
-      fx.kernel_.RaiseFault(fx.domain_->id(), FaultRecord{va, r.fault, AccessType::kRead, 0});
+      fx.kernel_.RaiseFault(fx.domain_->id(), FaultRecord{.va = va, .type = r.fault, .sid = r.sid});
       fx.domain_->DispatchPendingEvents();
       r = fx.mmu_.Translate(va, AccessType::kRead, fx.pdom_);
     }
@@ -358,7 +358,7 @@ void BM_Appel2_Nemesis(benchmark::State& state) {
     (void)fx.kernel_.syscalls().Unmap(fx.domain_->id(), fx.pdom_, va);
     TranslateResult r = fx.mmu_.Translate(va, AccessType::kRead, fx.pdom_);
     if (r.fault != FaultType::kNone) {
-      fx.kernel_.RaiseFault(fx.domain_->id(), FaultRecord{va, r.fault, AccessType::kRead, 0});
+      fx.kernel_.RaiseFault(fx.domain_->id(), FaultRecord{.va = va, .type = r.fault, .sid = r.sid});
       fx.domain_->DispatchPendingEvents();
       r = fx.mmu_.Translate(va, AccessType::kRead, fx.pdom_);
     }

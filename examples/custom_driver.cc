@@ -173,7 +173,7 @@ int main() {
   Stretch* stretch = *system.stretches().New(domain->id(), pdom, 32 * kDefaultPageSize);
   DriverEnv env{&system.sim(), &system.kernel(), &system.frames(), &system.phys(), domain->id(),
                 pdom};
-  MmEntry mm_entry(env, *domain, system.stretches());
+  MmEntry mm_entry(env, *domain);
   mm_entry.Start();
   CompressedSwapDriver driver(env, /*max_frames=*/2);
   mm_entry.BindDriver(stretch, &driver);

@@ -1,5 +1,6 @@
 #include "src/app/mm_entry.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -7,9 +8,9 @@
 
 namespace nemesis {
 
-MmEntry::MmEntry(DriverEnv env, Domain& domain, StretchAllocator& salloc, size_t num_workers)
-    : env_(env), domain_(domain), salloc_(salloc), num_workers_(num_workers),
-      resolved_cv_(*env.sim), work_cv_(*env.sim) {
+MmEntry::MmEntry(DriverEnv env, Domain& domain, size_t num_workers)
+    : env_(env), domain_(domain), num_workers_(num_workers), resolved_cv_(*env.sim),
+      work_cv_(*env.sim) {
   NEM_ASSERT(num_workers >= 1);
 }
 
@@ -18,7 +19,7 @@ MmEntry::~MmEntry() {
   // destructor already quiesced its IO tasks; drop the dangling pointers so
   // Stop() does not call into freed objects. No simulator step can interleave
   // between those destructors and this one, so no orphan can complete here.
-  drivers_.clear();
+  bindings_.clear();
   Stop();
 }
 
@@ -48,9 +49,9 @@ void MmEntry::Stop() {
   // Quiesce every bound driver: its detached pipeline tasks (read-ahead,
   // writeback) would otherwise keep issuing IO for a domain that has stopped.
   // Outside full teardown (a hung domain) nothing else would stop them.
-  for (auto& [sid, driver] : drivers_) {
-    if (driver != nullptr) {
-      driver->Quiesce();
+  for (const Binding& b : bindings_) {
+    if (b.driver != nullptr) {
+      b.driver->Quiesce();
     }
   }
   started_ = false;
@@ -58,19 +59,14 @@ void MmEntry::Stop() {
 
 void MmEntry::BindDriver(Stretch* stretch, StretchDriver* driver) {
   NEM_ASSERT(stretch != nullptr);
-  drivers_[stretch->sid()] = driver;
+  if (Binding* b = FindBinding(stretch->sid())) {
+    *b = Binding{stretch, driver};
+  } else {
+    bindings_.push_back(Binding{stretch, driver});
+  }
   if (driver != nullptr) {
     NEM_ASSERT_MSG(driver->Bind(stretch).ok(), "stretch driver bind failed");
   }
-}
-
-StretchDriver* MmEntry::DriverFor(Sid sid) const {
-  auto it = drivers_.find(sid);
-  return it != drivers_.end() ? it->second : nullptr;
-}
-
-void MmEntry::SetCustomHandler(FaultType type, CustomFaultHandler handler) {
-  custom_handlers_[static_cast<uint8_t>(type)] = std::move(handler);
 }
 
 bool MmEntry::ConsumeFailure(Vpn vpn) {
@@ -120,9 +116,10 @@ void MmEntry::OnFaultEvent() {
       }
     }
 
-    Stretch* stretch = salloc_.FindByAddr(fault.va);
-    if (stretch == nullptr) {
-      // Fault outside any stretch: unresolvable.
+    const Binding* binding = FindBinding(fault.sid);
+    if (binding == nullptr || binding->driver == nullptr) {
+      // Outside any stretch, in a stretch this domain never bound (another
+      // domain's), or in one bound to no driver: unresolvable.
       failed_.insert(vpn);
       faults_failed_.Inc();
       if (observing) {
@@ -139,34 +136,8 @@ void MmEntry::OnFaultEvent() {
       continue;
     }
 
-    // Custom per-fault-type handlers take precedence over driver dispatch.
-    auto custom = custom_handlers_.find(static_cast<uint8_t>(fault.type));
-    if (custom != custom_handlers_.end()) {
-      pending_.push_back(vpn);
-      const FaultResult r = custom->second(fault, *stretch);
-      faults_fast_path_.Inc();
-      if (r == FaultResult::kRetry) {
-        NEM_UNREACHABLE("custom fault handlers must resolve in the fast path");
-      }
-      if (observing) {
-        obs->Span(now, domain_.id(),
-                  r == FaultResult::kFailure ? stage::kFailed : stage::kFastResolve, 0.0, fault.id);
-      }
-      CompleteFault(vpn, r);
-      continue;
-    }
-
-    StretchDriver* driver = DriverFor(stretch->sid());
-    if (driver == nullptr) {
-      failed_.insert(vpn);
-      faults_failed_.Inc();
-      if (observing) {
-        obs->Span(now, domain_.id(), stage::kFailed, 0.0, fault.id);
-      }
-      resolved_cv_.NotifyAll();
-      continue;
-    }
-
+    Stretch* stretch = binding->stretch;
+    StretchDriver* driver = binding->driver;
     pending_.push_back(vpn);
     // "the memory fault notification handler demultiplexes the stretch to the
     // stretch driver, and invokes this in an initial attempt to satisfy the
@@ -255,12 +226,14 @@ Task MmEntry::Worker() {
       // stretch driver requesting that it relinquish frames until enough have
       // been freed."
       uint64_t freed = 0;
-      std::unordered_set<StretchDriver*> seen;
-      for (auto& [sid, driver] : drivers_) {
-        if (driver == nullptr || freed >= job.revoke_k || !seen.insert(driver).second) {
-          continue;
+      for (size_t i = 0; i < bindings_.size() && freed < job.revoke_k; ++i) {
+        StretchDriver* driver = bindings_[i].driver;
+        const auto earlier = bindings_.begin() + static_cast<std::ptrdiff_t>(i);
+        const bool asked = std::any_of(bindings_.begin(), earlier,
+                                       [driver](const Binding& b) { return b.driver == driver; });
+        if (driver != nullptr && !asked) {
+          co_await driver->RelinquishFrames(job.revoke_k - freed, &freed);
         }
-        co_await driver->RelinquishFrames(job.revoke_k - freed, &freed);
       }
       revocations_handled_.Inc();
       env_.frames->RevocationComplete(domain_.id());

@@ -4,7 +4,10 @@
 //   * On a memory-fault event it demultiplexes the faulting stretch to the
 //     bound stretch driver and invokes it: first the fast path inside the
 //     notification handler (activations off, no IDC), then, if that returns
-//     Retry, from a worker thread where IDC is possible.
+//     Retry, from a worker thread where IDC is possible. The stretch is named
+//     by the sid the MMU read from the faulting PTE (the stretch allocator
+//     writes it into every NULL mapping), so dispatch searches only this
+//     domain's own bindings, never the system's address map.
 //   * On a revocation notification from the frames allocator it cycles
 //     through the domain's stretch drivers requesting that they relinquish
 //     frames until enough have been freed, then replies to the allocator.
@@ -18,26 +21,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/app/driver_env.h"
 #include "src/app/stretch_driver.h"
 #include "src/kernel/domain.h"
-#include "src/mm/stretch_allocator.h"
 #include "src/sim/sync.h"
 
 namespace nemesis {
 
 class MmEntry {
  public:
-  // Handler for a fault type, overriding driver dispatch (Table 1's appel
-  // benchmarks override the access-violation fault with a custom handler).
-  using CustomFaultHandler = std::function<FaultResult(const FaultRecord&, Stretch&)>;
-
-  MmEntry(DriverEnv env, Domain& domain, StretchAllocator& salloc, size_t num_workers = 1);
+  MmEntry(DriverEnv env, Domain& domain, size_t num_workers = 1);
   ~MmEntry();
   MmEntry(const MmEntry&) = delete;
   MmEntry& operator=(const MmEntry&) = delete;
@@ -50,11 +46,8 @@ class MmEntry {
   void Stop();
 
   // "Before the virtual address may be referred to the stretch must be bound
-  // to a stretch driver."
+  // to a stretch driver." Rebinding a stretch replaces its binding in place.
   void BindDriver(Stretch* stretch, StretchDriver* driver);
-  StretchDriver* DriverFor(Sid sid) const;
-
-  void SetCustomHandler(FaultType type, CustomFaultHandler handler);
 
   // --- Faulting-thread interface -------------------------------------------
 
@@ -89,6 +82,17 @@ class MmEntry {
     SimTime enqueued_at = 0;  // for the queue-wait span
   };
 
+  struct Binding {
+    Stretch* stretch;
+    StretchDriver* driver;  // null: bound to no driver, its faults fail
+  };
+
+  Binding* FindBinding(Sid sid) {
+    auto it = std::find_if(bindings_.begin(), bindings_.end(),
+                           [sid](const Binding& b) { return b.stretch->sid() == sid; });
+    return it != bindings_.end() ? &*it : nullptr;
+  }
+
   void OnFaultEvent();
   void OnRevokeEvent();
   Task ActivationLoop();
@@ -97,11 +101,11 @@ class MmEntry {
 
   DriverEnv env_;
   Domain& domain_;
-  StretchAllocator& salloc_;
   size_t num_workers_;
 
-  std::unordered_map<Sid, StretchDriver*> drivers_;
-  std::unordered_map<uint8_t, CustomFaultHandler> custom_handlers_;
+  // In bind order: a domain binds a handful of stretches, so a scan is the
+  // lookup, and Stop and revocation visit the drivers in a fixed order.
+  std::vector<Binding> bindings_;
 
   EndpointId revoke_endpoint_ = 0;
   uint64_t pending_revoke_k_ = 0;

@@ -82,8 +82,8 @@ struct VMemDetail {
       const Vpn vpn = va / vm->env_.page_size();
       vm->faults_taken_.Inc();
       const SimTime raised_at = vm->env_.sim->Now();
-      const uint64_t fid =
-          vm->env_.kernel->RaiseFault(vm->domain_.id(), FaultRecord{va, r.fault, access, 0});
+      const uint64_t fid = vm->env_.kernel->RaiseFault(
+          vm->domain_.id(), FaultRecord{.va = va, .type = r.fault, .access = access, .sid = r.sid});
       // The dispatch (event send + context save + activation) and the
       // user-level handling cost are paid by this domain, nobody else.
       co_await SleepFor(*vm->env_.sim,

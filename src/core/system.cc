@@ -165,7 +165,7 @@ AppDomain::AppDomain(System& system, AppConfig config)
         config_.disk_qos.period, config_.contract.guaranteed);
   }
 
-  mm_entry_ = std::make_unique<MmEntry>(env_, *domain_, system.stretches(), config_.mm_workers);
+  mm_entry_ = std::make_unique<MmEntry>(env_, *domain_, config_.mm_workers);
   mm_entry_->Start();
 
   switch (config_.driver) {

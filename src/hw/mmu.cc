@@ -12,10 +12,6 @@ const char* FaultTypeName(FaultType type) {
       return "tnv";
     case FaultType::kFaultAcv:
       return "acv";
-    case FaultType::kFaultFor:
-      return "for";
-    case FaultType::kFaultFow:
-      return "fow";
   }
   return "?";
 }
@@ -64,23 +60,13 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
       return TranslateResult{FaultType::kFaultTnv, 0, sid};
     }
 
-    // DFault path: referenced/dirty via FOR/FOW.
+    // DFault path: consume the FOR/FOW bit and record the access inline, as
+    // Nemesis' PALcode does; neither is delivered as a fault.
     if (pte->fault_on_read && access == AccessType::kRead) [[unlikely]] {
       pte->fault_on_read = false;
-      pte->referenced = true;
-      if (deliver_fow_faults_) {
-        ++faults_;
-        return TranslateResult{FaultType::kFaultFor, 0, sid};
-      }
     }
     if (pte->fault_on_write && access == AccessType::kWrite) [[unlikely]] {
       pte->fault_on_write = false;
-      pte->dirty = true;
-      pte->referenced = true;
-      if (deliver_fow_faults_) {
-        ++faults_;
-        return TranslateResult{FaultType::kFaultFow, 0, sid};
-      }
     }
     pte->referenced = true;
     if (access == AccessType::kWrite) {

@@ -6,9 +6,9 @@
 //   kFaultUnallocated — the VA is not part of any stretch (no PTE).
 //   kFaultTnv         — NULL mapping / translation not valid (page fault).
 //   kFaultAcv         — access-violation (insufficient rights).
-//   kFaultFor/kFaultFow — fault-on-read/write, used by software to emulate
-//                       referenced/dirty tracking; the MMU's DFault path
-//                       clears the bit, records the access and continues.
+// The PTE's fault-on-read/write bits (software referenced/dirty tracking) are
+// not faults here: the MMU's DFault path clears the bit, records the access
+// and continues, as Nemesis' PALcode DFault routine does.
 #ifndef SRC_HW_MMU_H_
 #define SRC_HW_MMU_H_
 
@@ -29,8 +29,6 @@ enum class FaultType : uint8_t {
   kFaultUnallocated,
   kFaultTnv,
   kFaultAcv,
-  kFaultFor,
-  kFaultFow,
 };
 
 const char* FaultTypeName(FaultType type);
@@ -73,10 +71,8 @@ class Mmu {
       : page_table_(page_table), page_size_(page_size), tlb_(tlb_entries) {}
 
   // Translates `va` for `access` under `resolver`'s protection view. Performs
-  // the DFault referenced/dirty update on success. FOR/FOW are reported as
-  // faults only when `deliver_fow_faults` is set (stretch drivers that want
-  // explicit dirty notifications); by default the MMU handles them inline,
-  // as Nemesis' PALcode DFault routine does.
+  // the DFault referenced/dirty update (consuming any FOR/FOW bit) on
+  // success.
   TranslateResult Translate(VirtAddr va, AccessType access, const RightsResolver* resolver);
 
   // Lookup without side effects (no TLB fill, no dirty/referenced update).
@@ -90,8 +86,6 @@ class Mmu {
 
   Vpn VpnOf(VirtAddr va) const { return va / page_size_; }
   uint64_t OffsetOf(VirtAddr va) const { return va % page_size_; }
-
-  void set_deliver_fow_faults(bool deliver) { deliver_fow_faults_ = deliver; }
 
   // Drops the MMU-internal translation caches (the last-PTE walk cache and
   // the last-resolved rights cache). Must be called whenever page-table
@@ -157,7 +151,6 @@ class Mmu {
   PageTable* page_table_;
   size_t page_size_;
   Tlb tlb_;
-  bool deliver_fow_faults_ = false;
   uint64_t translations_ = 0;
   uint64_t faults_ = 0;
 

@@ -24,12 +24,18 @@ struct FaultRecord {
   VirtAddr va = 0;
   FaultType type = FaultType::kNone;
   AccessType access = AccessType::kRead;
+  // The stretch the MMU read from the faulting PTE (kNoSid: outside any
+  // stretch). The MMEntry demultiplexes the fault to its driver by this sid.
+  Sid sid = kNoSid;
   SimTime time = 0;
   // Fault trace id ((domain << 32) | per-domain sequence), assigned by
   // Kernel::RaiseFault when 0. Threads the fault-lifecycle span through
   // MmEntry, the stretch driver, the USD, and back to resume.
   uint64_t id = 0;
 };
+// sid sits in the padding after `access`: the fault and job deques hold these
+// by value, and a larger record allocates more deque blocks per fault.
+static_assert(sizeof(FaultRecord) == 32);
 
 // Costs of the kernel's part of fault handling, taken from the paper's trap
 // breakdown: "the kernel send an event (<50ns), do a full context save

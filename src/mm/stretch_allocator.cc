@@ -106,15 +106,6 @@ Status<StretchError> StretchAllocator::Destroy(Sid sid) {
   return MakeUnexpected(StretchError::kNoSuchStretch);
 }
 
-Stretch* StretchAllocator::FindBySid(Sid sid) {
-  for (auto& s : stretches_) {
-    if (s->sid() == sid) {
-      return s.get();
-    }
-  }
-  return nullptr;
-}
-
 Stretch* StretchAllocator::FindByAddr(VirtAddr va) {
   auto it = by_base_.upper_bound(va);
   if (it == by_base_.begin()) {

@@ -43,7 +43,8 @@ class StretchAllocator {
   // Destroys the stretch, removing its translations and rights entries.
   Status<StretchError> Destroy(Sid sid);
 
-  Stretch* FindBySid(Sid sid);
+  // The stretch containing `va`, if any. Fault dispatch does not need it:
+  // the faulting PTE already names the stretch (FaultRecord::sid).
   Stretch* FindByAddr(VirtAddr va);
   size_t stretch_count() const { return stretches_.size(); }
   size_t page_size() const { return page_size_; }

@@ -10,8 +10,6 @@ namespace nemesis {
 
 const char* ConformanceMonitor::ResourceName(Resource res) {
   switch (res) {
-    case Resource::kCpu:
-      return "cpu";
     case Resource::kDisk:
       return "disk";
     case Resource::kMemory:
@@ -40,8 +38,8 @@ const TraceName kVerdictCategory("verdict");
 TraceName VerdictEvent(ConformanceMonitor::Resource res, ConformanceMonitor::Verdict v) {
   using Monitor = ConformanceMonitor;
   static const auto table = [] {
-    std::array<std::array<TraceName, 3>, 3> t;
-    for (uint8_t r = 0; r < 3; ++r) {
+    std::array<std::array<TraceName, 3>, 2> t;
+    for (uint8_t r = 0; r < 2; ++r) {
       for (uint8_t k = 0; k < 3; ++k) {
         t[r][k] = std::string(Monitor::ResourceName(static_cast<Monitor::Resource>(r))) + "-" +
                   Monitor::VerdictName(static_cast<Monitor::Verdict>(k));

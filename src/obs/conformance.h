@@ -1,14 +1,14 @@
 // Contract-conformance monitor (DESIGN.md "Observability").
 //
-// The paper's bargain is explicit: every domain holds a CPU/disk QoS contract
+// The paper's bargain is explicit: every domain holds a disk QoS contract
 // (s, p, x) and a memory allotment (g, x), and in exchange does its own
 // paging. PR 5's spans show *stall*; this monitor answers the contractual
 // question — did each domain actually receive what it was guaranteed, in
 // every one of its own accounting periods?
 //
 // Probe sites:
-//   * Atropos charge/refresh/queue hooks  — every granted CPU or disk slice,
-//     every period boundary, every backlog transition;
+//   * the USD's Atropos charge/refresh/queue hooks — every granted disk
+//     slice, every period boundary, every backlog transition;
 //   * the frames allocator                — frame-holding transitions,
 //     guarantee waits, revocation windows, kills.
 //
@@ -51,16 +51,16 @@ class StatCounter;
 
 class ConformanceMonitor {
  public:
-  enum class Resource : uint8_t { kCpu = 0, kDisk = 1, kMemory = 2 };
+  enum class Resource : uint8_t { kDisk = 0, kMemory = 1 };
   enum class Verdict : uint8_t { kMet = 0, kDegraded = 1, kViolated = 2 };
 
   struct VerdictRecord {
     uint32_t domain = 0;
-    Resource resource = Resource::kCpu;
+    Resource resource = Resource::kDisk;
     Verdict verdict = Verdict::kMet;
     SimTime period_start = 0;
     SimTime period_end = 0;
-    // cpu/disk: delivered ns this period (incl. lax). memory: min frames held.
+    // disk: delivered ns this period (incl. lax). memory: min frames held.
     double value = 0.0;
     uint32_t other = 0;  // attributed aggressor domain, 0 = none
   };
@@ -84,7 +84,7 @@ class ConformanceMonitor {
   }
 
   // Registers a contract whose first accounting period starts at `now`.
-  // cpu/disk: `guarantee` is the slice in ns per period. memory: `guarantee`
+  // disk: `guarantee` is the slice in ns per period. memory: `guarantee`
   // is the guaranteed frame count; its periods close lazily on allocator
   // events, on the same domain's disk period boundaries, and on Flush().
   void RegisterContract(uint32_t domain, Resource res, const std::string& name, SimTime now,
@@ -94,7 +94,7 @@ class ConformanceMonitor {
   // killed mid-period (so the kill verdict is never silently dropped).
   void DeactivateContract(uint32_t domain, Resource res, SimTime now);
 
-  // -- CPU / disk feed (Atropos hooks, mapped to domains by the caller) -----
+  // -- Disk feed (USD Atropos hooks, mapped to domains by the caller) -------
 
   // A charge of `used` ns ending at `end`; lax charges count as delivered but
   // not as service (they ran on borrowed laxity, not the guarantee).
@@ -129,7 +129,7 @@ class ConformanceMonitor {
   // Most recent verdicts, oldest first (bounded ring of kRecentCap).
   std::vector<VerdictRecord> recent() const;
 
-  static const char* ResourceName(Resource res);   // "cpu" / "disk" / "mem"
+  static const char* ResourceName(Resource res);   // "disk" / "mem"
   static const char* VerdictName(Verdict v);       // "met" / ...
 
  private:
@@ -142,7 +142,7 @@ class ConformanceMonitor {
     bool active = false;
 
     SimTime period_start = 0;
-    // cpu/disk period state.
+    // disk period state.
     SimDuration allocation = 0;  // granted ns this period
     SimDuration delivered = 0;   // charged ns incl. lax
     SimDuration service = 0;     // charged ns excl. lax
@@ -177,7 +177,7 @@ class ConformanceMonitor {
 
   Contract* Find(uint32_t domain, Resource res);
   const Contract* Find(uint32_t domain, Resource res) const;
-  // Closes the cpu/disk period ending at `boundary`.
+  // Closes the disk period ending at `boundary`.
   void CloseSlicePeriod(uint32_t domain, Resource res, Contract* c, SimTime boundary,
                         SimDuration next_allocation);
   // Closes fully elapsed memory periods up to `now`.

@@ -32,8 +32,7 @@ Lane LaneFor(const TraceRecord& r) {
   if (r.category == "bg") {
     return {3, "bg-io"};
   }
-  if (r.category == "usd" || r.category == "atropos" || r.category == "sched" ||
-      r.category == "cpu") {
+  if (r.category == "usd") {
     return {4, "sched"};
   }
   if (r.category == "frames") {

@@ -1,7 +1,7 @@
 // Chrome/Perfetto trace-event exporter (DESIGN.md "Observability").
 //
 // Converts a TraceRecorder's records into the catapult JSON trace-event
-// format so fault lifecycles, CPU/disk scheduler slices, background pipeline
+// format so fault lifecycles, disk scheduler slices, background pipeline
 // I/O, and conformance verdicts are inspectable on one shared timeline in
 // https://ui.perfetto.dev (or chrome://tracing).
 //

@@ -10,6 +10,7 @@ namespace nemesis {
 
 namespace {
 
+const TraceName kUsd("usd");
 const TraceName kAdmit("admit");
 const TraceName kAlloc("alloc");
 const TraceName kIdle("idle");
@@ -18,8 +19,8 @@ const TraceName kExhaust("exhaust");
 
 }  // namespace
 
-AtroposScheduler::AtroposScheduler(Simulator& sim, TraceRecorder* trace, TraceName trace_category)
-    : sim_(sim), trace_(trace), trace_category_(trace_category) {}
+AtroposScheduler::AtroposScheduler(Simulator& sim, TraceRecorder* trace)
+    : sim_(sim), trace_(trace) {}
 
 AtroposScheduler::~AtroposScheduler() {
   for (auto& c : clients_) {
@@ -90,7 +91,7 @@ Expected<SchedClientId, AdmitError> AtroposScheduler::Admit(std::string name, Qo
   Reindex(static_cast<uint32_t>(clients_.size() - 1));
   ScheduleRefresh(clients_.back());
   if (trace_ != nullptr) {
-    trace_->Record(sim_.Now(), trace_category_, static_cast<int>(clients_.back().id), kAdmit,
+    trace_->Record(sim_.Now(), kUsd, static_cast<int>(clients_.back().id), kAdmit,
                    ToMilliseconds(spec.slice), ToMilliseconds(spec.period));
   }
   return clients_.back().id;
@@ -129,7 +130,7 @@ void AtroposScheduler::Refresh(SchedClientId id) {
   Reindex(id_to_index_[id]);
   ScheduleRefresh(*c);
   if (trace_ != nullptr) {
-    trace_->Record(sim_.Now(), trace_category_, static_cast<int>(id), kAlloc,
+    trace_->Record(sim_.Now(), kUsd, static_cast<int>(id), kAlloc,
                    ToMilliseconds(c->remain), ToMilliseconds(c->deadline));
   }
   if (refresh_hook_) {
@@ -173,7 +174,7 @@ void AtroposScheduler::DrainPendingTransitions() {
     c.state = SchedClientState::kIdle;
     edf_.Erase(i);
     if (trace_ != nullptr) {
-      trace_->Record(sim_.Now(), trace_category_, static_cast<int>(c.id), kIdle,
+      trace_->Record(sim_.Now(), kUsd, static_cast<int>(c.id), kIdle,
                      ToMilliseconds(c.remain), 0.0);
     }
   }
@@ -213,7 +214,7 @@ void AtroposScheduler::Charge(SchedClientId id, SimDuration used, bool was_lax) 
     c->lax_used += used;
     c->lax_charged += used;
     if (trace_ != nullptr && used > 0) {
-      trace_->Record(sim_.Now() - used, trace_category_, static_cast<int>(id), kLax,
+      trace_->Record(sim_.Now() - used, kUsd, static_cast<int>(id), kLax,
                      ToMilliseconds(used), ToMilliseconds(c->remain));
     }
   } else {
@@ -223,7 +224,7 @@ void AtroposScheduler::Charge(SchedClientId id, SimDuration used, bool was_lax) 
   if (c->remain <= 0 && c->state == SchedClientState::kRunnable) {
     c->state = SchedClientState::kWaiting;
     if (trace_ != nullptr) {
-      trace_->Record(sim_.Now(), trace_category_, static_cast<int>(id), kExhaust,
+      trace_->Record(sim_.Now(), kUsd, static_cast<int>(id), kExhaust,
                      ToMilliseconds(c->remain), 0.0);
     }
   }
@@ -294,7 +295,7 @@ size_t AtroposScheduler::client_count() const {
 }
 
 std::string AtroposScheduler::AuditIndexes() const {
-  const std::string self = "atropos(" + std::string(trace_category_.str()) + ")";
+  const std::string self = "atropos(usd)";
   if (!edf_.SelfCheck() || !extra_.SelfCheck()) {
     return self + ": heap structure corrupt";
   }

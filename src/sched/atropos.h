@@ -1,5 +1,7 @@
 // The Atropos scheduling algorithm (Roscoe, 1995), as used by the paper's
-// User-Safe Disk and CPU scheduler.
+// User-Safe Disk. (Nemesis schedules the CPU with the same algorithm; this
+// model schedules only the disk, so the USD is the one executor and every
+// trace record is filed under category "usd".)
 //
 // Earliest-deadline-first with implicit deadlines: each client with QoS
 // (p, s, x, l) is periodically granted s of resource time and a deadline one
@@ -69,8 +71,7 @@ class AtroposScheduler {
   // `wakeup` is invoked whenever the eligible set may have become non-empty
   // (work arrival or a periodic reallocation); the executor uses it to
   // re-evaluate PickNext(). `trace` may be null.
-  AtroposScheduler(Simulator& sim, TraceRecorder* trace = nullptr,
-                   TraceName trace_category = "atropos");
+  explicit AtroposScheduler(Simulator& sim, TraceRecorder* trace = nullptr);
   ~AtroposScheduler();
   AtroposScheduler(const AtroposScheduler&) = delete;
   AtroposScheduler& operator=(const AtroposScheduler&) = delete;
@@ -187,7 +188,6 @@ class AtroposScheduler {
 
   Simulator& sim_;
   TraceRecorder* trace_;
-  TraceName trace_category_;
   std::function<void()> wakeup_;
   std::function<void(SchedClientId, SimTime, SimDuration, bool)> charge_hook_;
   std::function<void(SchedClientId, SimTime, SimDuration, bool)> refresh_hook_;

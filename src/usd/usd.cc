@@ -18,7 +18,7 @@ const TraceName kBatch("batch");
 }  // namespace
 
 Usd::Usd(Simulator& sim, Disk& disk, TraceRecorder* trace)
-    : sim_(sim), disk_(disk), trace_(trace), sched_(sim, trace, "usd"), work_cv_(sim) {
+    : sim_(sim), disk_(disk), trace_(trace), sched_(sim, trace), work_cv_(sim) {
   sched_.set_wakeup([this] { work_cv_.NotifyAll(); });
 }
 

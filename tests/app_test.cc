@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/app/blok_allocator.h"
+#include "src/app/nailed_driver.h"
 #include "src/base/random.h"
 #include "src/core/system.h"
 #include "src/core/workloads.h"
@@ -417,29 +418,87 @@ TEST(MmEntryTest, FastPathUsedWhenFramesAvailable) {
   EXPECT_EQ(app->mm_entry().faults_failed(), 0u);
 }
 
-TEST(MmEntryTest, CustomHandlerOverridesDriver) {
+// An application that resolves its own access violations (Table 1's appel
+// pattern) does so through a stretch driver on the one dispatch path: this
+// driver backs its stretch with nailed frames and, in the fast path, restores
+// the rights an ACV reports missing.
+class AcvRestoringDriver : public NailedStretchDriver {
+ public:
+  explicit AcvRestoringDriver(DriverEnv env) : NailedStretchDriver(env), pdom_(*env.pdom) {}
+
+  FaultResult HandleFault(const FaultRecord& fault, Stretch& stretch) override {
+    if (fault.type != FaultType::kFaultAcv) {
+      return NailedStretchDriver::HandleFault(fault, stretch);
+    }
+    EXPECT_EQ(fault.sid, stretch.sid());  // the MMU's sid reached the driver
+    ++acvs_;
+    pdom_.SetRights(stretch.sid(), kRightAll);
+    return FaultResult::kSuccess;
+  }
+
+  int acvs() const { return acvs_; }
+
+ private:
+  ProtectionDomain& pdom_;
+  int acvs_ = 0;
+};
+
+TEST(MmEntryTest, DriverResolvesAccessViolationInFastPath) {
   System system(SmallSystem());
   AppConfig cfg;
-  cfg.name = "custom";
+  cfg.name = "appel";
   cfg.driver = AppConfig::DriverKind::kNailed;
-  cfg.contract = {4, 0};
+  cfg.contract = {6, 0};
   cfg.stretch_bytes = 4 * kDefaultPageSize;
   AppDomain* app = system.CreateApp(cfg);
-  // Drop all rights so accesses raise ACV, then install a custom handler that
-  // restores rights (the Table-1 appel pattern).
-  int custom_calls = 0;
-  app->mm_entry().SetCustomHandler(
-      FaultType::kFaultAcv, [&](const FaultRecord&, Stretch& stretch) {
-        ++custom_calls;
-        app->pdom().SetRights(stretch.sid(), kRightAll);
-        return FaultResult::kSuccess;
-      });
-  app->pdom().SetRights(app->stretch()->sid(), kRightNone);
+  auto second = system.stretches().New(app->id(), &app->pdom(), 2 * kDefaultPageSize);
+  ASSERT_TRUE(second.has_value());
+  DriverEnv env{&system.sim(), &system.kernel(), &system.frames(), &system.phys(), app->id(),
+                &app->pdom()};
+  AcvRestoringDriver driver(env);
+  app->mm_entry().BindDriver(*second, &driver);
+  // Drop all rights so the first access raises an ACV.
+  app->pdom().SetRights((*second)->sid(), kRightNone);
   bool ok = false;
-  app->SpawnWorkload(SequentialPass(*app, AccessType::kRead, &ok), "pass");
+  app->SpawnWorkload(app->vmem().AccessRange((*second)->base(), (*second)->length(),
+                                             AccessType::kRead, &ok, nullptr),
+                     "pass");
   system.sim().RunUntil(Seconds(1));
   EXPECT_TRUE(ok);
-  EXPECT_EQ(custom_calls, 1);
+  EXPECT_EQ(driver.acvs(), 1);
+  EXPECT_EQ(app->mm_entry().faults_fast_path(), 1u);
+  EXPECT_EQ(app->mm_entry().faults_failed(), 0u);
+}
+
+// A domain that touches another domain's stretch holds no binding for its
+// sid: the fault fails in the faulting domain and never reaches the owner.
+TEST(MmEntryTest, FaultInUnboundStretchFails) {
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.contract = {2, 0};
+  cfg.driver_max_frames = 2;
+  cfg.stretch_bytes = 4 * kDefaultPageSize;
+  cfg.swap_bytes = kMiB;
+  cfg.name = "a";
+  AppDomain* a = system.CreateApp(cfg);
+  cfg.name = "b";
+  AppDomain* b = system.CreateApp(cfg);
+  const auto b_counters = [b] {
+    return std::vector<uint64_t>{
+        b->vmem().faults_taken(),      b->mm_entry().faults_fast_path(),
+        b->mm_entry().faults_worker(), b->mm_entry().faults_failed(),
+        b->paged_driver()->pageins(),  b->paged_driver()->pageouts(),
+        b->paged_driver()->evictions()};
+  };
+  const std::vector<uint64_t> b_before = b_counters();
+  const uint64_t a_failed = a->mm_entry().faults_failed();
+  bool ok = true;
+  a->SpawnWorkload(a->vmem().AccessRange(b->stretch()->base(), 1, AccessType::kRead, &ok, nullptr),
+                   "trespass");
+  system.sim().RunUntil(Seconds(1));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(a->mm_entry().faults_failed(), a_failed + 1);
+  EXPECT_EQ(b_counters(), b_before);
 }
 
 TEST(MmEntryTest, FaultOutsideAnyStretchFails) {

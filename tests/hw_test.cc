@@ -337,17 +337,6 @@ TEST_F(MmuTest, FowClearedOnWrite) {
   EXPECT_TRUE(pte->dirty);
 }
 
-TEST_F(MmuTest, FowDeliveredWhenRequested) {
-  Pte* pte = MapPage(3, 11, kRightRead | kRightWrite);
-  pte->fault_on_write = true;
-  mmu_.set_deliver_fow_faults(true);
-  auto r = mmu_.Translate(3 * kDefaultPageSize, AccessType::kWrite, nullptr);
-  EXPECT_EQ(r.fault, FaultType::kFaultFow);
-  // The bit was consumed; the retry succeeds.
-  r = mmu_.Translate(3 * kDefaultPageSize, AccessType::kWrite, nullptr);
-  EXPECT_EQ(r.fault, FaultType::kNone);
-}
-
 class TestResolver : public RightsResolver {
  public:
   std::optional<uint8_t> RightsFor(Sid sid) const override {

@@ -106,7 +106,7 @@ TEST_F(KernelTest, EventWakesActivationCondition) {
 TEST_F(KernelTest, RaiseFaultQueuesRecordAndSendsEvent) {
   Domain* d = kernel_.CreateDomain("d");
   sim_.RunUntil(Milliseconds(3));
-  kernel_.RaiseFault(d->id(), FaultRecord{0x8000, FaultType::kFaultTnv, AccessType::kWrite, 0});
+  kernel_.RaiseFault(d->id(), FaultRecord{0x8000, FaultType::kFaultTnv, AccessType::kWrite});
   ASSERT_EQ(d->fault_queue().size(), 1u);
   EXPECT_EQ(d->fault_queue().front().va, 0x8000u);
   EXPECT_EQ(d->fault_queue().front().type, FaultType::kFaultTnv);
@@ -118,7 +118,7 @@ TEST_F(KernelTest, RaiseFaultQueuesRecordAndSendsEvent) {
 TEST_F(KernelTest, FaultToDeadDomainDropped) {
   Domain* d = kernel_.CreateDomain("d");
   d->MarkDead();
-  kernel_.RaiseFault(d->id(), FaultRecord{0x8000, FaultType::kFaultTnv, AccessType::kRead, 0});
+  kernel_.RaiseFault(d->id(), FaultRecord{0x8000, FaultType::kFaultTnv, AccessType::kRead});
   EXPECT_TRUE(d->fault_queue().empty());
 }
 

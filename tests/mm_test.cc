@@ -130,7 +130,8 @@ TEST_F(MmTest, DestroyReleasesRangeAndTranslations) {
   const Sid sid = (*s)->sid();
   ASSERT_TRUE(salloc_.Destroy(sid).ok());
   EXPECT_EQ(pt_.Lookup(base / kPage), nullptr);
-  EXPECT_EQ(salloc_.FindBySid(sid), nullptr);
+  EXPECT_EQ(salloc_.FindByAddr(base), nullptr);
+  EXPECT_EQ(salloc_.stretch_count(), 0u);
   // The range can be reused.
   auto again = salloc_.New(1, nullptr, 2 * kPage, base);
   EXPECT_TRUE(again.has_value());

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/sched/atropos.h"
-#include "src/sched/cpu_server.h"
-#include "src/sim/sync.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
@@ -222,7 +220,7 @@ TEST(Atropos, SlackPickRequiresWork) {
 TEST(Atropos, TraceRecordsAllocationsAndLax) {
   Simulator sim;
   TraceRecorder trace;
-  AtroposScheduler sched(sim, &trace, "usd");
+  AtroposScheduler sched(sim, &trace);
   auto a = *sched.Admit("a", Spec(100, 50, 10));
   (void)sched.PickNext();
   sim.RunUntil(Milliseconds(5));
@@ -270,107 +268,6 @@ TEST_P(AtroposShareTest, ChargedSharesMatchReservations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShareSweep, AtroposShareTest, ::testing::Values(0, 1, 2, 3));
-
-// --- CpuServer: the same reservation model applied to the processor ---------
-
-class CpuServerTest : public ::testing::Test {
- protected:
-  CpuServerTest() : cpu_(sim_, Milliseconds(1)) { cpu_.Start(); }
-
-  Simulator sim_;
-  CpuServer cpu_;
-};
-
-TEST_F(CpuServerTest, SingleBurstCompletes) {
-  auto c = cpu_.AdmitClient("a", Spec(100, 50));
-  ASSERT_TRUE(c.has_value());
-  bool done = false;
-  sim_.Spawn(RunBurst(sim_, *c, Milliseconds(30), &done), "burst");
-  sim_.RunUntil(Seconds(1));
-  EXPECT_TRUE(done);
-  EXPECT_EQ((*c)->executed(), Milliseconds(30));
-}
-
-TEST_F(CpuServerTest, BurstSpansPeriodsWhenOverSlice) {
-  // A 40 ms burst under a 10 ms / 100 ms reservation needs 4 periods.
-  auto c = cpu_.AdmitClient("a", Spec(100, 10));
-  ASSERT_TRUE(c.has_value());
-  bool done = false;
-  sim_.Spawn(RunBurst(sim_, *c, Milliseconds(40), &done), "burst");
-  sim_.RunUntil(Milliseconds(250));
-  EXPECT_FALSE(done);  // only ~30 ms executed by now
-  sim_.RunUntil(Milliseconds(450));
-  EXPECT_TRUE(done);
-}
-
-TEST_F(CpuServerTest, CpuSharesFollowReservations) {
-  // Three always-busy CPU clients in ratio 1:2:4 — the Figure-7 result, for
-  // the processor.
-  CpuClient* clients[3];
-  const int64_t slices[3] = {20, 40, 80};
-  for (int i = 0; i < 3; ++i) {
-    auto c = cpu_.AdmitClient("c" + std::to_string(i), Spec(200, slices[i]));
-    ASSERT_TRUE(c.has_value());
-    clients[i] = *c;
-    // Keep each client saturated with 10 ms bursts, several queued ahead
-    // (otherwise the client goes idle between bursts and the short-block
-    // problem — the very thing laxity exists for — equalises the shares).
-    struct Feeder {
-      static Task Run(Simulator& sim, CpuClient* client, SimTime until) {
-        while (sim.Now() < until) {
-          while (client->pending() < 3) {
-            client->Submit(Milliseconds(10));
-          }
-          co_await client->done_cv().Wait();
-        }
-      }
-    };
-    sim_.Spawn(Feeder::Run(sim_, clients[i], Seconds(10)), "feeder");
-  }
-  sim_.RunUntil(Seconds(10));
-  const double a = ToSeconds(clients[0]->executed());
-  const double b = ToSeconds(clients[1]->executed());
-  const double c = ToSeconds(clients[2]->executed());
-  EXPECT_NEAR(b / a, 2.0, 0.15);
-  EXPECT_NEAR(c / a, 4.0, 0.3);
-  // Quantum preemption interleaved the bursts.
-  EXPECT_GT(cpu_.preemptions(), 100u);
-}
-
-TEST_F(CpuServerTest, LongBurstCannotStarveOtherClients) {
-  auto hog = cpu_.AdmitClient("hog", Spec(100, 50));
-  auto rt = cpu_.AdmitClient("rt", Spec(20, 5));  // tight 25% real-time client
-  ASSERT_TRUE(hog.has_value());
-  ASSERT_TRUE(rt.has_value());
-  // The hog submits one enormous burst.
-  (*hog)->Submit(Seconds(5));
-  // The rt client needs 2 ms every 20 ms; measure its completion latencies.
-  struct Rt {
-    static Task Run(Simulator& sim, CpuClient* client, SimDuration* worst) {
-      for (int i = 0; i < 50; ++i) {
-        const SimTime start = sim.Now();
-        client->Submit(Milliseconds(2));
-        while (!client->idle()) {
-          co_await client->done_cv().Wait();
-        }
-        *worst = std::max(*worst, sim.Now() - start);
-        co_await SleepFor(sim, Milliseconds(20) - (sim.Now() - start) % Milliseconds(20));
-      }
-    }
-  };
-  SimDuration worst = 0;
-  sim_.Spawn(Rt::Run(sim_, *rt, &worst), "rt");
-  sim_.RunUntil(Seconds(3));
-  // EDF with a 20 ms period bounds the rt client's latency to about a period.
-  EXPECT_LT(worst, Milliseconds(25));
-}
-
-TEST_F(CpuServerTest, AdmissionControlApplies) {
-  ASSERT_TRUE(cpu_.AdmitClient("a", Spec(100, 80)).has_value());
-  auto b = cpu_.AdmitClient("b", Spec(100, 30));
-  ASSERT_FALSE(b.has_value());
-  EXPECT_EQ(b.error(), AdmitError::kOverCommitted);
-}
 
 }  // namespace
 }  // namespace nemesis

@@ -60,7 +60,7 @@ def load_spans(path):
             category = row["category"]
             if category == "verdict":
                 # event is "<res>-<verdict>" (e.g. "disk-met"); value_a is
-                # delivered ms (cpu/disk) or min frames held (mem); value_b
+                # delivered ms (disk) or min frames held (mem); value_b
                 # the attributed aggressor domain (0 = none).
                 res, _, verdict = row["event"].partition("-")
                 verdicts.append((int(row["client"]), res, verdict,
