@@ -3,7 +3,8 @@
 // Unlike the figure/ablation benches (which report *simulated* time and must
 // stay bit-identical across refactors), this suite measures how fast the
 // substrate itself runs: TLB lookup/fill, event-loop schedule/fire/cancel
-// throughput, same-time task wakeups, and end-to-end Mmu::Translate latency.
+// throughput, same-time task wakeups, end-to-end Mmu::Translate latency, and
+// the cost of constructing and destroying a default System.
 // Every benchmark runs the live implementation; the one pair is
 // BM_SimWakeChain, whose StepLoop drives the wake chain with every resume
 // queued and RunLoop with the simulator's handoff register, two modes of the
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/base/random.h"
+#include "src/core/system.h"
 #include "src/hw/mmu.h"
 #include "src/hw/page_table.h"
 #include "src/hw/tlb.h"
@@ -272,6 +274,23 @@ void BM_TranslateTlbMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TranslateTlbMiss);
+
+// ---------------------------------------------------------------------------
+// Set-up: constructing and destroying a default System (no auditor). The
+// page table, physical memory and disk store are lazily zeroed, so this is
+// the cost of the wiring, not of the machine's size.
+// ---------------------------------------------------------------------------
+
+void BM_SystemConstruct(benchmark::State& state) {
+  SystemConfig cfg;
+  cfg.audit = false;
+  for (auto _ : state) {
+    System system(cfg);
+    benchmark::DoNotOptimize(&system);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemConstruct);
 
 }  // namespace
 }  // namespace nemesis

@@ -51,6 +51,7 @@ void CentralVm::PopulateRegion(VirtAddr base, size_t len, Pfn first_pfn) {
   Pfn pfn = first_pfn;
   for (Vpn vpn = base / page_size_; vpn < (base + len) / page_size_; ++vpn) {
     Pte* pte = pt_.Ensure(vpn);
+    NEM_ASSERT_LT(pfn, kMaxFrames);  // a Pte's pfn is 32 bits
     pte->valid = true;
     pte->pfn = pfn++;
   }

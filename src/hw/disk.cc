@@ -8,7 +8,7 @@ namespace nemesis {
 
 Disk::Disk(DiskGeometry geometry)
     : geometry_(geometry), cache_(geometry.cache_segments),
-      chunk_bytes_(kChunkBlocks * geometry.block_size) {}
+      store_(geometry.total_blocks * geometry.block_size) {}
 
 SimDuration Disk::SeekTime(uint64_t from_cylinder, uint64_t target_cylinder) const {
   if (target_cylinder == from_cylinder) {
@@ -247,39 +247,20 @@ SimDuration Disk::AccessChain(std::span<const DiskRequest> requests, SimTime now
   return eval.total;
 }
 
-template <typename Fn>
-void Disk::ForEachChunkPiece(uint64_t lba, size_t bytes, Fn fn) const {
-  NEM_ASSERT(bytes % geometry_.block_size == 0);
-  size_t done = 0;
-  while (done < bytes) {
-    const uint64_t block = lba + done / geometry_.block_size;
-    const size_t offset = (block % kChunkBlocks) * geometry_.block_size;
-    const size_t len = std::min(bytes - done, chunk_bytes_ - offset);
-    fn(block / kChunkBlocks, offset, done, len);
-    done += len;
-  }
+size_t Disk::StoreOffset(uint64_t lba, size_t bytes) const {
+  NEM_ASSERT_MSG(bytes % geometry_.block_size == 0, "disk transfer is not whole blocks");
+  NEM_ASSERT_MSG(lba <= geometry_.total_blocks &&
+                     bytes / geometry_.block_size <= geometry_.total_blocks - lba,
+                 "disk transfer out of range");
+  return lba * geometry_.block_size;
 }
 
 void Disk::WriteData(uint64_t lba, std::span<const uint8_t> data) {
-  ForEachChunkPiece(lba, data.size(), [&](uint64_t chunk, size_t offset, size_t at, size_t len) {
-    if (chunk >= chunks_.size()) {
-      chunks_.resize(chunk + 1);
-    }
-    if (chunks_[chunk] == nullptr) {
-      chunks_[chunk] = std::make_unique<uint8_t[]>(chunk_bytes_);  // zero-filled
-    }
-    std::memcpy(chunks_[chunk].get() + offset, data.data() + at, len);
-  });
+  std::memcpy(store_.data() + StoreOffset(lba, data.size()), data.data(), data.size());
 }
 
 void Disk::ReadInto(uint64_t lba, std::span<uint8_t> out) const {
-  ForEachChunkPiece(lba, out.size(), [&](uint64_t chunk, size_t offset, size_t at, size_t len) {
-    if (chunk < chunks_.size() && chunks_[chunk] != nullptr) {
-      std::memcpy(out.data() + at, chunks_[chunk].get() + offset, len);
-    } else {
-      std::memset(out.data() + at, 0, len);  // never written: zeros
-    }
-  });
+  std::memcpy(out.data(), store_.data() + StoreOffset(lba, out.size()), out.size());
 }
 
 std::vector<uint8_t> Disk::ReadData(uint64_t lba, uint32_t nblocks) const {

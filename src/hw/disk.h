@@ -1,9 +1,8 @@
 // Disk mechanism model with real (sparse) block contents.
 //
-// Contents live in fixed chunks of kChunkBlocks blocks (64 KiB at the default
-// 512-byte block), indexed by lba / kChunkBlocks and allocated zero-filled on
-// first write; a chunk never written reads as zeros. A page transfer is then
-// one or two memcpys instead of a hash lookup and copy per block.
+// Contents live in one ZeroedArray covering the whole disk, so the host backs
+// only the blocks that have been written and a block never written reads as
+// zeros. A transfer is one memcpy.
 //
 // Timing follows the paper's testbed: a 5400 rpm Quantum VP3221 (2.1 GB,
 // 4,304,536 × 512-byte blocks) behind an NCR53c810 Fast SCSI-2 controller,
@@ -17,11 +16,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/zeroed_array.h"
 #include "src/sim/time.h"
 
 namespace nemesis {
@@ -116,8 +115,9 @@ class Disk {
                           DiskChainEval& eval);
 
   // Block content access (sparse backing store). `data`/`out` cover whole
-  // blocks from `lba`. ReadInto copies straight out of the store into `out`;
-  // blocks never written read as zeros. ReadData is the allocating form.
+  // blocks from `lba` and lie inside the disk (asserted). ReadInto copies
+  // straight out of the store into `out`; blocks never written read as zeros.
+  // ReadData is the allocating form.
   void WriteData(uint64_t lba, std::span<const uint8_t> data);
   void ReadInto(uint64_t lba, std::span<uint8_t> out) const;
   std::vector<uint8_t> ReadData(uint64_t lba, uint32_t nblocks) const;
@@ -147,22 +147,16 @@ class Disk {
   SimDuration MechanicalAccess(const DiskRequest& request, SimTime now);
   void FillCache(uint64_t lba, uint32_t nblocks);
   void InvalidateCacheRange(uint64_t lba, uint32_t nblocks);
-  // Calls fn(chunk index, byte offset in chunk, byte offset in the transfer,
-  // length) for each chunk-contained piece of a transfer starting at `lba`.
-  template <typename Fn>
-  void ForEachChunkPiece(uint64_t lba, size_t bytes, Fn fn) const;
-
-  static constexpr uint64_t kChunkBlocks = 128;
+  // Byte offset of a transfer of `bytes` starting at `lba`; asserts that it
+  // covers whole blocks inside the disk.
+  size_t StoreOffset(uint64_t lba, size_t bytes) const;
 
   DiskGeometry geometry_;
   DiskStats stats_;
   uint64_t current_cylinder_ = 0;
   uint64_t cache_clock_ = 0;
   std::vector<CacheSegment> cache_;
-  size_t chunk_bytes_;
-  // Sparse contents: chunk i holds blocks [i * kChunkBlocks, (i + 1) *
-  // kChunkBlocks); null until first written. Grown on demand.
-  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  ZeroedArray<uint8_t> store_;  // block b at bytes [b * block_size, (b + 1) * block_size)
 };
 
 }  // namespace nemesis

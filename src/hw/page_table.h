@@ -4,14 +4,16 @@
 // address space with a secondary page table used to map it on double faults")
 // and notes that an earlier guarded-page-table implementation was about three
 // times slower. This is that linear table: a flat array of PTEs indexed by
-// VPN over a bounded VA range.
+// VPN over a bounded VA range. Like the paper's, it is backed only where
+// touched: the entries live in a ZeroedArray, and an all-zero Pte is
+// unallocated.
 #ifndef SRC_HW_PAGE_TABLE_H_
 #define SRC_HW_PAGE_TABLE_H_
 
 #include <functional>
-#include <vector>
 
 #include "src/base/units.h"
+#include "src/base/zeroed_array.h"
 #include "src/hw/pte.h"
 
 namespace nemesis {
@@ -58,7 +60,7 @@ class PageTable {
   }
 
  private:
-  std::vector<Pte> entries_;
+  ZeroedArray<Pte> entries_;
 };
 
 }  // namespace nemesis

@@ -1,24 +1,29 @@
 // Simulated physical memory. Frames carry real bytes so that paging is not
 // merely accounted but actually performed: the paged stretch driver copies
 // page images between frames and the simulated disk, and tests verify data
-// integrity across page-out/page-in cycles.
+// integrity across page-out/page-in cycles. The bytes live in a ZeroedArray,
+// so the host backs only frames the simulation has touched.
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <vector>
 
 #include "src/base/assert.h"
 #include "src/base/units.h"
+#include "src/base/zeroed_array.h"
+#include "src/hw/pte.h"
 
 namespace nemesis {
 
 class PhysicalMemory {
  public:
   PhysicalMemory(uint64_t num_frames, size_t page_size = kDefaultPageSize)
-      : num_frames_(num_frames), page_size_(page_size), bytes_(num_frames * page_size, 0) {}
+      : num_frames_(num_frames), page_size_(page_size) {
+    NEM_ASSERT_LE(num_frames, kMaxFrames);  // a Pte's pfn is 32 bits
+    bytes_ = ZeroedArray<uint8_t>(num_frames * page_size);
+  }
 
   uint64_t num_frames() const { return num_frames_; }
   size_t page_size() const { return page_size_; }
@@ -50,7 +55,7 @@ class PhysicalMemory {
  private:
   uint64_t num_frames_;
   size_t page_size_;
-  std::vector<uint8_t> bytes_;
+  ZeroedArray<uint8_t> bytes_;
 };
 
 }  // namespace nemesis

@@ -36,27 +36,34 @@ inline bool HasRights(uint8_t held, uint8_t needed) { return (held & needed) == 
 using Sid = uint16_t;
 constexpr Sid kNoSid = 0;
 
+// The Alpha 21164's 64-bit PTE: a 32-bit frame number, the 16-bit sid, four
+// rights bits and six flag bits in one 8-byte word. The all-zero word is the
+// unallocated entry, so a lazily zeroed table (ZeroedArray) starts empty.
 struct Pte {
-  // A NULL mapping is allocated_ (part of a stretch) but not valid_ (no
-  // physical frame behind it); access raises a translation-not-valid fault.
-  bool allocated = false;
-  bool valid = false;
-
-  Pfn pfn = 0;
+  Pfn pfn : 32 = 0;
   Sid sid = kNoSid;
 
   // Global (page-table level) rights; a protection domain may override these
   // per stretch. The paper benchmarks both mechanisms in Table 1.
-  uint8_t rights = kRightNone;
+  uint8_t rights : 4 = kRightNone;
+
+  // A NULL mapping is allocated_ (part of a stretch) but not valid_ (no
+  // physical frame behind it); access raises a translation-not-valid fault.
+  bool allocated : 1 = false;
+  bool valid : 1 = false;
 
   // Software dirty/referenced emulation. fault_on_write / fault_on_read are
   // set by software (stretch drivers re-arming the trap); the MMU's DFault
   // path clears them and sets dirty/referenced.
-  bool dirty = false;
-  bool referenced = false;
-  bool fault_on_write = false;
-  bool fault_on_read = false;
+  bool dirty : 1 = false;
+  bool referenced : 1 = false;
+  bool fault_on_write : 1 = false;
+  bool fault_on_read : 1 = false;
 };
+static_assert(sizeof(Pte) == 8, "Pte is the Alpha's 64-bit page-table entry");
+
+// Pte::pfn holds 32 bits, so physical memory has at most 2^32 frames.
+constexpr uint64_t kMaxFrames = uint64_t{1} << 32;
 
 }  // namespace nemesis
 

@@ -2,7 +2,10 @@
 // demultiplexing, and the nailed/physical/paged stretch drivers (driven
 // through the full System wiring).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -86,6 +89,21 @@ TEST(BlokAllocator, NoDoubleAllocationUnderChurn) {
 }
 
 // --- Driver tests over the full System wiring ------------------------------
+
+// Constructing a System touches none of its physical memory: the frames are
+// backed by the host only once the simulation writes them.
+TEST(SystemConstruction, LeavesPhysicalMemoryUnbacked) {
+  System system{SystemConfig{}};
+  const PhysicalMemory& phys = system.phys();
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident(phys.total_bytes() / page);
+  ASSERT_EQ(mincore(const_cast<uint8_t*>(phys.FrameData(0).data()), phys.total_bytes(),
+                    resident.data()),
+            0);
+  EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                          [](unsigned char v) { return (v & 1) != 0; }),
+            0);
+}
 
 SystemConfig SmallSystem() {
   SystemConfig cfg;

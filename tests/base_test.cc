@@ -1,7 +1,10 @@
 // Unit tests for src/base: bitmap, intrusive list, expected, random,
-// small_function.
+// small_function, zeroed_array.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <set>
@@ -15,6 +18,7 @@
 #include "src/base/random.h"
 #include "src/base/small_function.h"
 #include "src/base/units.h"
+#include "src/base/zeroed_array.h"
 
 namespace nemesis {
 namespace {
@@ -377,6 +381,54 @@ TEST(SmallFunction, ReassignmentDestroysPreviousCallable) {
   fn = [] {};  // overwriting must release the old capture
   EXPECT_TRUE(watch.expired());
   fn();
+}
+
+// Host pages of [p, p + bytes) resident in memory, by mincore(2).
+size_t ResidentPages(const void* p, size_t bytes) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((bytes + page - 1) / page);
+  EXPECT_EQ(mincore(const_cast<void*>(p), bytes, vec.data()), 0);
+  return static_cast<size_t>(std::count_if(vec.begin(), vec.end(),
+                                           [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+TEST(ZeroedArray, BacksOnlyTouchedPagesAndReadsZero) {
+  constexpr size_t kBytes = 64 * kMiB;
+  ZeroedArray<uint8_t> a(kBytes);
+  ASSERT_EQ(a.size(), kBytes);
+  EXPECT_EQ(ResidentPages(a.data(), kBytes), 0u);
+  a[kBytes / 2 + 5] = 0x7E;
+  // One write backs one host page, or one huge page under THP "always".
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_LE(ResidentPages(a.data(), kBytes) * page, 2 * kMiB);
+  EXPECT_EQ(a[kBytes / 2 + 5], 0x7E);
+  EXPECT_EQ(static_cast<size_t>(std::count(a.data(), a.data() + kBytes, uint8_t{0})),
+            kBytes - 1);
+}
+
+TEST(ZeroedArray, MoveTransfersTheMapping) {
+  ZeroedArray<uint64_t> a(1000);
+  a[999] = 42;
+  const uint64_t* storage = a.data();
+  ZeroedArray<uint64_t> b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move): moved-from state is specified
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b[999], 42u);
+
+  ZeroedArray<uint64_t> c(10);
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 1000u);
+  EXPECT_EQ(c[999], 42u);
+  // a (moved from), b (holding c's old mapping) and c all unmap safely.
+}
+
+TEST(ZeroedArray, SizeZeroMapsNothing) {
+  ZeroedArray<uint32_t> empty(0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.data(), nullptr);
+  const ZeroedArray<uint32_t> defaulted;
+  EXPECT_EQ(defaulted.data(), nullptr);
 }
 
 }  // namespace

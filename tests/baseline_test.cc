@@ -70,6 +70,13 @@ TEST_F(CentralVmTest, DirtyTracking) {
   EXPECT_FALSE(vm_.IsDirty(kBase + kDefaultPageSize));
 }
 
+TEST(CentralVmDeathTest, PopulateBeyondA32BitFrameNumberAborts) {
+  CentralVm vm(1 << 16);
+  vm.CreateRegion(0, 2 * kDefaultPageSize, kRightRead);
+  // The second page's frame number would wrap Pte::pfn.
+  EXPECT_DEATH(vm.PopulateRegion(0, 2 * kDefaultPageSize, kMaxFrames - 1), "pfn < kMaxFrames");
+}
+
 TEST(ExternalPagerTest, ClientsProgressEquallyRegardlessOfNeeds) {
   // The crux of the crosstalk argument: with a shared FCFS pager, clients
   // that would hold different disk guarantees in Nemesis progress at the

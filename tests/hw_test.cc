@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <vector>
 
 #include "src/base/random.h"
+#include "src/base/zeroed_array.h"
 #include "src/hw/disk.h"
 #include "src/hw/mmu.h"
 #include "src/hw/page_table.h"
@@ -38,6 +41,44 @@ TEST(PhysMem, ZeroFrame) {
   mem.ZeroFrame(1);
   for (uint8_t b : mem.FrameData(1)) {
     EXPECT_EQ(b, 0);
+  }
+}
+
+TEST(PhysMemDeathTest, MoreFramesThanAPteCanNameAbort) {
+  EXPECT_DEATH(PhysicalMemory(kMaxFrames + 1, 1), "num_frames <= kMaxFrames");
+}
+
+// Every Pte field, widened, for field-by-field comparison (the padding bits
+// of a Pte are indeterminate, so its bytes are not compared).
+std::array<uint64_t, 9> Fields(const Pte& p) {
+  return {p.pfn,   p.sid,        p.rights,         p.allocated,    p.valid,
+          p.dirty, p.referenced, p.fault_on_write, p.fault_on_read};
+}
+
+TEST(PteLayout, IsTheAlphasEightByteEntry) { EXPECT_EQ(sizeof(Pte), 8u); }
+
+TEST(PteLayout, ZeroedStorageHoldsDefaultEntries) {
+  ZeroedArray<Pte> table(1 << 12);
+  EXPECT_EQ(Fields(table[0]), Fields(Pte{}));
+  EXPECT_EQ(Fields(table[(1 << 12) - 1]), Fields(Pte{}));
+}
+
+TEST(PteLayout, EachFieldIsIndependent) {
+  // Setting one field to its widest value moves no other field.
+  const std::array<std::function<void(Pte&)>, 9> set = {
+      [](Pte& p) { p.pfn = kMaxFrames - 1; },  [](Pte& p) { p.sid = 0xFFFF; },
+      [](Pte& p) { p.rights = kRightAll; },    [](Pte& p) { p.allocated = true; },
+      [](Pte& p) { p.valid = true; },          [](Pte& p) { p.dirty = true; },
+      [](Pte& p) { p.referenced = true; },     [](Pte& p) { p.fault_on_write = true; },
+      [](Pte& p) { p.fault_on_read = true; },
+  };
+  const std::array<uint64_t, 9> widest = {kMaxFrames - 1, 0xFFFF, kRightAll, 1, 1, 1, 1, 1, 1};
+  for (size_t i = 0; i < set.size(); ++i) {
+    Pte p;
+    set[i](p);
+    auto want = Fields(Pte{});
+    want[i] = widest[i];
+    EXPECT_EQ(Fields(p), want) << "field " << i;
   }
 }
 
@@ -423,8 +464,8 @@ TEST(DiskModel, UnwrittenBlocksReadZero) {
   }
 }
 
-// The store keeps 128-block chunks: blocks 120-135 straddle the boundary
-// between chunks 0 and 1.
+// Blocks 120-135 straddle the 64 KiB boundary, so the transfer spans host
+// pages of the store.
 TEST(DiskModel, RoundTripAcrossChunkBoundary) {
   Disk disk;
   std::vector<uint8_t> in(16 * 512);
@@ -454,14 +495,14 @@ TEST(DiskModel, UnwrittenBlockInWrittenChunkReadsZero) {
 TEST(DiskModel, ReadSpanningWrittenAndUnwrittenChunks) {
   Disk disk;
   std::vector<uint8_t> in(4 * 512, 0x5A);
-  disk.WriteData(124, in);  // the last four blocks of chunk 0
-  // Blocks 124-131: chunk 0's written tail, then chunk 1, never written.
+  disk.WriteData(124, in);  // the four blocks below the 64 KiB boundary
+  // Blocks 124-131: the written four, then four never written.
   const std::vector<uint8_t> out = disk.ReadData(124, 8);
   ASSERT_EQ(out.size(), 8u * 512);
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], i < 4 * 512 ? 0x5A : 0) << "byte " << i;
   }
-  // A read far beyond every written chunk is all zeros as well.
+  // A read far beyond every written block is all zeros as well.
   const std::vector<uint8_t> far = disk.ReadData(4000000, 1);
   EXPECT_TRUE(std::all_of(far.begin(), far.end(), [](uint8_t b) { return b == 0; }));
 }
@@ -469,7 +510,7 @@ TEST(DiskModel, ReadSpanningWrittenAndUnwrittenChunks) {
 TEST(DiskModel, OverwriteReplacesOnlyTheWrittenBlocks) {
   Disk disk;
   std::vector<uint8_t> first(4 * 512, 0x11);
-  disk.WriteData(126, first);  // 126-129, across the chunk boundary
+  disk.WriteData(126, first);  // 126-129, across the 64 KiB boundary
   std::vector<uint8_t> second(2 * 512, 0x22);
   disk.WriteData(127, second);  // 127-128
   const std::vector<uint8_t> out = disk.ReadData(126, 4);
@@ -481,7 +522,7 @@ TEST(DiskModel, OverwriteReplacesOnlyTheWrittenBlocks) {
 }
 
 // ReadInto is the USD's completion-time transfer: it fills a caller-owned
-// buffer in place, here one straddling chunks 0 and 1.
+// buffer in place, here one straddling the 64 KiB boundary.
 TEST(DiskModel, ReadIntoAcrossChunkBoundary) {
   Disk disk;
   std::vector<uint8_t> in(16 * 512);
@@ -502,19 +543,28 @@ TEST(DiskModel, ReadIntoAcrossChunkBoundary) {
 }
 
 // Blocks never written read as zeros through ReadInto too: stale bytes in the
-// destination buffer are overwritten, in a written chunk and an unwritten one.
+// destination buffer are overwritten, next to a written block and far from one.
 TEST(DiskModel, ReadIntoUnwrittenBlocksZeroTheBuffer) {
   Disk disk;
   std::vector<uint8_t> in(512, 0xAB);
-  disk.WriteData(127, in);  // the last block of chunk 0
+  disk.WriteData(127, in);
   std::vector<uint8_t> out(4 * 512, 0xEE);
-  disk.ReadInto(126, out);  // 126 unwritten, 127 written, 128-129 in chunk 1 (never written)
+  disk.ReadInto(126, out);  // 126 unwritten, 127 written, 128-129 unwritten
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], (i >= 512 && i < 1024) ? 0xAB : 0) << "byte " << i;
   }
   std::vector<uint8_t> far(512, 0xEE);
   disk.ReadInto(4000000, far);
   EXPECT_TRUE(std::all_of(far.begin(), far.end(), [](uint8_t b) { return b == 0; }));
+}
+
+TEST(DiskDeathTest, TransferOutsideTheDiskOrPartialBlockAborts) {
+  Disk disk;
+  const uint64_t end = disk.geometry().total_blocks;
+  std::vector<uint8_t> two(2 * 512);
+  EXPECT_DEATH(disk.WriteData(end - 1, two), "out of range");
+  EXPECT_DEATH(disk.ReadInto(end, std::span<uint8_t>(two).first(512)), "out of range");
+  EXPECT_DEATH(disk.WriteData(0, std::span<uint8_t>(two).first(100)), "whole blocks");
 }
 
 TEST(DiskModel, ScatteredAccessCostsSeekAndRotation) {
