@@ -6,7 +6,7 @@
 // decision is free; at fleet density (hundreds to thousands of tenant
 // domains) it would dominate. This bench measures the per-decision cost of the
 // indexed structures (EDF/extra-time heaps, reclaimable counters, victim
-// heaps, free-frame index) on three hot micro-paths, at 10/100/1000 domains:
+// heaps) and of placement on three micro-paths, at 10/100/1000 domains:
 //
 //   sched  PickNext + Charge cycles over a full EDF rotation: every pick
 //          exhausts the client, every period refreshes it — each decision
@@ -15,7 +15,8 @@
 //          faults revoke frames from the max-surplus hog (PickVictim +
 //          ReclaimUnusedTop), teardown frees them, hogs reabsorb them
 //          optimistically (CheckAllocation's outstanding-guarantee test).
-//   colour page-colouring allocations draining the free pool.
+//   colour page-colouring allocations draining the free pool (a first-match
+//          scan of the push-ordered free list).
 //
 // Every decision is checked against a brute-force reference scan in
 // tests/equivalence_test.cc; EXPERIMENTS.md Ablation I keeps the last
@@ -156,10 +157,10 @@ MicroResult AllocMicro(int n, uint64_t cycles) {
   return r;
 }
 
-// --- Placement (free-frame index) micro-path -------------------------------
+// --- Placement micro-path ----------------------------------------------------
 
 // One tenant drains a 3N-frame free pool with page-colouring requests; each
-// request reads the per-colour bucket.
+// request takes the first free frame of its colour in push order.
 MicroResult ColourMicro(int n) {
   const uint64_t frames = static_cast<uint64_t>(n) * 3;
   Simulator sim;

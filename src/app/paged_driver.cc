@@ -42,10 +42,7 @@ void PagedStretchDriver::StopPipeline() {
   // swap requests: cut the channel's data path before any goes.
   swap_->Detach();
   pump_task_.Kill();
-  for (TaskHandle& handle : pipeline_tasks_) {
-    handle.Kill();
-  }
-  pipeline_tasks_.clear();
+  pipeline_tasks_.KillAll();
   // Release every frame pinned by in-flight speculative work: the tasks are
   // dead, nobody else will. Frames revoked underneath are tolerated.
   for (StageSlot& slot : slots_) {
@@ -74,17 +71,9 @@ Status<VmError> PagedStretchDriver::Bind(Stretch* stretch) {
 }
 
 std::optional<Pfn> PagedStretchDriver::FindUnusedPoolFrame() const {
+  // A staged frame is nailed (Reserve) from its claim until it is consumed,
+  // so the kUnused test below already skips it.
   for (Pfn pfn : pool_) {
-    bool staged = false;
-    for (const StageSlot& slot : slots_) {
-      if (slot.state != StageSlot::State::kFree && slot.pfn == pfn) {
-        staged = true;  // claimed for a staged page
-        break;
-      }
-    }
-    if (staged) {
-      continue;
-    }
     if (env_.kernel->ramtab().OwnerOf(pfn) == env_.domain &&
         env_.kernel->ramtab().StateOf(pfn) == FrameState::kUnused) {
       return pfn;
@@ -369,13 +358,23 @@ size_t PagedStretchDriver::SelectVictim() {
   return victim;
 }
 
-Task PagedStretchDriver::EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid) {
+std::optional<PagedStretchDriver::Victim> PagedStretchDriver::TakeVictim() {
   const size_t victim = SelectVictim();
   PageInfo& page = pages_[victim];
   const VirtAddr victim_va = stretch_->PageBase(victim);
   auto trans = env_.syscalls().Trans(victim_va);
   NEM_ASSERT_MSG(trans.has_value(), "resident page not mapped");
   const bool dirty = trans->dirty;
+  // A dirty page needs somewhere to go before it may leave its frame.
+  if (dirty && !page.blok.has_value()) {
+    page.blok = bloks_.Alloc();
+    if (!page.blok.has_value()) {
+      // Swap exhausted: put the victim back (still mapped, nothing lost).
+      NEM_LOG_WARN("paged", "swap space exhausted");
+      fifo_.push_front(victim);
+      return std::nullopt;
+    }
+  }
   Pfn pfn = 0;
   NEM_ASSERT(env_.syscalls().Unmap(env_.domain, env_.pdom, victim_va, &pfn).ok());
   // Reserve the frame (RamTab nailed) for the duration of the write-back and
@@ -384,22 +383,27 @@ Task PagedStretchDriver::EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid) {
   NEM_ASSERT(env_.syscalls().Nail(env_.domain, pfn).ok());
   evictions_.Inc();
   page.resident = false;
+  if (!dirty) {
+    // A clean page either already has a valid disk copy or was never written
+    // (demand-zero on next touch): the frame comes back without any IO.
+    cleaned_evictions_.Inc();
+  }
+  return Victim{victim, pfn, dirty};
+}
 
-  if (dirty) {
+Task PagedStretchDriver::EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid) {
+  const std::optional<Victim> victim = TakeVictim();
+  if (!victim.has_value()) {
+    *ok = false;
+    co_return;
+  }
+  if (victim->dirty) {
     // Clean the page to swap before the frame can be reused.
-    if (!page.blok.has_value()) {
-      page.blok = bloks_.Alloc();
-      if (!page.blok.has_value()) {
-        NEM_LOG_WARN("paged", "swap space exhausted");
-        ReleaseReservation(pfn);
-        *ok = false;
-        co_return;
-      }
-    }
+    PageInfo& page = pages_[victim->page];
     bool write_ok = false;
-    co_await SwapIo(*page.blok, pfn, /*is_write=*/true, &write_ok, fid);
+    co_await SwapIo(*page.blok, victim->pfn, /*is_write=*/true, &write_ok, fid);
     if (!write_ok) {
-      ReleaseReservation(pfn);
+      ReleaseReservation(victim->pfn);
       *ok = false;
       co_return;
     }
@@ -412,13 +416,8 @@ Task PagedStretchDriver::EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid) {
     } else {
       page.has_disk_copy = true;
     }
-  } else {
-    // A clean page either already has a valid disk copy or was never written
-    // (demand-zero on next touch): the frame comes back without any IO.
-    cleaned_evictions_.Inc();
   }
-
-  *out_pfn = pfn;
+  *out_pfn = victim->pfn;
   *ok = true;
 }
 
@@ -434,35 +433,17 @@ size_t PagedStretchDriver::StartEvictBatch(size_t max_victims) {
   std::vector<WritebackItem> dirty;
   size_t freed_now = 0;
   for (size_t k = 0; k < max_victims && !fifo_.empty(); ++k) {
-    const size_t victim = SelectVictim();
-    PageInfo& page = pages_[victim];
-    const VirtAddr victim_va = stretch_->PageBase(victim);
-    auto trans = env_.syscalls().Trans(victim_va);
-    NEM_ASSERT_MSG(trans.has_value(), "resident page not mapped");
-    const bool dirty_bit = trans->dirty;
-    if (dirty_bit && !page.blok.has_value()) {
-      page.blok = bloks_.Alloc();
-      if (!page.blok.has_value()) {
-        // Swap exhausted: put the victim back (still mapped, nothing lost)
-        // and stop gathering.
-        NEM_LOG_WARN("paged", "swap space exhausted");
-        fifo_.push_front(victim);
-        break;
-      }
+    const std::optional<Victim> victim = TakeVictim();
+    if (!victim.has_value()) {
+      break;  // swap exhausted: stop gathering
     }
-    Pfn pfn = 0;
-    NEM_ASSERT(env_.syscalls().Unmap(env_.domain, env_.pdom, victim_va, &pfn).ok());
-    NEM_ASSERT(env_.syscalls().Nail(env_.domain, pfn).ok());
-    evictions_.Inc();
-    page.resident = false;
-    if (!dirty_bit) {
-      cleaned_evictions_.Inc();
-      ReleaseReservation(pfn);
+    if (!victim->dirty) {
+      ReleaseReservation(victim->pfn);
       ++freed_now;
       continue;
     }
-    page.cleaning = true;
-    dirty.push_back(WritebackItem{victim, *page.blok, pfn});
+    pages_[victim->page].cleaning = true;
+    dirty.push_back(WritebackItem{victim->page, *pages_[victim->page].blok, victim->pfn});
   }
   const size_t dirty_count = dirty.size();
   if (!dirty.empty()) {
@@ -829,10 +810,7 @@ void PagedStretchDriver::SpawnPipelineTask(Task task, const char* label) {
   if (pipeline_stopped_) {
     return;
   }
-  if (pipeline_tasks_.size() >= 64) {
-    std::erase_if(pipeline_tasks_, [](const TaskHandle& h) { return TaskDead(h.state()); });
-  }
-  pipeline_tasks_.push_back(env_.sim->Spawn(std::move(task), label));
+  pipeline_tasks_.Adopt(env_.sim->Spawn(std::move(task), label));
 }
 
 // --- Revocation --------------------------------------------------------------

@@ -203,8 +203,19 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   // destructor can kill it.
   void SpawnPipelineTask(Task task, const char* label);
 
+  // A resident page taken off the FIFO: unmapped, its frame nailed.
+  struct Victim {
+    size_t page = 0;
+    Pfn pfn = 0;
+    bool dirty = false;
+  };
+  // Selects the replacement victim and, for a dirty page, allocates its swap
+  // blok before unmapping it and nailing its frame. On swap exhaustion the
+  // victim stays mapped at the head of the FIFO and the result is empty.
+  std::optional<Victim> TakeVictim();
   // Evicts the FIFO-oldest resident page, cleaning it to swap if dirty.
-  // Writes the freed frame to *out_pfn; *ok=false on swap exhaustion.
+  // Writes the freed frame to *out_pfn; *ok=false on swap exhaustion (the
+  // victim stays resident) or a failed write.
   // `fid` is the fault trace id driving the eviction (0 outside a fault).
   Task EvictOne(Pfn* out_pfn, bool* ok, uint64_t fid = 0);
 
@@ -246,7 +257,7 @@ class PagedStretchDriver : public PhysicalStretchDriver {
   uint64_t next_bg_seq_ = 1;
   uint64_t NextBgId();
   TaskHandle pump_task_;
-  std::vector<TaskHandle> pipeline_tasks_;
+  OwnedTaskSet pipeline_tasks_;
   bool pipeline_stopped_ = false;
   // Read-ahead window state.
   size_t last_fault_page_ = SIZE_MAX;

@@ -89,17 +89,6 @@ SimDuration Disk::CacheHitCost(const DiskRequest& request) const {
          FromSeconds(bytes / (geometry_.bus_rate_mb_s * 1e6));
 }
 
-SimDuration Disk::MechanicalAccess(const DiskRequest& request, SimTime now) {
-  bool seeked = false;
-  const SimDuration t =
-      MechanicalCost(request, now, current_cylinder_, /*chained=*/false, &seeked);
-  if (seeked) {
-    ++stats_.seeks;
-  }
-  current_cylinder_ = request.lba / geometry_.blocks_per_cylinder();
-  return t;
-}
-
 void Disk::FillCache(uint64_t lba, uint32_t nblocks) {
   // Read-ahead: the segment covers the request plus readahead_blocks.
   const uint64_t start = lba;
@@ -137,32 +126,7 @@ void Disk::InvalidateCacheRange(uint64_t lba, uint32_t nblocks) {
 }
 
 SimDuration Disk::Access(const DiskRequest& request, SimTime now) {
-  NEM_ASSERT_MSG(request.lba + request.nblocks <= geometry_.total_blocks,
-                 "disk access out of range");
-  NEM_ASSERT(request.nblocks > 0);
-  stats_.blocks_transferred += request.nblocks;
-
-  SimDuration t;
-  if (request.is_write) {
-    ++stats_.writes;
-    InvalidateCacheRange(request.lba, request.nblocks);
-    t = MechanicalAccess(request, now);
-  } else {
-    ++stats_.reads;
-    if (WouldHitCache(request)) {
-      ++stats_.cache_hits;
-      t = CacheHitCost(request);
-      // Touch the segment for LRU and keep read-ahead running.
-      FillCache(request.lba, request.nblocks);
-    } else {
-      t = MechanicalAccess(request, now);
-      if (geometry_.read_cache_enabled) {
-        FillCache(request.lba, request.nblocks);
-      }
-    }
-  }
-  stats_.busy_time += t;
-  return t;
+  return AccessChain(std::span<const DiskRequest>(&request, 1), now, scratch_);
 }
 
 void Disk::CostChain(std::span<const DiskRequest> requests, SimTime now,
@@ -229,8 +193,7 @@ SimDuration Disk::AccessChain(std::span<const DiskRequest> requests, SimTime now
       final_cylinder = request.lba / geometry_.blocks_per_cylinder();
     } else {
       ++stats_.reads;
-      // A cache hit keeps the head put, exactly as in Access; any other read
-      // is a media access.
+      // A cache hit keeps the head put; any other read is a media access.
       if (eval.segment_cache_hit[i] == 0) {
         moved_head = true;
         final_cylinder = request.lba / geometry_.blocks_per_cylinder();

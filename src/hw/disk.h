@@ -91,8 +91,8 @@ class Disk {
   void ResetStats() { stats_ = DiskStats{}; }
 
   // Computes the service time for the transaction starting at simulated time
-  // `now`, updates head/cache state, and returns the duration. Data transfer
-  // is performed separately with ReadData/WriteData.
+  // `now`, updates head/cache state, and returns the duration: a one-segment
+  // AccessChain. Data transfer is performed separately with ReadData/WriteData.
   SimDuration Access(const DiskRequest& request, SimTime now);
 
   // Costs `requests` issued as ONE chained transaction starting at `now`,
@@ -109,8 +109,7 @@ class Disk {
 
   // Commits a chain evaluated at `now`: one busy interval covering all
   // segments, with head position, cache fills/invalidations and stats updated
-  // in segment order. Returns the total service time. For a single-segment
-  // chain this is exactly equivalent to Access().
+  // in segment order. Returns the total service time.
   SimDuration AccessChain(std::span<const DiskRequest> requests, SimTime now,
                           DiskChainEval& eval);
 
@@ -141,10 +140,8 @@ class Disk {
                              bool chained, bool* seeked) const;
   // Media-rate continuation cost for an LBA-contiguous chained segment.
   SimDuration StreamingCost(const DiskRequest& request, uint64_t prev_last_block) const;
-  // Cache-hit costing (controller overhead + host transfer), shared by Access
-  // and the chain evaluator.
+  // Cache-hit costing (controller overhead + host transfer).
   SimDuration CacheHitCost(const DiskRequest& request) const;
-  SimDuration MechanicalAccess(const DiskRequest& request, SimTime now);
   void FillCache(uint64_t lba, uint32_t nblocks);
   void InvalidateCacheRange(uint64_t lba, uint32_t nblocks);
   // Byte offset of a transfer of `bytes` starting at `lba`; asserts that it
@@ -156,6 +153,7 @@ class Disk {
   uint64_t current_cylinder_ = 0;
   uint64_t cache_clock_ = 0;
   std::vector<CacheSegment> cache_;
+  DiskChainEval scratch_;  // Access's one-segment chain
   ZeroedArray<uint8_t> store_;  // block b at bytes [b * block_size, (b + 1) * block_size)
 };
 

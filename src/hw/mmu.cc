@@ -24,21 +24,19 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
   for (;;) {
     ++translations_;
     Pte* pte;
-    // TLB hit path first: rights are re-resolved (through the version-keyed
-    // cache) because protection-domain switches do not flush the TLB in this
-    // model (entries carry the sid); the PTE is revalidated through the
-    // single-entry walk cache, which for repeat accesses to the same page
-    // costs a compare instead of a table walk.
+    // TLB hit path first: rights are re-resolved because protection-domain
+    // switches do not flush the TLB in this model (entries carry the sid),
+    // and the PTE is re-read to catch a mapping changed underneath.
     const Tlb::Entry* tlb_entry = tlb_.Lookup(vpn);
     if (tlb_entry != nullptr) [[likely]] {
-      pte = Walk(vpn);
+      pte = page_table_->Lookup(vpn);
       if (pte == nullptr || !pte->valid || pte->pfn != tlb_entry->pfn) [[unlikely]] {
         // Stale entry (mapping changed underneath); drop it and retry.
         tlb_.Invalidate(vpn);
         continue;
       }
     } else {
-      pte = Walk(vpn);
+      pte = page_table_->Lookup(vpn);
       if (pte == nullptr) {
         ++faults_;
         return TranslateResult{FaultType::kFaultUnallocated, 0, kNoSid};
@@ -49,7 +47,7 @@ TranslateResult Mmu::Translate(VirtAddr va, AccessType access, const RightsResol
     }
 
     const Sid sid = pte->sid;
-    const uint8_t rights = ResolveRights(resolver, sid, pte->rights);
+    const uint8_t rights = EffectiveRights(resolver, *pte);
 
     if (!RightsAllow(rights, access)) [[unlikely]] {
       ++faults_;
@@ -83,13 +81,7 @@ TranslateResult Mmu::Probe(VirtAddr va, AccessType access, const RightsResolver*
   if (pte == nullptr) {
     return TranslateResult{FaultType::kFaultUnallocated, 0, kNoSid};
   }
-  uint8_t rights = pte->rights;
-  if (resolver != nullptr) {
-    if (auto r = resolver->RightsFor(pte->sid); r.has_value()) {
-      rights = *r;
-    }
-  }
-  if (!RightsAllow(rights, access)) {
+  if (!RightsAllow(EffectiveRights(resolver, *pte), access)) {
     return TranslateResult{FaultType::kFaultAcv, 0, pte->sid};
   }
   if (!pte->valid) {

@@ -10,13 +10,7 @@ Expected<Pte*, VmError> TranslationSyscalls::ValidateMeta(const RightsResolver* 
     // stretch."
     return MakeUnexpected(VmError::kNoStretch);
   }
-  uint8_t rights = pte->rights;
-  if (pdom != nullptr) {
-    if (auto r = pdom->RightsFor(pte->sid); r.has_value()) {
-      rights = *r;
-    }
-  }
-  if (!HasRights(rights, kRightMeta)) {
+  if (!HasRights(EffectiveRights(pdom, *pte), kRightMeta)) {
     return MakeUnexpected(VmError::kNoMeta);
   }
   return pte;

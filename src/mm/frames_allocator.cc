@@ -11,13 +11,14 @@ namespace nemesis {
 FramesAllocator::FramesAllocator(Simulator& sim, RamTab& ramtab, uint64_t total_frames,
                                  TraceRecorder* trace)
     : sim_(sim), ramtab_(ramtab), trace_(trace), total_frames_(total_frames),
-      free_pool_(total_frames), frames_available_(sim) {
+      frames_available_(sim) {
   g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
   NEM_ASSERT_LE(total_frames, ramtab.size());
   // Keep the free pool so that low PFNs are handed out first (the LIFO take
   // path pops the back).
+  free_pool_.reserve(total_frames);
   for (uint64_t pfn = total_frames; pfn > 0; --pfn) {
-    free_pool_.PushBack(pfn - 1);
+    free_pool_.push_back(pfn - 1);
   }
   ramtab_.set_nail_observer([this](Pfn pfn, DomainId owner, bool nailed) {
     OnNailChanged(pfn, owner, nailed);
@@ -133,7 +134,8 @@ void FramesAllocator::set_access_checker(DomainAccessChecker* checker) {
 Pfn FramesAllocator::TakeFreeFrame(Client& client) {
   g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
   NEM_ASSERT(!free_pool_.empty());
-  const Pfn pfn = free_pool_.PopBack();
+  const Pfn pfn = free_pool_.back();
+  free_pool_.pop_back();
   ramtab_.SetOwner(pfn, client.domain);
   ramtab_.SetUnused(pfn);
   ++client.allocated;
@@ -160,11 +162,14 @@ std::optional<FramesError> FramesAllocator::CheckAllocation(const Client& client
   return std::nullopt;
 }
 
-Expected<Pfn, FramesError> FramesAllocator::GrantSpecific(Client& client, Pfn pfn) {
+Expected<Pfn, FramesError> FramesAllocator::GrantFree(Client& client,
+                                                      std::vector<Pfn>::iterator it) {
   g_system_domain.AssertHeld();  // serialized system section (see thread_annotations.h)
-  if (!free_pool_.Erase(pfn)) {
+  if (it == free_pool_.end()) {
     return MakeUnexpected(FramesError::kNoMemory);
   }
+  const Pfn pfn = *it;
+  free_pool_.erase(it);
   ramtab_.SetOwner(pfn, client.domain);
   ramtab_.SetUnused(pfn);
   ++client.allocated;
@@ -188,7 +193,7 @@ Expected<Pfn, FramesError> FramesAllocator::AllocSpecificFrame(DomainId domain, 
   if (auto err = CheckAllocation(*c, &guaranteed_request); err.has_value()) {
     return MakeUnexpected(*err);
   }
-  return GrantSpecific(*c, pfn);
+  return GrantFree(*c, std::find(free_pool_.begin(), free_pool_.end(), pfn));
 }
 
 Expected<Pfn, FramesError> FramesAllocator::AllocFrameInRegion(DomainId domain, Pfn region_base,
@@ -203,11 +208,10 @@ Expected<Pfn, FramesError> FramesAllocator::AllocFrameInRegion(DomainId domain, 
   if (auto err = CheckAllocation(*c, &guaranteed_request); err.has_value()) {
     return MakeUnexpected(*err);
   }
-  const Pfn pfn = free_pool_.FirstInRegion(region_base, region_len);
-  if (pfn == kNoFreePfn) {
-    return MakeUnexpected(FramesError::kNoMemory);
-  }
-  return GrantSpecific(*c, pfn);
+  // First match in push order; the test cannot overflow, whatever region_len.
+  return GrantFree(*c, std::find_if(free_pool_.begin(), free_pool_.end(), [&](Pfn pfn) {
+                     return pfn >= region_base && pfn - region_base < region_len;
+                   }));
 }
 
 Expected<Pfn, FramesError> FramesAllocator::AllocFrameWithColour(DomainId domain, uint64_t colour,
@@ -223,11 +227,8 @@ Expected<Pfn, FramesError> FramesAllocator::AllocFrameWithColour(DomainId domain
   if (auto err = CheckAllocation(*c, &guaranteed_request); err.has_value()) {
     return MakeUnexpected(*err);
   }
-  const Pfn pfn = free_pool_.FirstWithColour(colour, num_colours);
-  if (pfn == kNoFreePfn) {
-    return MakeUnexpected(FramesError::kNoMemory);
-  }
-  return GrantSpecific(*c, pfn);
+  return GrantFree(*c, std::find_if(free_pool_.begin(), free_pool_.end(),
+                                    [&](Pfn pfn) { return pfn % num_colours == colour; }));
 }
 
 Expected<Pfn, FramesError> FramesAllocator::AllocFrame(DomainId domain) {
@@ -376,7 +377,7 @@ Status<FramesError> FramesAllocator::FreeFrame(DomainId domain, Pfn pfn) {
   NEM_ASSERT(c->reclaimable > 0);
   --c->reclaimable;  // the freed frame was kUnused
   ramtab_.SetOwner(pfn, kNoDomain);
-  free_pool_.PushBack(pfn);
+  free_pool_.push_back(pfn);
   RefreshAccounting(*c);
   frames_available_.NotifyAll();
   return Status<FramesError>::Ok();
@@ -400,7 +401,7 @@ uint64_t FramesAllocator::ReclaimUnusedTop(Client& victim, uint64_t k) {
     NEM_ASSERT(victim.reclaimable > 0);
     --victim.reclaimable;  // the stolen frame was kUnused
     ramtab_.SetOwner(top, kNoDomain);
-    free_pool_.PushBack(top);
+    free_pool_.push_back(top);
     ++reclaimed;
   }
   if (reclaimed > 0) {
@@ -570,7 +571,7 @@ void FramesAllocator::KillAndReclaim(Client& victim) {
     }
     ramtab_.SetUnused(pfn);
     ramtab_.SetOwner(pfn, kNoDomain);
-    free_pool_.PushBack(pfn);
+    free_pool_.push_back(pfn);
   }
   victim.allocated = 0;
   victim.reclaimable = 0;
@@ -674,7 +675,7 @@ std::string FramesAllocator::AuditIndexes() const {
       victims_nailed_.size() != nailed_victims) {
     return "a victim index holds entries for dead or surplus-free clients";
   }
-  return free_pool_.SelfCheck();
+  return "";
 }
 
 }  // namespace nemesis

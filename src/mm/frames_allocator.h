@@ -24,8 +24,9 @@
 //   victim; ties in surplus go to the earliest-admitted client;
 // * an incrementally-maintained sum of unmet guarantees makes the optimistic
 //   admission check O(1);
-// * the free list is a FreeFrameIndex (push-ordered list + segment tree +
-//   colour buckets), so the placement allocators stop scanning it.
+// * the free list is a vector in push order: a grant pops the back and a
+//   free or reclaim pushes onto it, both O(1); the placement allocators
+//   (which no System workload calls) scan it for the first match.
 //
 // tests/equivalence_test.cc checks every victim, granted pfn and placement
 // against a brute-force scan over the public views (ForEachClient,
@@ -48,7 +49,6 @@
 #include "src/check/domain_access.h"
 #include "src/kernel/ramtab.h"
 #include "src/mm/frame_stack.h"
-#include "src/mm/free_frame_index.h"
 #include "src/obs/counter.h"
 #include "src/sim/sync.h"
 #include "src/sim/trace.h"
@@ -156,11 +156,12 @@ class FramesAllocator {
   FrameStack* StackOf(DomainId domain);
   uint64_t AllocatedCount(DomainId domain) const;  // n
   FramesContract ContractOf(DomainId domain) const;
-  // Visits every free frame in list (push) order — what iterating the old
-  // free-list vector front-to-back yielded.
+  // Visits every free frame in list (push) order.
   template <typename Fn>
   void ForEachFreeFrame(Fn fn) const {
-    free_pool_.ForEach(fn);
+    for (Pfn pfn : free_pool_) {
+      fn(pfn);
+    }
   }
   uint64_t free_frames() const { return free_pool_.size(); }
   uint64_t total_frames() const { return total_frames_; }
@@ -186,9 +187,8 @@ class FramesAllocator {
   void set_access_checker(DomainAccessChecker* checker);
 
   // Audit cross-check (the invariant auditor's indexed-structures rule):
-  // reclaimable counters, victim heaps, the outstanding-guarantee sum and
-  // the free-frame index must agree with a ground-truth RamTab/FrameStack
-  // rescan. Returns "" when clean, else the first mismatch.
+  // reclaimable counters, victim heaps and the outstanding-guarantee sum
+  // must agree with a ground-truth RamTab/FrameStack rescan. Returns "" when clean, else the first mismatch.
   std::string AuditIndexes() const;
 
   // Corrupts the guarantee accounting. The contract-sum invariant is
@@ -224,8 +224,9 @@ class FramesAllocator {
   // Quota/guarantee admission shared by all allocation flavours. Sets
   // *guaranteed_request and returns an error when the request may not proceed.
   std::optional<FramesError> CheckAllocation(const Client& client, bool* guaranteed_request) const;
-  // Removes a specific frame from the free pool and grants it.
-  Expected<Pfn, FramesError> GrantSpecific(Client& client, Pfn pfn);
+  // Removes the free frame at `it` from the pool and grants it (kNoMemory
+  // when `it` is the pool's end).
+  Expected<Pfn, FramesError> GrantFree(Client& client, std::vector<Pfn>::iterator it);
   // Reclaims up to `k` unused frames from the top of the victim's stack.
   uint64_t ReclaimUnusedTop(Client& victim, uint64_t k);
   // Picks the domain holding the most optimistic frames. Skips the victim of
@@ -277,7 +278,7 @@ class FramesAllocator {
   // Sum of max(0, g - allocated) over live clients: the O(1) form of the
   // optimistic-admission check (the audit cross-checks it).
   uint64_t guaranteed_outstanding_ NEM_GUARDED_BY(g_system_domain) = 0;
-  FreeFrameIndex free_pool_ NEM_GUARDED_BY(g_system_domain);
+  std::vector<Pfn> free_pool_ NEM_GUARDED_BY(g_system_domain);
   std::vector<std::unique_ptr<Client>> clients_ NEM_GUARDED_BY(g_system_domain);
   // domain id -> clients_ index (kNoHeapHandle when not a live client).
   std::vector<uint32_t> domain_to_index_ NEM_GUARDED_BY(g_system_domain);

@@ -49,13 +49,11 @@ class ProtectionDomain : public RightsResolver {
   void SetRights(Sid sid, uint8_t rights) {
     NEM_ASSERT(sid < rights_.size());
     rights_[sid] = rights;
-    BumpVersion();  // invalidates the MMU's cached resolution for this domain
   }
 
   void RemoveEntry(Sid sid) {
     NEM_ASSERT(sid < rights_.size());
     rights_[sid] = kNoEntry;
-    BumpVersion();
   }
 
   uint64_t changes() const { return changes_; }
@@ -74,7 +72,6 @@ class ProtectionDomain : public RightsResolver {
     if (rights_[sid] != rights) {  // idempotent-change detection
       rights_[sid] = rights;
       ++changes_;
-      BumpVersion();
     }
     return Status<VmError>::Ok();
   }

@@ -95,8 +95,7 @@ Status<StretchError> StretchAllocator::Destroy(Sid sid) {
     if ((*it)->sid() == sid) {
       translation_.RemoveRange((*it)->base(), (*it)->page_count());
       // Strip the sid from every protection domain: rights entries must not
-      // outlive the stretch (each removal bumps the resolver version, which
-      // also drops the MMU's cached rights resolution for the dead sid).
+      // outlive the stretch.
       translation_.RemoveSidRights(sid);
       by_base_.erase((*it)->base());
       stretches_.erase(it);

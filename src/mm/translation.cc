@@ -23,9 +23,6 @@ void TranslationSystem::RemoveRange(VirtAddr base, size_t npages) {
     mmu_.page_table()->Remove(first + i);
     mmu_.tlb().Invalidate(first + i);
   }
-  // Mmu's contract: its translation caches are dropped whenever entries are
-  // removed.
-  mmu_.InvalidateTranslationCaches();
 }
 
 ProtectionDomain* TranslationSystem::CreateProtectionDomain() {
@@ -35,9 +32,6 @@ ProtectionDomain* TranslationSystem::CreateProtectionDomain() {
 
 void TranslationSystem::DeleteProtectionDomain(PdomId id) {
   std::erase_if(pdoms_, [id](const auto& p) { return p->id() == id; });
-  // A new domain could be allocated at the freed address; drop the MMU's
-  // cached (resolver, sid) resolution so it can never alias.
-  mmu_.InvalidateTranslationCaches();
 }
 
 ProtectionDomain* TranslationSystem::FindProtectionDomain(PdomId id) {
@@ -56,7 +50,7 @@ const ProtectionDomain* TranslationSystem::FindProtectionDomain(PdomId id) const
 void TranslationSystem::RemoveSidRights(Sid sid) {
   for (auto& p : pdoms_) {
     if (p->HasEntry(sid)) {
-      p->RemoveEntry(sid);  // bumps the resolver version
+      p->RemoveEntry(sid);
     }
   }
 }

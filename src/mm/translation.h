@@ -35,9 +35,7 @@ class TranslationSystem {
   const ProtectionDomain* FindProtectionDomain(PdomId id) const;
   size_t pdom_count() const;
 
-  // Strips `sid` from every protection domain (stretch destruction). Each
-  // removal bumps the domain's resolver version, so the MMU's cached rights
-  // resolution can never outlive the stretch.
+  // Strips `sid` from every protection domain (stretch destruction).
   void RemoveSidRights(Sid sid);
 
   // Auditor/debug sweep over all protection domains.

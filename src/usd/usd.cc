@@ -269,15 +269,9 @@ Task Usd::ServiceLoop() {
     sched_.SetQueued(client->sched_id_, static_cast<uint32_t>(client->queue_.size()));
 
     const SimTime start = sim_.Now();
-    SimDuration t;
-    SimDuration busy_delta = 0;
-    if (batch_.size() == 1) {
-      t = disk_.Access(batch_reqs_[0], start);
-    } else {
-      const SimDuration busy_before = disk_.stats().busy_time;
-      t = disk_.AccessChain(batch_reqs_, start, chain_eval_);
-      busy_delta = disk_.stats().busy_time - busy_before;
-    }
+    const SimDuration busy_before = disk_.stats().busy_time;
+    const SimDuration t = disk_.AccessChain(batch_reqs_, start, chain_eval_);
+    const SimDuration busy_delta = disk_.stats().busy_time - busy_before;
     in_service_ = client;
     co_await SleepFor(sim_, t);
     in_service_ = nullptr;
@@ -303,7 +297,7 @@ Task Usd::ServiceLoop() {
         client->defunct_ ? 0.0 : ToMilliseconds(sched_.remaining(pick->client));
     SimTime req_start = start;
     for (size_t i = 0; i < batch_.size(); ++i) {
-      const SimDuration rt = batch_.size() == 1 ? t : chain_eval_.per_request[i];
+      const SimDuration rt = chain_eval_.per_request[i];
       Complete(*client, batch_[i], req_start, rt, kTxn, remaining_ms);
       req_start += rt;
     }

@@ -231,6 +231,50 @@ TEST(PagedDriver, DataSurvivesPagingCycle) {
   EXPECT_GT(app->paged_driver()->pageouts(), 0u);
 }
 
+TEST(PagedDriver, SwapExhaustionKeepsDirtyVictim) {
+  // Two frames, four pages and swap for two: writing pages 0-3 sends pages 0
+  // and 1 to swap and leaves 2 and 3 resident and dirty. Paging 0 back in
+  // needs a victim, and the dirty one has nowhere to go: the fault fails,
+  // and the victim keeps its contents.
+  System system(SmallSystem());
+  AppConfig cfg;
+  cfg.name = "paged";
+  cfg.contract = {2, 0};
+  cfg.driver_max_frames = 2;
+  cfg.stretch_bytes = 4 * kDefaultPageSize;
+  cfg.swap_bytes = 2 * kDefaultPageSize;
+  AppDomain* app = system.CreateApp(cfg);
+
+  struct Run {
+    static Task Go(AppDomain* app, bool* wrote, bool* read0, bool* read2,
+                   std::vector<uint8_t>* page2) {
+      const VirtAddr base = app->stretch()->base();
+      std::vector<uint8_t> pattern(4 * kDefaultPageSize);
+      for (size_t i = 0; i < pattern.size(); ++i) {
+        pattern[i] = static_cast<uint8_t>(0x10 + i / kDefaultPageSize);
+      }
+      TaskHandle w = app->SpawnWorkload(app->vmem().Write(base, pattern, wrote), "w");
+      co_await Join(w);
+      std::vector<uint8_t> page0(kDefaultPageSize);
+      TaskHandle r0 = app->SpawnWorkload(app->vmem().Read(base, page0, read0), "r0");
+      co_await Join(r0);
+      TaskHandle r2 = app->SpawnWorkload(
+          app->vmem().Read(base + 2 * kDefaultPageSize, *page2, read2), "r2");
+      co_await Join(r2);
+    }
+  };
+  bool wrote = false;
+  bool read0 = true;
+  bool read2 = false;
+  std::vector<uint8_t> page2(kDefaultPageSize);
+  app->SpawnWorkload(Run::Go(app, &wrote, &read0, &read2, &page2), "run");
+  system.sim().RunUntil(Seconds(30));
+  EXPECT_TRUE(wrote);
+  EXPECT_FALSE(read0);
+  ASSERT_TRUE(read2);
+  EXPECT_EQ(page2, std::vector<uint8_t>(kDefaultPageSize, 0x12));
+}
+
 // AccessRange's page-touch kernels over an unaligned range that starts and
 // ends mid-page and spans four pages of a two-frame domain, so the written
 // bytes make a round trip through swap before they are summed.

@@ -386,12 +386,7 @@ class TestResolver : public RightsResolver {
     }
     return std::nullopt;
   }
-  // Protection changes must bump the version (RightsResolver contract) so the
-  // MMU's cached resolution is invalidated.
-  void set_rights(uint8_t rights) {
-    rights_ = rights;
-    BumpVersion();
-  }
+  void set_rights(uint8_t rights) { rights_ = rights; }
 
  private:
   uint8_t rights_ = kRightNone;

@@ -163,15 +163,24 @@ TEST_F(MmTest, DestroyRemovesRightsGrantedToOtherPdoms) {
   EXPECT_FALSE(peer->HasEntry(sid));
 }
 
-TEST_F(MmTest, DestroyBumpsResolverVersionOnGrantedPdoms) {
-  // The MMU caches resolved rights keyed by the resolver's version; removing
-  // a dead sid's entry must invalidate that cache.
-  ProtectionDomain* pd = translation_.CreateProtectionDomain();
-  auto s = salloc_.New(1, pd, 2 * kPage);
+TEST_F(MmTest, DeletedPdomRightsDoNotOutliveIt) {
+  // A protection domain created after another is deleted (possibly at the
+  // same address) starts with no entries: the translation takes the PTE's
+  // global rights, not the dead domain's.
+  ProtectionDomain* owner = translation_.CreateProtectionDomain();
+  auto s = salloc_.New(1, owner, kPage);
   ASSERT_TRUE(s.has_value());
-  const uint64_t version_before = pd->version();
-  ASSERT_TRUE(salloc_.Destroy((*s)->sid()).ok());
-  EXPECT_GT(pd->version(), version_before);
+  const VirtAddr va = (*s)->base();
+  Pte* pte = pt_.Lookup(va / kPage);
+  ASSERT_NE(pte, nullptr);
+  pte->valid = true;
+  pte->pfn = 3;
+  EXPECT_EQ(mmu_.Translate(va, AccessType::kRead, owner).fault, FaultType::kNone);
+
+  translation_.DeleteProtectionDomain(owner->id());
+  ProtectionDomain* fresh = translation_.CreateProtectionDomain();
+  EXPECT_FALSE(fresh->HasEntry((*s)->sid()));
+  EXPECT_EQ(mmu_.Translate(va, AccessType::kRead, fresh).fault, FaultType::kFaultAcv);
 }
 
 TEST_F(MmTest, FindByAddr) {
@@ -512,6 +521,26 @@ TEST_F(FramesTest, AllocFrameInRegion) {
   auto none = frames_.AllocFrameInRegion(2, 8, 4);
   ASSERT_FALSE(none.has_value());
   EXPECT_EQ(none.error(), FramesError::kNoMemory);
+}
+
+TEST_F(FramesTest, PlacementRegionBounds) {
+  ASSERT_TRUE(frames_.AdmitClient(1, {4, 0}).ok());
+  // A region past the last frame, and a zero-length region, hold no frame.
+  auto past = frames_.AllocFrameInRegion(1, kTotal, 4);
+  ASSERT_FALSE(past.has_value());
+  EXPECT_EQ(past.error(), FramesError::kNoMemory);
+  auto empty = frames_.AllocFrameInRegion(1, 3, 0);
+  ASSERT_FALSE(empty.has_value());
+  EXPECT_EQ(empty.error(), FramesError::kNoMemory);
+  // A region length that would overflow base + len: first match in push
+  // order (15 was pushed first), then the next, then nothing.
+  auto first = frames_.AllocFrameInRegion(1, 14, UINT64_MAX);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, 15u);
+  auto second = frames_.AllocFrameInRegion(1, 14, UINT64_MAX);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, 14u);
+  EXPECT_FALSE(frames_.AllocFrameInRegion(1, 14, UINT64_MAX).has_value());
 }
 
 TEST_F(FramesTest, AllocFrameWithColour) {
