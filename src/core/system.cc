@@ -183,9 +183,7 @@ AppDomain::AppDomain(System& system, AppConfig config)
         // the writeback chain at once, and lives off request coalescing.
         usd_depth = std::max<size_t>(
             usd_depth, config_.pipeline_depth + std::max<uint32_t>(config_.writeback_batch, 1));
-        if (!usd_batch.enabled) {
-          usd_batch.enabled = true;
-        }
+        usd_batch.enabled = true;
       }
       auto swap = system.sfs().CreateSwapFile(config_.name + "-swap", config_.swap_bytes,
                                               config_.disk_qos, usd_depth, usd_batch);

@@ -99,8 +99,8 @@ struct AppConfig {
   // demand pager; 1 with readahead_max_cluster 1 is the paper's §8 stream
   // paging. N >= 1 stages up to N speculative page-ins; the swap channel
   // depth is raised to cover the staged reads, the demand read and the
-  // writeback chain, and request coalescing is switched on unless a policy
-  // was configured explicitly.
+  // writeback chain, and request coalescing is switched on (the configured
+  // policy's caps still apply).
   uint32_t pipeline_depth = 0;
   uint32_t readahead_min_cluster = 1;
   uint32_t readahead_max_cluster = 8;

@@ -7,10 +7,6 @@
 
 namespace nemesis {
 
-namespace {
-constexpr size_t kArity = 4;
-}  // namespace
-
 Simulator::~Simulator() {
   // Tasks still suspended when the simulation ends are frame↔state reference
   // cycles (the coroutine promise owns a shared_ptr to the TaskState that
@@ -44,110 +40,23 @@ void Simulator::ReleaseSlot(uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-uint32_t Simulator::BucketFor(SimTime t) {
-  const size_t h = TimeCacheIndex(t);
-  const uint32_t cached = time_cache_[h];
-  if (cached != kNoBucket && buckets_[cached].time == t) {
-    return cached;
-  }
-  // Cache miss: open a new bucket for `t` and make it the routing target. Any
-  // older bucket for the same time (evicted by a colliding timestamp) can no
-  // longer receive events, so it holds strictly earlier arrivals and drains
-  // first via its smaller bseq.
-  uint32_t bidx;
-  if (!free_buckets_.empty()) {
-    bidx = free_buckets_.back();
-    free_buckets_.pop_back();
-  } else {
-    NEM_ASSERT_MSG(buckets_.size() < kNoBucket, "bucket table exhausted");
-    buckets_.push_back(Bucket{});
-    bidx = static_cast<uint32_t>(buckets_.size() - 1);
-  }
-  Bucket& b = buckets_[bidx];
-  b.time = t;
-  b.head = 0;
-  NEM_ASSERT(b.entries.empty());
-  HeapPush(Event{t, next_bucket_seq_++, bidx});
-  time_cache_[h] = bidx;
-  return bidx;
-}
-
-void Simulator::FreeBucket(uint32_t bidx) {
-  Bucket& b = buckets_[bidx];
-  const size_t h = TimeCacheIndex(b.time);
-  if (time_cache_[h] == bidx) {
-    time_cache_[h] = kNoBucket;  // stop CallAt from appending to a dead bucket
-  }
-  b.entries.clear();  // keeps capacity for reuse
-  b.head = 0;
-  free_buckets_.push_back(bidx);
-}
-
-void Simulator::HeapPush(Event ev) {
-  size_t i = heap_.size();
-  heap_.push_back(ev);
-  // Sift up with a hole to avoid per-level swaps.
-  while (i > 0) {
-    const size_t parent = (i - 1) / kArity;
-    if (!EarlierThan(ev, heap_[parent])) {
-      break;
-    }
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = ev;
-}
-
-void Simulator::SiftDownFromTop() {
-  const size_t n = heap_.size();
-  if (n == 0) {
-    return;
-  }
-  size_t i = 0;
-  const Event tmp = heap_[0];
-  for (;;) {
-    const size_t first_child = kArity * i + 1;
-    if (first_child >= n) {
-      break;
-    }
-    const size_t end = std::min(first_child + kArity, n);
-    size_t best = first_child;
-    for (size_t c = first_child + 1; c < end; ++c) {
-      if (EarlierThan(heap_[c], heap_[best])) {
-        best = c;
-      }
-    }
-    if (!EarlierThan(heap_[best], tmp)) {
-      break;
-    }
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = tmp;
-}
-
-void Simulator::HeapPopTop() {
-  heap_.front() = heap_.back();
+Simulator::Event Simulator::PopEarliest() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Event ev = heap_.back();
   heap_.pop_back();
-  SiftDownFromTop();
+  return ev;
 }
 
-uint32_t Simulator::FindLiveTop() {
+bool Simulator::FindLiveTop() {
   while (!heap_.empty()) {
-    const uint32_t bidx = heap_.front().bucket;
-    Bucket& b = buckets_[bidx];
-    // Drop cancelled entries off the front of the bucket.
-    while (b.head < b.entries.size() && slots_[b.entries[b.head]].cancelled) {
-      ReleaseSlot(b.entries[b.head]);
-      ++b.head;
+    const uint32_t slot = heap_.front().slot;
+    if (!slots_[slot].cancelled) {
+      return true;
     }
-    if (b.head < b.entries.size()) {
-      return bidx;
-    }
-    HeapPopTop();
-    FreeBucket(bidx);
+    PopEarliest();
+    ReleaseSlot(slot);
   }
-  return kNoBucket;
+  return false;
 }
 
 uint64_t Simulator::CallAt(SimTime t, Callback fn) {
@@ -157,7 +66,8 @@ uint64_t Simulator::CallAt(SimTime t, Callback fn) {
   s.fn = std::move(fn);
   s.pending = true;
   const uint64_t id = (static_cast<uint64_t>(slot) << 32) | s.gen;
-  buckets_[BucketFor(t)].entries.push_back(slot);
+  heap_.push_back(Event{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_pending_;
   return id;
 }
@@ -234,26 +144,19 @@ void Simulator::ExecuteHandoff() {
 }
 
 uint64_t Simulator::DrainBatch() {
-  const uint32_t top = FindLiveTop();
-  if (top == kNoBucket) {
+  if (!FindLiveTop()) {
     return 0;
   }
-  const SimTime t = buckets_[top].time;
+  const SimTime t = heap_.front().time;
   NEM_ASSERT(t >= now_);
   now_ = t;
   uint64_t n = 0;
-  draining_ = top;
-  // Events scheduled for `t` during the batch append behind `head`, so the
-  // bucket keeps handing them out in FIFO order; a held resume runs before
-  // the next entry, which is where it would have been appended. Re-deref
-  // `buckets_[top]` every iteration: a callback may open a new bucket and
-  // grow the vector.
-  for (;;) {
-    Bucket& b = buckets_[top];
-    if (b.head == b.entries.size()) {
-      break;
-    }
-    const uint32_t slot = b.entries[b.head++];
+  draining_ = true;
+  // Events scheduled for `t` during the batch get later seqs than every entry
+  // already queued, so they join the batch in FIFO order; a held resume runs
+  // before the next entry, which is where its seq would have put it.
+  while (!heap_.empty() && heap_.front().time == t) {
+    const uint32_t slot = PopEarliest().slot;
     if (slots_[slot].cancelled) {
       ReleaseSlot(slot);
       continue;
@@ -265,12 +168,7 @@ uint64_t Simulator::DrainBatch() {
       ++n;
     }
   }
-  draining_ = kNoBucket;
-  // The bucket drained dry; it is still the heap top (nothing earlier can
-  // appear while it runs, and a same-time sibling has a later bseq).
-  NEM_ASSERT(!heap_.empty() && heap_.front().bucket == top);
-  HeapPopTop();
-  FreeBucket(top);
+  draining_ = false;
   if (post_batch_hook_) [[unlikely]] {
     post_batch_hook_();
   }
@@ -290,11 +188,7 @@ uint64_t Simulator::Run() {
 
 uint64_t Simulator::RunUntil(SimTime deadline) {
   uint64_t n = 0;
-  for (;;) {
-    const uint32_t bidx = FindLiveTop();
-    if (bidx == kNoBucket || buckets_[bidx].time > deadline) {
-      break;
-    }
+  while (FindLiveTop() && heap_.front().time <= deadline) {
     n += DrainBatch();
   }
   if (now_ < deadline) {
@@ -304,19 +198,16 @@ uint64_t Simulator::RunUntil(SimTime deadline) {
 }
 
 bool Simulator::Step() {
-  const uint32_t bidx = FindLiveTop();
-  if (bidx == kNoBucket) {
+  if (!FindLiveTop()) {
     return false;
   }
-  Bucket& b = buckets_[bidx];
-  NEM_ASSERT(b.time >= now_);
-  now_ = b.time;
-  Execute(b.entries[b.head++]);  // FindLiveTop ensured liveness
+  const Event ev = PopEarliest();
+  NEM_ASSERT(ev.time >= now_);
+  now_ = ev.time;
+  Execute(ev.slot);  // FindLiveTop ensured liveness
   if (post_batch_hook_) [[unlikely]] {
     post_batch_hook_();
   }
-  // A drained bucket is left on the heap: a later CallAt at the same time may
-  // still revive it, and FindLiveTop reclaims it otherwise.
   return true;
 }
 

@@ -1,41 +1,33 @@
 // Discrete-event simulator core.
 //
-// The simulator owns a priority queue of timestamped callbacks and a registry
-// of coroutine tasks (see src/sim/task.h). Everything in the reproduction that
+// The simulator owns a queue of timestamped callbacks and a registry of
+// coroutine tasks (see src/sim/task.h). Everything in the reproduction that
 // consumes simulated time — domain workloads, fault handling, the USD service
 // loop, the disk mechanism — is driven from this loop, which makes every
 // experiment deterministic.
 //
 // The event loop is allocation-free in the steady state: callback bodies live
 // inline in recycled handle-table slots (SmallFunction, 48-byte small-buffer
-// storage — no unordered_map, no per-callback heap node). Events are grouped
-// into per-timestamp *buckets*: a bucket is a recycled vector of slot indices
-// in scheduling order, and a small 4-ary heap orders the buckets by time. A
-// discrete-event simulation fires bursts of same-time events (quantum
-// boundaries, batched disk completions), so the heap pays O(log #timestamps)
-// per *timestamp* instead of per *event* — scheduling and firing within a
-// batch are plain vector appends/reads. A direct-mapped time→bucket cache
-// routes CallAt to its bucket without a hash map; a cache collision merely
-// opens a second bucket for the same time (ordered after the first by a
-// creation stamp), never reorders events. Cancel is lazy — it flags the
+// storage — no unordered_map, no per-callback heap node). The queue is one
+// binary heap of (time, seq, slot) entries kept by std::push_heap/pop_heap.
+// `seq` is a global scheduling counter, so same-time events fire in
+// scheduling (FIFO) order by construction. Cancel is lazy — it flags the
 // generation-stamped slot, destroys the callback eagerly, and the entry is
-// dropped when it surfaces. Same-time events always fire in scheduling (FIFO)
-// order: appends only ever go to the newest bucket for a given time.
+// dropped when it reaches the heap top.
 //
 // Zero-delay task wakeups (a Condition notify, a Spawn's first resume, the
 // hops into and out of an awaited child) take a shortcut: ResumeNow. While a
-// batch drains and nothing is queued behind the running event, the resume it
-// schedules is provably the next event the batch would run, so it is held in
-// a one-entry register (no slot, no callback body, no bucket append) and run
-// straight after the current event returns. The order rule: a held resume
-// runs exactly where CallAfter(0, ...) would have put it — next. Everything
-// the current event schedules for Now() after it, including a second
-// ResumeNow while the register is full, lands behind it in the bucket (or in
-// a later same-time bucket), so nothing can overtake it. Step(), a bucket
-// with entries still queued behind the running event, and a time-cache
-// collision never hold; they fall back to CallAt. A held resume counts in
-// pending_events() and events_executed() and passes through the post-event
-// hook exactly as a queued one does.
+// batch drains, the register is empty and the heap top is not at Now() (so
+// nothing else is queued for the running timestamp), the resume it schedules
+// is provably the next event the batch would run. It is held in a one-entry
+// register (no slot, no callback body, no heap push) and run straight after
+// the current event returns. The order rule: a held resume runs exactly where
+// CallAfter(0, ...) would have put it — next. Everything the current event
+// schedules for Now() after it, including a second ResumeNow while the
+// register is full, gets a later seq, so nothing can overtake it. Step(), and
+// a heap top at Now() (live or cancelled), never hold; they fall back to
+// CallAt. A held resume counts in pending_events() and events_executed() and
+// passes through the post-event hook exactly as a queued one does.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -54,11 +46,7 @@ class Simulator {
  public:
   using Callback = SmallFunction<void()>;
 
-  Simulator() {
-    for (uint32_t& c : time_cache_) {
-      c = kNoBucket;
-    }
-  }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
@@ -81,17 +69,13 @@ class Simulator {
   // would give it (see the header comment for when it skips the queue). The
   // wake primitive of every same-time task resume; it cannot be cancelled.
   void ResumeNow(std::shared_ptr<TaskState> st) {
-    // Hold only when CallAt(Now()) would make this the batch's next event:
-    // the register is free, nothing is queued behind the running event, and
-    // the time cache routes Now() to the draining bucket rather than to a
-    // second bucket opened by a collision.
-    if (draining_ != kNoBucket && !handoff_) [[likely]] {
-      const Bucket& b = buckets_[draining_];
-      if (b.head == b.entries.size() && time_cache_[TimeCacheIndex(now_)] == draining_) {
-        handoff_ = std::move(st);
-        ++live_pending_;
-        return;
-      }
+    // Hold only when CallAt(Now()) would make this the batch's next event: a
+    // batch is draining, the register is free and nothing else is queued for
+    // Now().
+    if (draining_ && !handoff_ && (heap_.empty() || heap_.front().time != now_)) [[likely]] {
+      handoff_ = std::move(st);
+      ++live_pending_;
+      return;
     }
     QueueResume(std::move(st));
   }
@@ -129,27 +113,14 @@ class Simulator {
   void set_post_batch_hook(Callback hook) { post_batch_hook_ = std::move(hook); }
 
  private:
-  static constexpr uint32_t kNoBucket = UINT32_MAX;
-  static constexpr size_t kTimeCacheSize = 64;  // power of two
   static constexpr size_t kMinPruneThreshold = 64;
 
-  // Heap key: one entry per live timestamp bucket. `bseq` is the bucket
-  // creation stamp — it tiebreaks the (rare) case where a cache collision
-  // opened a second bucket for the same time, keeping global FIFO order.
+  // Heap entry, one per scheduled event. `seq` is the global scheduling
+  // stamp, so (time, seq) orders events by time and FIFO within a time.
   struct Event {
     SimTime time;
-    uint64_t bseq;
-    uint32_t bucket;
-  };
-
-  // All events scheduled for one timestamp, slot indices in scheduling order.
-  // `head` walks forward as the batch drains; callbacks appending to the same
-  // time land behind it. Freed buckets keep their vector capacity, so the
-  // steady state never allocates.
-  struct Bucket {
-    SimTime time = 0;
-    size_t head = 0;
-    std::vector<uint32_t> entries;
+    uint64_t seq;
+    uint32_t slot;
   };
 
   // Handle-table slot: owns the callback body and the cancellation state. An
@@ -162,35 +133,24 @@ class Simulator {
     bool cancelled = false;
   };
 
-  static bool EarlierThan(const Event& a, const Event& b) {
-    return a.time < b.time || (a.time == b.time && a.bseq < b.bseq);
-  }
-
-  // Fibonacci hash: spreads strided timestamps (all multiples of some quantum)
-  // across the cache instead of aliasing a few lines.
-  static size_t TimeCacheIndex(SimTime t) {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(t) * 0x9E3779B97F4A7C15ull) >>
-        (64 - 6));  // log2(kTimeCacheSize)
-  }
+  // The std heap algorithms keep the greatest element on top, so "later"
+  // puts the earliest (time, seq) there. A function object, not a function
+  // pointer, so the heap algorithms inline the comparison.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+    }
+  };
 
   uint32_t AllocSlot();
   void ReleaseSlot(uint32_t slot);
 
-  // Returns the bucket for time `t`, creating (and heap-pushing) it on a
-  // cache miss.
-  uint32_t BucketFor(SimTime t);
-  void FreeBucket(uint32_t bidx);
+  // Removes and returns the heap top.
+  Event PopEarliest();
 
-  // 4-ary heap primitives over heap_.
-  void HeapPush(Event ev);
-  void HeapPopTop();
-  void SiftDownFromTop();
-
-  // Skips cancelled entries (releasing their slots) and pops drained buckets
-  // off the heap top; returns the bucket holding the earliest live event, or
-  // kNoBucket when the queue is empty.
-  uint32_t FindLiveTop();
+  // Pops cancelled entries (releasing their slots) off the heap top; returns
+  // false when no live event is pending.
+  bool FindLiveTop();
 
   // Executes every event at the earliest pending timestamp (including events
   // scheduled *for that same timestamp* while the batch runs). Returns the
@@ -210,21 +170,17 @@ class Simulator {
   void PruneTasks();
 
   SimTime now_ = 0;
-  uint64_t next_bucket_seq_ = 0;
+  uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t resumes_held_ = 0;
   size_t live_pending_ = 0;
   std::vector<Event> heap_;
-  std::vector<Bucket> buckets_;
-  std::vector<uint32_t> free_buckets_;
-  uint32_t time_cache_[kTimeCacheSize];
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<std::shared_ptr<TaskState>> tasks_;
-  // The bucket DrainBatch is running (kNoBucket outside a batch), and the
-  // held resume (null: the register is empty). A held resume is counted in
-  // live_pending_.
-  uint32_t draining_ = kNoBucket;
+  // Whether DrainBatch is running, and the held resume (null: the register
+  // is empty). A held resume is counted in live_pending_.
+  bool draining_ = false;
   std::shared_ptr<TaskState> handoff_;
   size_t prune_threshold_ = kMinPruneThreshold;
   Callback post_event_hook_;

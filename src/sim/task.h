@@ -213,9 +213,9 @@ class OwnedTaskSet {
   // Records `handle` and returns it (so adoption wraps a Spawn in place).
   TaskHandle Adopt(TaskHandle handle) {
     if (handles_.size() >= prune_threshold_) {
-      // The threshold doubles past the survivors, as in
-      // Simulator::RegisterTask, so many live tasks cost amortised O(1) per
-      // adopt rather than a full rescan each time.
+      // The threshold doubles past the survivors, as in Simulator::Spawn,
+      // so many live tasks cost amortised O(1) per adopt rather than a full
+      // rescan each time.
       std::erase_if(handles_, [](const TaskHandle& h) { return h.done(); });
       prune_threshold_ = std::max(kMinPruneThreshold, handles_.size() * 2);
     }

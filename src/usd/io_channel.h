@@ -55,11 +55,6 @@ struct UsdBatchPolicy {
   uint32_t max_requests = 32;
   // Cap on the total blocks moved by one chain.
   uint32_t max_batch_blocks = 2048;  // 1 MiB at 512-byte blocks
-  // Non-contiguous same-direction requests whose LBA distance from the end of
-  // the chain is at most this many blocks may still be coalesced (they pay
-  // seek + rotation inside the chain, but not the per-command overhead).
-  // 0 = strictly LBA-contiguous coalescing only.
-  uint64_t max_gap_blocks = 0;
 };
 
 // A contiguous range of disk blocks a client is entitled to access. The USD

@@ -142,17 +142,10 @@ void Usd::AssembleBatch(UsdClient& client, SimDuration slice_budget) {
     while (extent != nullptr && batch_.size() < policy.max_requests &&
            !client.queue_.empty()) {
       const UsdRequest& next = client.queue_.front();
-      if (next.is_write != batch_[0].is_write ||
+      if (next.is_write != batch_[0].is_write || next.lba != chain_end ||
           blocks + next.nblocks > policy.max_batch_blocks ||
           !extent->Covers(next.lba, next.nblocks)) {
         break;
-      }
-      if (next.lba != chain_end) {
-        const uint64_t gap =
-            next.lba > chain_end ? next.lba - chain_end : chain_end - next.lba;
-        if (gap > policy.max_gap_blocks) {
-          break;
-        }
       }
       blocks += next.nblocks;
       chain_end = next.lba + next.nblocks;

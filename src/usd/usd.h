@@ -12,8 +12,8 @@
 //
 // Batching (per-client opt-in, see UsdBatchPolicy): when the Atropos pick
 // grants a client the head, the service loop drains its queue for
-// LBA-contiguous (and bounded non-contiguous) same-direction requests — up to
-// the policy caps and the pick's slice budget — and issues them as one
+// LBA-contiguous same-direction requests — up to the policy caps and the
+// pick's slice budget — and issues them as one
 // chained disk transaction. The combined service time is charged once; each
 // request still gets its own reply (FIFO, one pipeline slot released each).
 // A batch never spans extents and only its first transaction may overrun the

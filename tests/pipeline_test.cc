@@ -175,46 +175,42 @@ TEST(Pipeline, ClusterReadsSplitAcrossBatchCaps) {
 
 TEST(Pipeline, ClusterReadsOverFragmentedBloks) {
   // Backwards priming maps sequential pages onto discontiguous swap bloks, so
-  // a read-ahead cluster's LBAs are not contiguous and (with max_gap_blocks
-  // 0) cannot coalesce into a single chain. Gap coalescing is then turned on
-  // for a second pass; both must preserve data.
-  for (const uint64_t gap_blocks : {uint64_t{0}, uint64_t{1024}}) {
-    System system(SmallSystem());
-    AppConfig cfg = PipelineApp("pipe-frag", 4, 32);
-    cfg.usd_batch.enabled = true;
-    cfg.usd_batch.max_gap_blocks = gap_blocks;
-    AppDomain* app = system.CreateApp(cfg);
-    struct Frag {
-      static Task Run(AppDomain* app, bool* ok) {
-        // Prime pages in reverse so blok allocation order (first-fit,
-        // ascending) is the reverse of page order.
-        bool all_ok = true;
-        for (size_t i = app->stretch()->page_count(); i > 0; --i) {
-          bool w = false;
-          TaskHandle wh = app->SpawnWorkload(
-              app->vmem().AccessRange(app->stretch()->PageBase(i - 1), kDefaultPageSize,
-                                      AccessType::kWrite, &w, nullptr),
-              "w");
-          co_await Join(wh);
-          all_ok = all_ok && w;
-        }
-        // Forward sequential read: clusters span non-adjacent bloks.
-        bool r = false;
-        TaskHandle rh = app->SpawnWorkload(
-            app->vmem().AccessRange(app->stretch()->base(), app->stretch()->length(),
-                                    AccessType::kRead, &r, nullptr),
-            "r");
-        co_await Join(rh);
-        *ok = all_ok && r;
+  // a read-ahead cluster's LBAs are not contiguous and cannot coalesce into a
+  // single chain (a chain is strictly LBA-contiguous); data must survive.
+  System system(SmallSystem());
+  AppConfig cfg = PipelineApp("pipe-frag", 4, 32);
+  cfg.usd_batch.enabled = true;
+  AppDomain* app = system.CreateApp(cfg);
+  struct Frag {
+    static Task Run(AppDomain* app, bool* ok) {
+      // Prime pages in reverse so blok allocation order (first-fit,
+      // ascending) is the reverse of page order.
+      bool all_ok = true;
+      for (size_t i = app->stretch()->page_count(); i > 0; --i) {
+        bool w = false;
+        TaskHandle wh = app->SpawnWorkload(
+            app->vmem().AccessRange(app->stretch()->PageBase(i - 1), kDefaultPageSize,
+                                    AccessType::kWrite, &w, nullptr),
+            "w");
+        co_await Join(wh);
+        all_ok = all_ok && w;
       }
-    };
-    bool ok = false;
-    app->SpawnWorkload(Frag::Run(app, &ok), "frag");
-    system.sim().RunUntil(Seconds(240));
-    EXPECT_TRUE(ok) << "gap_blocks " << gap_blocks;
-    EXPECT_EQ(app->swap_client()->rejected(), 0u);
-    ExpectAuditClean(system, "pipeline fragmented bloks");
-  }
+      // Forward sequential read: clusters span non-adjacent bloks.
+      bool r = false;
+      TaskHandle rh = app->SpawnWorkload(
+          app->vmem().AccessRange(app->stretch()->base(), app->stretch()->length(),
+                                  AccessType::kRead, &r, nullptr),
+          "r");
+      co_await Join(rh);
+      *ok = all_ok && r;
+    }
+  };
+  bool ok = false;
+  app->SpawnWorkload(Frag::Run(app, &ok), "frag");
+  system.sim().RunUntil(Seconds(240));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(app->swap_client()->rejected(), 0u);
+  ExpectAuditClean(system, "pipeline fragmented bloks");
 }
 
 TEST(Pipeline, ForgetfulModeDisablesReadAhead) {

@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <coroutine>
+#include <deque>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -709,7 +712,7 @@ TEST(Trace, WritesCsv) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariants the bucketed event loop must preserve exactly (the figure
+// Invariants the event loop must preserve exactly (the figure
 // benches depend on scheduling order being bit-for-bit stable).
 // ---------------------------------------------------------------------------
 
@@ -848,11 +851,11 @@ TEST(Simulator, PendingEventsTracksCancelAndFire) {
 }
 
 TEST(Simulator, ManyColocatedTimestampsKeepOrder) {
-  // More live timestamps than the time->bucket cache has lines: collisions
-  // must only cost speed, never ordering.
+  // Many live timestamps, each holding two events queued a pass apart: they
+  // fire in time order, and FIFO within each time.
   Simulator sim;
   std::vector<int> order;
-  const int kTimes = 300;  // > 64 cache lines, strided
+  const int kTimes = 300;
   for (int pass = 0; pass < 2; ++pass) {
     for (int i = 0; i < kTimes; ++i) {
       const SimTime t = 1000 + static_cast<SimTime>(i) * 64;  // alias-prone stride
@@ -1029,43 +1032,39 @@ TEST(Handoff, TaskKilledWhileItsResumeIsHeldFiresItsJoinWatcherOnce) {
   EXPECT_GE(sim.resumes_held(), 1u);
 }
 
-// From inside the only event at `when`, schedules enough distinct later
-// timestamps that one of them lands on the time-cache line of `when` (the
-// cache is direct-mapped with far fewer lines than this; a Fibonacci hash
-// spreads consecutive times over every line), so CallAt(when) opens a second
-// bucket.
-void EvictTimeCacheLineOfNow(Simulator& sim) {
+// From inside the only event at Now(), queues 1024 events at later
+// timestamps: whether a wake is held depends only on what is queued for
+// Now(), never on how many later timestamps are pending.
+void QueueManyLaterTimestamps(Simulator& sim) {
   for (int i = 1; i <= 1024; ++i) {
     sim.CallAfter(i, [] {});
   }
 }
 
-TEST(Handoff, TimeCacheCollisionFallsBackAndKeepsFifo) {
-  // Control: with the cache line intact the wake is held.
-  for (const bool evict : {false, true}) {
-    Simulator sim;
-    Condition cv(sim);
-    std::vector<std::string> log;
-    sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
-    sim.CallAt(Microseconds(1), [&] {
-      if (evict) {
-        EvictTimeCacheLineOfNow(sim);
-      }
-      cv.NotifyOne();
-    });
-    sim.Run();
-    EXPECT_EQ(sim.resumes_held(), evict ? 0u : 1u) << "evict=" << evict;
-    EXPECT_EQ(log, (std::vector<std::string>{"waiter"}));
-  }
-  // An event queued into the second same-time bucket before the wake runs
-  // before the waiter; holding the wake would have overtaken it.
+TEST(Handoff, WakeAmongManyPendingTimestampsKeepsFifo) {
+  // Nothing else is queued for Now(): the wake is held.
   {
     Simulator sim;
     Condition cv(sim);
     std::vector<std::string> log;
     sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
     sim.CallAt(Microseconds(1), [&] {
-      EvictTimeCacheLineOfNow(sim);
+      QueueManyLaterTimestamps(sim);
+      cv.NotifyOne();
+    });
+    sim.Run();
+    EXPECT_EQ(sim.resumes_held(), 1u);
+    EXPECT_EQ(log, (std::vector<std::string>{"waiter"}));
+  }
+  // An event queued for Now() before the wake runs before the waiter; holding
+  // the wake would have overtaken it.
+  {
+    Simulator sim;
+    Condition cv(sim);
+    std::vector<std::string> log;
+    sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
+    sim.CallAt(Microseconds(1), [&] {
+      QueueManyLaterTimestamps(sim);
       sim.CallAfter(0, [&] { log.push_back("event"); });
       cv.NotifyOne();
     });
@@ -1073,7 +1072,8 @@ TEST(Handoff, TimeCacheCollisionFallsBackAndKeepsFifo) {
     EXPECT_EQ(sim.resumes_held(), 0u);
     EXPECT_EQ(log, (std::vector<std::string>{"event", "waiter"}));
   }
-  // A collision after the hold cannot overtake the held resume either.
+  // Events queued after the hold, for later times and for Now(), cannot
+  // overtake the held resume.
   {
     Simulator sim;
     Condition cv(sim);
@@ -1081,7 +1081,7 @@ TEST(Handoff, TimeCacheCollisionFallsBackAndKeepsFifo) {
     sim.Spawn(LogAfterWait(cv, &log, "waiter"), "waiter");
     sim.CallAt(Microseconds(1), [&] {
       cv.NotifyOne();
-      EvictTimeCacheLineOfNow(sim);
+      QueueManyLaterTimestamps(sim);
       sim.CallAfter(0, [&] { log.push_back("event"); });
     });
     sim.Run();
@@ -1412,6 +1412,339 @@ TEST(Handoff, RandomProgramsMatchQueuedWakes) {
   }
   // The programs do exercise the register (about 15% of their events).
   EXPECT_GT(held_total * 10, events_total);
+}
+
+
+// --- Differential queue test --------------------------------------------------
+//
+// Seeded random schedules run through the Simulator and through a reference
+// queue: a std::multimap keyed on time, which keeps equal keys in insertion
+// order, so it pops in the (time, scheduling order) order the simulator
+// promises. Events, task starts and task wakes each draw their actions from a
+// stream seeded by their own key, so both sides act alike as long as they fire
+// the same entries in the same order. Every firing records its key, Now(),
+// pending_events() and events_executed(), and every driving call (Run,
+// RunUntil, Step) its result; both records must match.
+
+enum class QAct {
+  kAtNow,
+  kNear,
+  kFar,
+  kCancel,
+  kCancelTwice,
+  kNotifyOne,
+  kNotifyAll,
+  kSpawn,
+  kCount,
+};
+
+struct QAction {
+  QAct act;
+  uint64_t arg = 0;
+};
+
+struct Firing {
+  uint64_t key;
+  SimTime now;
+  size_t pending;
+  uint64_t executed;
+  bool operator==(const Firing&) const = default;
+};
+
+void PrintTo(const Firing& f, std::ostream* os) {
+  *os << "{key " << f.key << " at " << f.now << ", pending " << f.pending << ", executed "
+      << f.executed << "}";
+}
+
+// Caps that keep every program finite: scheduling stops after kMaxLabels
+// events, notifying after kMaxFirings firings, spawning after kMaxTasks tasks.
+constexpr uint64_t kMaxLabels = 250;
+constexpr uint64_t kMaxFirings = 600;
+constexpr uint64_t kMaxTasks = 6;
+
+// Firing keys: event labels count up from 0; task k starts as StartKey(k) and
+// its n-th wake is StartKey(k) + n. Actions from outside the run loop draw
+// from ExternalKey(round).
+constexpr uint64_t StartKey(uint64_t k) { return (k + 1) << 20; }
+constexpr uint64_t ExternalKey(uint64_t round) { return (uint64_t{1} << 40) + round; }
+
+// The actions of the firing `key` when `issued` event labels exist.
+std::vector<QAction> QueueActions(uint64_t seed, uint64_t key, uint64_t issued) {
+  Random rng(seed * 0x9E3779B97F4A7C15ull + key);
+  std::vector<QAction> acts(rng.NextBelow(5));
+  for (QAction& a : acts) {
+    a.act = static_cast<QAct>(rng.NextBelow(static_cast<uint64_t>(QAct::kCount)));
+    switch (a.act) {
+      case QAct::kNear:
+        a.arg = 1 + rng.NextBelow(8);
+        break;
+      case QAct::kFar:
+        a.arg = 1000 + rng.NextBelow(100000);
+        break;
+      case QAct::kCancel:
+      case QAct::kCancelTwice: {
+        // A recent label (often live, often at Now()), any issued label (live,
+        // fired, cancelled, or a stale id whose slot was recycled), or a
+        // label never issued.
+        const uint64_t r = rng.NextBelow(4);
+        if (issued == 0 || r == 0) {
+          a.arg = issued + rng.NextBelow(2);
+        } else if (r == 1) {
+          a.arg = rng.NextBelow(issued);
+        } else {
+          a.arg = issued - 1 - rng.NextBelow(std::min<uint64_t>(issued, 8));
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return acts;
+}
+
+// Q is SimQueue or RefQueue.
+template <typename Q>
+void ApplyActions(Q& q, uint64_t seed, uint64_t key) {
+  for (const QAction& a : QueueActions(seed, key, q.issued())) {
+    switch (a.act) {
+      case QAct::kAtNow:
+      case QAct::kNear:
+      case QAct::kFar:
+        if (q.issued() < kMaxLabels) {
+          q.Schedule(q.Now() + static_cast<SimDuration>(a.arg));
+        }
+        break;
+      case QAct::kCancelTwice:
+        q.Cancel(a.arg);
+        [[fallthrough]];
+      case QAct::kCancel:
+        q.Cancel(a.arg);
+        break;
+      case QAct::kNotifyOne:
+        if (q.executed() < kMaxFirings) {
+          q.NotifyOne();
+        }
+        break;
+      case QAct::kNotifyAll:
+        if (q.executed() < kMaxFirings) {
+          q.NotifyAll();
+        }
+        break;
+      case QAct::kSpawn:
+        if (q.tasks() < kMaxTasks) {
+          q.Spawn();
+        }
+        break;
+      case QAct::kCount:
+        break;
+    }
+  }
+}
+
+class SimQueue {
+ public:
+  explicit SimQueue(uint64_t seed) : seed_(seed) {}
+
+  SimTime Now() const { return sim_.Now(); }
+  uint64_t issued() const { return ids_.size(); }
+  uint64_t tasks() const { return wakes_.size(); }
+  uint64_t executed() const { return sim_.events_executed(); }
+  size_t pending() const { return sim_.pending_events(); }
+  uint64_t held() const { return sim_.resumes_held(); }
+  const std::vector<Firing>& log() const { return log_; }
+
+  void Schedule(SimTime t) {
+    const uint64_t label = ids_.size();
+    ids_.push_back(sim_.CallAt(t, [this, label] { Fire(label); }));
+  }
+  // A label never issued maps to an id no CallAt returned: 0, or a slot far
+  // beyond the handle table.
+  void Cancel(uint64_t label) {
+    if (label < ids_.size()) {
+      sim_.Cancel(ids_[label]);
+    } else {
+      sim_.Cancel(label == ids_.size() ? 0 : (uint64_t{1} << 62) | 1);
+    }
+  }
+  void NotifyOne() { cv_.NotifyOne(); }
+  void NotifyAll() { cv_.NotifyAll(); }
+  void Spawn() {
+    wakes_.push_back(0);
+    sim_.Spawn(Waiter(this, wakes_.size() - 1));
+  }
+
+  bool Step() { return sim_.Step(); }
+  uint64_t RunUntil(SimTime deadline) { return sim_.RunUntil(deadline); }
+  uint64_t Run() { return sim_.Run(); }
+
+ private:
+  static Task Waiter(SimQueue* q, uint64_t k) {
+    q->Fire(StartKey(k));
+    for (;;) {
+      co_await q->cv_.Wait();
+      q->Fire(StartKey(k) + ++q->wakes_[k]);
+    }
+  }
+
+  void Fire(uint64_t key) {
+    log_.push_back(Firing{key, sim_.Now(), sim_.pending_events(), sim_.events_executed()});
+    ApplyActions(*this, seed_, key);
+  }
+
+  uint64_t seed_;
+  Simulator sim_;
+  Condition cv_{sim_};
+  std::vector<uint64_t> ids_;    // by label
+  std::vector<uint64_t> wakes_;  // by task
+  std::vector<Firing> log_;
+};
+
+class RefQueue {
+ public:
+  explicit RefQueue(uint64_t seed) : seed_(seed) {}
+
+  SimTime Now() const { return now_; }
+  uint64_t issued() const { return live_.size(); }
+  uint64_t tasks() const { return wakes_.size(); }
+  uint64_t executed() const { return executed_; }
+  size_t pending() const { return queue_.size(); }
+  uint64_t live_cancels() const { return live_cancels_; }
+  const std::vector<Firing>& log() const { return log_; }
+
+  void Schedule(SimTime t) {
+    live_.push_back(queue_.emplace(t, Entry{Entry::kEvent, live_.size()}));
+  }
+  void Cancel(uint64_t label) {
+    if (label < live_.size() && live_[label] != queue_.end()) {
+      queue_.erase(live_[label]);
+      live_[label] = queue_.end();
+      ++live_cancels_;
+    }
+  }
+  void NotifyOne() {
+    if (!waiters_.empty()) {
+      queue_.emplace(now_, Entry{Entry::kWake, waiters_.front()});
+      waiters_.pop_front();
+    }
+  }
+  void NotifyAll() {
+    while (!waiters_.empty()) {
+      NotifyOne();
+    }
+  }
+  void Spawn() {
+    wakes_.push_back(0);
+    queue_.emplace(now_, Entry{Entry::kStart, wakes_.size() - 1});
+  }
+
+  bool Step() {
+    if (queue_.empty()) {
+      return false;
+    }
+    const auto top = queue_.begin();
+    now_ = top->first;
+    const Entry e = top->second;
+    queue_.erase(top);
+    ++executed_;
+    uint64_t key = e.id;
+    if (e.kind == Entry::kEvent) {
+      live_[e.id] = queue_.end();
+    } else {
+      key = StartKey(e.id) + (e.kind == Entry::kWake ? ++wakes_[e.id] : 0);
+    }
+    log_.push_back(Firing{key, now_, queue_.size(), executed_});
+    ApplyActions(*this, seed_, key);
+    if (e.kind != Entry::kEvent) {
+      waiters_.push_back(e.id);  // the task waits again
+    }
+    return true;
+  }
+  uint64_t RunUntil(SimTime deadline) {
+    uint64_t n = 0;
+    while (!queue_.empty() && queue_.begin()->first <= deadline) {
+      Step();
+      ++n;
+    }
+    now_ = std::max(now_, deadline);
+    return n;
+  }
+  uint64_t Run() {
+    uint64_t n = 0;
+    while (Step()) {
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  struct Entry {
+    enum Kind { kEvent, kStart, kWake } kind;
+    uint64_t id;  // the label of an event, the task of a start or wake
+  };
+  using Queue = std::multimap<SimTime, Entry>;
+
+  uint64_t seed_;
+  Queue queue_;
+  std::vector<Queue::iterator> live_;  // by label; end() once fired or cancelled
+  std::deque<uint64_t> waiters_;
+  std::vector<uint64_t> wakes_;
+  SimTime now_ = 0;
+  uint64_t executed_ = 0;
+  uint64_t live_cancels_ = 0;
+  std::vector<Firing> log_;
+};
+
+// Drives `q` through 24 rounds of outside actions, each followed by a Step, a
+// RunUntil (a few ns or far ahead) or a Run, then drains it. Returns what each
+// call returned and the clock and counters after it.
+template <typename Q>
+std::vector<int64_t> DriveQueue(Q& q, uint64_t seed) {
+  Random rng(seed);
+  std::vector<int64_t> seen;
+  q.Spawn();
+  q.Spawn();
+  for (uint64_t round = 0; round < 24; ++round) {
+    ApplyActions(q, seed, ExternalKey(round));
+    const uint64_t r = rng.NextBelow(8);
+    if (r < 4) {
+      seen.push_back(q.Step() ? 1 : 0);
+    } else if (r < 7) {
+      const SimDuration ahead = static_cast<SimDuration>(
+          rng.NextBelow(2) == 0 ? rng.NextBelow(16) : rng.NextBelow(200000));
+      seen.push_back(static_cast<int64_t>(q.RunUntil(q.Now() + ahead)));
+    } else {
+      seen.push_back(static_cast<int64_t>(q.Run()));
+    }
+    seen.push_back(q.Now());
+    seen.push_back(static_cast<int64_t>(q.pending()));
+    seen.push_back(static_cast<int64_t>(q.executed()));
+  }
+  seen.push_back(static_cast<int64_t>(q.Run()));
+  seen.push_back(static_cast<int64_t>(q.pending()));
+  return seen;
+}
+
+TEST(EventQueue, RandomSchedulesMatchReferenceOrder) {
+  uint64_t firings = 0;
+  uint64_t held = 0;
+  uint64_t live_cancels = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SimQueue sim(seed);
+    RefQueue ref(seed);
+    const std::vector<int64_t> sim_seen = DriveQueue(sim, seed);
+    const std::vector<int64_t> ref_seen = DriveQueue(ref, seed);
+    ASSERT_EQ(sim.log(), ref.log()) << "seed " << seed;
+    ASSERT_EQ(sim_seen, ref_seen) << "seed " << seed;
+    firings += ref.log().size();
+    held += sim.held();
+    live_cancels += ref.live_cancels();
+  }
+  // The schedules are not trivial: they fire many entries, cancel live ones
+  // and run some wakes from the handoff register.
+  EXPECT_GT(firings, 300u * 100);
+  EXPECT_GT(live_cancels, 300u * 10);
+  EXPECT_GT(held, 300u * 5);
 }
 
 }  // namespace
