@@ -3,12 +3,13 @@
 // Unlike the figure/ablation benches (which report *simulated* time and must
 // stay bit-identical across refactors), this suite measures how fast the
 // substrate itself runs: TLB lookup/fill, event-loop schedule/fire/cancel
-// throughput, same-time task wakeups, end-to-end Mmu::Translate latency, and
-// the cost of constructing and destroying a default System.
-// Every benchmark runs the live implementation; the one pair is
-// BM_SimWakeChain, whose StepLoop drives the wake chain with every resume
-// queued and RunLoop with the simulator's handoff register, two modes of the
-// same Simulator.
+// throughput, same-time task wakeups and child hops, end-to-end
+// Mmu::Translate latency, VMem's page-touch kernels, and the cost of
+// constructing and destroying a default System.
+// Every benchmark runs the live implementation. The two pairs are
+// BM_SimWakeChain and BM_SimInlineChildChain: StepLoop queues every resume,
+// RunLoop uses the simulator's handoff register and in-place child hops, two
+// modes of the same Simulator.
 //
 // tools/run_benches.py runs this binary with --benchmark_format=json and
 // distills the results (plus the Figure 7/8 simulated-time checks) into
@@ -20,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/app/page_kernels.h"
 #include "src/base/random.h"
 #include "src/core/system.h"
 #include "src/hw/mmu.h"
@@ -165,9 +167,10 @@ BENCHMARK_TEMPLATE(BM_SimSelfRescheduling, Simulator);
 // Same-time task wakeups: ns per resume over a chain of zero-delay hops — a
 // Condition ping-pong between two tasks, one side entering and leaving an
 // inline child every round, the shapes the fault path is built from.
-// RunLoop drains batches, so each hop is the batch's next event and runs from
-// the simulator's handoff register; StepLoop drives the same chain through
-// Step(), which never holds a resume, so every hop goes through the queue.
+// RunLoop drains batches, so each hop is the batch's next event: a wake runs
+// from the simulator's handoff register and a child hop in place. StepLoop
+// drives the same chain through Step(), which never holds a resume, so every
+// hop goes through the queue. Both count every hop as one resume.
 // ---------------------------------------------------------------------------
 
 constexpr int kWakeRounds = 256;
@@ -206,7 +209,7 @@ void BM_SimWakeChain(benchmark::State& state) {
   Condition pong(sim);
   uint64_t resumes = 0;
   for (auto _ : state) {
-    const uint64_t before = sim.events_executed();
+    const uint64_t before = sim.events_executed() + sim.resumes_in_place();
     TaskHandle pinger = sim.Spawn(WakePinger(ping, pong), "pinger");
     TaskHandle ponger = sim.Spawn(WakePonger(ping, pong), "ponger");
     DriveT::Drive(sim);
@@ -214,7 +217,7 @@ void BM_SimWakeChain(benchmark::State& state) {
       state.SkipWithError("wake chain stalled");
       break;
     }
-    resumes += sim.events_executed() - before;
+    resumes += sim.events_executed() + sim.resumes_in_place() - before;
   }
   state.SetItemsProcessed(static_cast<int64_t>(resumes));
   state.counters["ns_per_resume"] = benchmark::Counter(
@@ -222,6 +225,42 @@ void BM_SimWakeChain(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_SimWakeChain, StepLoop);
 BENCHMARK_TEMPLATE(BM_SimWakeChain, RunLoop);
+
+// ---------------------------------------------------------------------------
+// Child hops: ns per hop for one task awaiting kChildHops / 2 children in a
+// row, each returning at once. RunLoop runs the hops in place (up to the
+// per-event bound, then one held hop); StepLoop queues every one.
+// ---------------------------------------------------------------------------
+
+constexpr int kChildHops = 512;
+
+Task ReturnAtOnce() { co_return; }
+
+Task AwaitChildren() {
+  for (int i = 0; i < kChildHops / 2; ++i) {
+    co_await ReturnAtOnce();
+  }
+}
+
+template <class DriveT>
+void BM_SimInlineChildChain(benchmark::State& state) {
+  Simulator sim;
+  uint64_t hops = 0;
+  for (auto _ : state) {
+    TaskHandle h = sim.Spawn(AwaitChildren(), "parent");
+    DriveT::Drive(sim);
+    if (!h.done()) {
+      state.SkipWithError("child chain stalled");
+      break;
+    }
+    hops += kChildHops;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(hops));
+  state.counters["ns_per_hop"] = benchmark::Counter(
+      static_cast<double>(hops), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_TEMPLATE(BM_SimInlineChildChain, StepLoop);
+BENCHMARK_TEMPLATE(BM_SimInlineChildChain, RunLoop);
 
 // ---------------------------------------------------------------------------
 // End-to-end translation: ns per Mmu::Translate through a protection domain.
@@ -277,6 +316,56 @@ void BM_TranslateTlbMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TranslateTlbMiss);
+
+// ---------------------------------------------------------------------------
+// VMem's page-touch kernels: ns per 8 KiB page for each SumBytes variant the
+// host runs (the dispatched one included) and for the address-byte fill.
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> RandomPage() {
+  std::vector<uint8_t> page(kDefaultPageSize);
+  Random rng(3);
+  for (uint8_t& b : page) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return page;
+}
+
+void BM_PageSum(benchmark::State& state, uint64_t (*sum)(std::span<const uint8_t>),
+                [[maybe_unused]] bool needs_avx2) {
+#if defined(NEMESIS_HAVE_AVX2_KERNELS)
+  if (needs_avx2 && !page_kernels::CpuHasAvx2()) {
+    state.SkipWithError("the CPU has no AVX2");
+    return;
+  }
+#endif
+  const std::vector<uint8_t> page = RandomPage();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sum(page));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * page.size()));
+}
+BENCHMARK_CAPTURE(BM_PageSum, Dispatched, page_kernels::SumBytes, false);
+BENCHMARK_CAPTURE(BM_PageSum, ByteLoop, page_kernels::SumBytesScalar, false);
+#if defined(__SSE2__)
+BENCHMARK_CAPTURE(BM_PageSum, Sse2, page_kernels::SumBytesSse2, false);
+#endif
+#if defined(NEMESIS_HAVE_AVX2_KERNELS)
+BENCHMARK_CAPTURE(BM_PageSum, Avx2, page_kernels::SumBytesAvx2, true);
+#endif
+
+void BM_PageFill(benchmark::State& state) {
+  std::vector<uint8_t> page(kDefaultPageSize);
+  VirtAddr va = 0x10000;
+  for (auto _ : state) {
+    page_kernels::FillAddressBytes(page, va);
+    benchmark::DoNotOptimize(page.data());
+    benchmark::ClobberMemory();
+    va += 37;  // a different phase of the 256-byte period every page
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * page.size()));
+}
+BENCHMARK(BM_PageFill);
 
 // ---------------------------------------------------------------------------
 // Set-up: constructing and destroying a default System (no auditor). The

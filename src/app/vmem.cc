@@ -1,72 +1,12 @@
 #include "src/app/vmem.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
+#include "src/app/page_kernels.h"
 #include "src/base/assert.h"
 #include "src/sim/sync.h"
 
 namespace nemesis {
-
-namespace {
-
-// The page-touch kernels. They are plain functions rather than loops inside
-// the AccessRange coroutine so the compiler keeps the loop state in registers
-// (a coroutine body spills it to the frame on every byte).
-
-// Returns the sum of `bytes`. With SSE2 (baseline on x86-64) each psadbw
-// (_mm_sad_epu8 against zero) sums 16 bytes into two 64-bit lanes; four
-// independent accumulators keep four of them in flight per 64-byte step.
-// Loads are unaligned: `bytes` can start anywhere in a page.
-uint64_t SumBytes(std::span<const uint8_t> bytes) {
-  const uint8_t* p = bytes.data();
-  size_t left = bytes.size();
-  uint64_t total = 0;
-#if defined(__SSE2__)
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc[4] = {zero, zero, zero, zero};
-  for (; left >= 64; left -= 64, p += 64) {
-    for (int k = 0; k < 4; ++k) {
-      const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
-      acc[k] = _mm_add_epi64(acc[k], _mm_sad_epu8(v, zero));
-    }
-  }
-  for (; left >= 16; left -= 16, p += 16) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    acc[0] = _mm_add_epi64(acc[0], _mm_sad_epu8(v, zero));
-  }
-  const __m128i sum =
-      _mm_add_epi64(_mm_add_epi64(acc[0], acc[1]), _mm_add_epi64(acc[2], acc[3]));
-  uint64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), sum);
-  total = lanes[0] + lanes[1];
-#endif
-  for (; left > 0; --left) {
-    total += *p++;
-  }
-  return total;
-}
-
-// Writes the low byte of each byte's own virtual address: bytes[i] gets
-// (va + i) & 0xFF. That pattern repeats every 256 bytes, so one period is
-// built and copied across the span.
-void FillAddressBytes(std::span<uint8_t> bytes, VirtAddr va) {
-  std::array<uint8_t, 256> period{};
-  const auto first = static_cast<uint8_t>(va);
-  for (size_t i = 0; i < period.size(); ++i) {
-    period[i] = static_cast<uint8_t>(first + i);
-  }
-  for (size_t at = 0; at < bytes.size(); at += period.size()) {
-    std::memcpy(bytes.data() + at, period.data(), std::min(period.size(), bytes.size() - at));
-  }
-}
-
-}  // namespace
 
 struct VMemDetail {
   // Makes the page containing `va` accessible for `access`, taking the full
@@ -145,9 +85,9 @@ Task VMem::AccessRange(VirtAddr va, size_t len, AccessType access, bool* ok,
     const std::span<uint8_t> bytes =
         env_.phys->FrameData(pfn).subspan(static_cast<size_t>(pa % page_size), chunk);
     if (access == AccessType::kWrite) {
-      FillAddressBytes(bytes, cursor);
+      page_kernels::FillAddressBytes(bytes, cursor);
     } else {
-      checksum_ += SumBytes(bytes);
+      checksum_ += page_kernels::SumBytes(bytes);
     }
     co_await SleepFor(*env_.sim, static_cast<SimDuration>(chunk) * costs_.per_byte_cpu);
     if (bytes_done != nullptr) {

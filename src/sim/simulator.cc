@@ -69,6 +69,7 @@ uint64_t Simulator::CallAt(SimTime t, Callback fn) {
   heap_.push_back(Event{t, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_pending_;
+  ++events_scheduled_;
   return id;
 }
 
@@ -94,6 +95,7 @@ void Simulator::Cancel(uint64_t id) {
   s.cancelled = true;
   s.fn.Reset();  // destroy captures now, as the map erase in the old loop did
   --live_pending_;
+  ++events_cancelled_;
 }
 
 TaskHandle Simulator::Spawn(Task task, std::string name) {
@@ -126,6 +128,7 @@ void Simulator::Execute(uint32_t slot) {
   ReleaseSlot(slot);
   ++events_executed_;
   --live_pending_;
+  in_place_this_event_ = 0;
   fn();
   if (post_event_hook_) [[unlikely]] {
     post_event_hook_();
@@ -137,6 +140,7 @@ void Simulator::ExecuteHandoff() {
   ++events_executed_;
   ++resumes_held_;
   --live_pending_;
+  in_place_this_event_ = 0;
   st->Resume();
   if (post_event_hook_) [[unlikely]] {
     post_event_hook_();

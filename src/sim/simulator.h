@@ -28,6 +28,16 @@
 // a heap top at Now() (live or cancelled), never hold; they fall back to
 // CallAt. A held resume counts in pending_events() and events_executed() and
 // passes through the post-event hook exactly as a queued one does.
+//
+// The entry and exit hops of an awaited child (src/sim/task.h) go one step
+// further. When ResumeNow would hold such a hop, the awaiter transfers to the
+// child or back to the parent in place (symmetric transfer, TakeInPlaceHop)
+// and the hop is no event at all: it would have run next, with only the
+// task's own no-op Resume epilogue and the post-event hook in between, so the
+// order cannot change. In-place hops count in resumes_in_place(), not in
+// events_executed(), and at most kMaxInPlaceHops run per event. Step() never
+// transfers, so a Step-driven run's events are a Run's events plus its
+// in-place hops.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -45,6 +55,12 @@ namespace nemesis {
 class Simulator {
  public:
   using Callback = SmallFunction<void()>;
+
+  // Bound on in-place hops per event. Where the compiler emits no tail call
+  // for a symmetric transfer (sanitizer and -O0 builds), each in-place hop
+  // nests a stack frame until the task next suspends; past the bound a hop
+  // is held instead, which unwinds the stack.
+  static constexpr uint32_t kMaxInPlaceHops = 64;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -69,15 +85,26 @@ class Simulator {
   // would give it (see the header comment for when it skips the queue). The
   // wake primitive of every same-time task resume; it cannot be cancelled.
   void ResumeNow(std::shared_ptr<TaskState> st) {
-    // Hold only when CallAt(Now()) would make this the batch's next event: a
-    // batch is draining, the register is free and nothing else is queued for
-    // Now().
-    if (draining_ && !handoff_ && (heap_.empty() || heap_.front().time != now_)) [[likely]] {
+    if (CanHold()) [[likely]] {
       handoff_ = std::move(st);
       ++live_pending_;
       return;
     }
     QueueResume(std::move(st));
+  }
+
+  // Asked by the running task at a child entry or exit hop: true when the hop
+  // may run in place, by symmetric transfer, instead of through ResumeNow.
+  // That is exactly when ResumeNow would hold it, so the hop would be the
+  // batch's next event anyway; at most kMaxInPlaceHops hops per event run in
+  // place (see the header comment). Counts the hop when it returns true.
+  bool TakeInPlaceHop() {
+    if (CanHold() && in_place_this_event_ < kMaxInPlaceHops) [[likely]] {
+      ++in_place_this_event_;
+      ++resumes_in_place_;
+      return true;
+    }
+    return false;
   }
 
   // Starts a coroutine task. The first resume happens from the run loop at the
@@ -96,10 +123,19 @@ class Simulator {
   bool Step();
 
   size_t pending_events() const { return live_pending_; }
+  // Events run: queued callbacks and held resumes. In-place hops are not
+  // events.
   uint64_t events_executed() const { return events_executed_; }
   // Resumes that ran straight from the handoff register, not from the queue
   // (a subset of events_executed()).
   uint64_t resumes_held() const { return resumes_held_; }
+  // Child entry and exit hops that ran in place, inside the event that made
+  // them (not among events_executed()).
+  uint64_t resumes_in_place() const { return resumes_in_place_; }
+  // Queue entries made by CallAt (held resumes and in-place hops make none),
+  // and those cancelled while still pending.
+  uint64_t events_scheduled() const { return events_scheduled_; }
+  uint64_t events_cancelled() const { return events_cancelled_; }
   // Observability for the task-prune heuristic (tests): current registry size
   // including dead entries not yet pruned.
   size_t task_registry_size() const { return tasks_.size(); }
@@ -164,6 +200,13 @@ class Simulator {
   // Runs the held resume with the same accounting and hook as Execute.
   void ExecuteHandoff();
 
+  // True when CallAt(Now()) would make a resume the batch's next event: a
+  // batch is draining, the register is free and nothing else is queued for
+  // Now().
+  bool CanHold() const {
+    return draining_ && !handoff_ && (heap_.empty() || heap_.front().time != now_);
+  }
+
   // ResumeNow's fallback: an ordinary CallAt(Now()).
   void QueueResume(std::shared_ptr<TaskState> st);
 
@@ -173,6 +216,10 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t resumes_held_ = 0;
+  uint64_t resumes_in_place_ = 0;
+  uint64_t events_scheduled_ = 0;
+  uint64_t events_cancelled_ = 0;
+  uint32_t in_place_this_event_ = 0;
   size_t live_pending_ = 0;
   std::vector<Event> heap_;
   std::vector<Slot> slots_;

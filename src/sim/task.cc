@@ -95,31 +95,41 @@ TaskState::~TaskState() {
   }
 }
 
-void Task::promise_type::FinalAwaiter::await_suspend(
+std::coroutine_handle<> Task::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<promise_type> h) noexcept {
   promise_type& p = h.promise();
   TaskState& st = *p.state;
   if (!p.parent) {
     st.done = true;
-    return;
+    return std::noop_coroutine();
   }
   // Exit hop: the parent resumes at the current time, in the slot a Join
-  // watcher's wakeup took when the child was a spawned task of its own. The
-  // finished child never reads its state again, so the hop takes its
-  // reference.
+  // watcher's wakeup took when the child was a spawned task of its own; in
+  // place when that slot is next anyway.
   st.leaf = p.parent;
+  if (!st.killed && st.sim->TakeInPlaceHop()) {
+    return p.parent;
+  }
+  // The finished child never reads its state again: the hop takes its
+  // reference.
   st.sim->ResumeNow(std::move(p.state));
+  return std::noop_coroutine();
 }
 
-void Task::InlineAwaiter::await_suspend(Handle parent) {
+std::coroutine_handle<> Task::InlineAwaiter::await_suspend(Handle parent) {
   promise_type& p = child_.promise();
   p.state = parent.promise().state;
   p.parent = parent;
   TaskState& st = *p.state;
   st.leaf = child_;
   // Entry hop: the child's first resume is scheduled at the current time, in
-  // the slot a Spawn's first resume took.
+  // the slot a Spawn's first resume took; in place when that slot is next
+  // anyway.
+  if (!st.killed && st.sim->TakeInPlaceHop()) {
+    return child_;
+  }
   st.sim->ResumeNow(p.state);
+  return std::noop_coroutine();
 }
 
 void DelayAwaiter::await_suspend(std::coroutine_handle<Task::promise_type> h) {

@@ -11,13 +11,13 @@
 // paper's worker thread calling into its stretch driver: the child shares the
 // parent's TaskState, its frame is owned by the parent's frame, and killing
 // the task kills the child with it. Entering and leaving a child are each
-// one resume at the current time, scheduled through Simulator::ResumeNow in
-// the slots a Spawn's first resume and a Join's completion wakeup used, so
-// replacing a Spawn-then-Join pair with a co_await moves no event. A hop is
-// still an event — counted, ordered FIFO among same-time events and seen by
-// the post-event hook — but when it is the batch's next event anyway the
-// simulator runs it from a one-entry register instead of the queue (see
-// src/sim/simulator.h).
+// one resume at the current time, in the slots a Spawn's first resume and a
+// Join's completion wakeup used, so replacing a Spawn-then-Join pair with a
+// co_await moves no event. When that slot is the batch's next event anyway,
+// the awaiter transfers to the child (or back to the parent) in place, and
+// the hop is no event; otherwise it is scheduled through
+// Simulator::ResumeNow — counted, ordered FIFO among same-time events and
+// seen by the post-event hook (see src/sim/simulator.h).
 //
 // Tasks can be killed (the Nemesis frames allocator kills domains that do not
 // honour an intrusive revocation deadline). Killing destroys the root frame,
@@ -100,11 +100,12 @@ class Task {
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
 
-    // A root marks its task done; a child schedules its parent's resume (the
-    // exit hop) and stays suspended until the parent destroys it.
+    // A root marks its task done; a child resumes its parent (the exit hop,
+    // in place or scheduled) and stays suspended until the parent destroys
+    // it.
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
-      void await_suspend(std::coroutine_handle<promise_type> h) noexcept;
+      std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept;
       void await_resume() noexcept {}
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
@@ -119,9 +120,9 @@ class Task {
   using Handle = std::coroutine_handle<promise_type>;
 
   // `co_await task`: runs the task as a child of the awaiting one. The entry
-  // hop schedules the child's first resume; the awaiter owns the child frame,
-  // so the frame dies when the parent resumes past the co_await — or when the
-  // parent's own frame is destroyed.
+  // hop starts the child, in place or scheduled; the awaiter owns the child
+  // frame, so the frame dies when the parent resumes past the co_await — or
+  // when the parent's own frame is destroyed.
   class InlineAwaiter {
    public:
     explicit InlineAwaiter(Handle child) : child_(child) {}
@@ -134,7 +135,7 @@ class Task {
     }
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(Handle parent);
+    std::coroutine_handle<> await_suspend(Handle parent);
     void await_resume() const noexcept {}
 
    private:

@@ -6,11 +6,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
 
 #include "src/app/blok_allocator.h"
 #include "src/app/nailed_driver.h"
+#include "src/app/page_kernels.h"
 #include "src/base/random.h"
 #include "src/core/system.h"
 #include "src/core/workloads.h"
@@ -419,6 +421,76 @@ TEST(VMemTest, ChecksumMatchesScalarSumAtUnalignedOffsets) {
       expected += bytes[ranges[i].start + j];
     }
     EXPECT_EQ(sums[i], expected) << "offset " << ranges[i].start << " length " << ranges[i].len;
+  }
+}
+
+// Every SumBytes variant this host can run, not only the one the dispatch
+// picks, against a plain accumulate: lengths 0-300, one page and two pages,
+// starting at offsets 0-63 (so every vector tail and misalignment occurs), over
+// random bytes and over all-0xFF bytes (the largest sum per byte).
+TEST(PageKernels, EverySumVariantMatchesAScalarSum) {
+  using SumFn = uint64_t (*)(std::span<const uint8_t>);
+  std::vector<std::pair<const char*, SumFn>> variants = {
+      {"dispatched", page_kernels::SumBytes},
+      {"byte loop", page_kernels::SumBytesScalar},
+  };
+#if defined(__SSE2__)
+  variants.emplace_back("sse2", page_kernels::SumBytesSse2);
+#endif
+#if defined(NEMESIS_HAVE_AVX2_KERNELS)
+  if (page_kernels::CpuHasAvx2()) {
+    variants.emplace_back("avx2", page_kernels::SumBytesAvx2);
+  }
+#endif
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(kDefaultPageSize);
+  lengths.push_back(2 * kDefaultPageSize);
+
+  std::vector<uint8_t> bytes(2 * kDefaultPageSize + 64);
+  Random rng(5);
+  for (const bool ones : {false, true}) {
+    for (uint8_t& b : bytes) {
+      b = ones ? uint8_t{0xFF} : static_cast<uint8_t>(rng.Next());
+    }
+    for (size_t offset = 0; offset < 64; ++offset) {
+      for (const size_t len : lengths) {
+        const std::span<const uint8_t> span(bytes.data() + offset, len);
+        const uint64_t expected = std::accumulate(span.begin(), span.end(), uint64_t{0});
+        for (const auto& [name, sum] : variants) {
+          ASSERT_EQ(sum(span), expected)
+              << name << " offset " << offset << " length " << len << " ones " << ones;
+        }
+      }
+    }
+  }
+}
+
+// The write kernel against the per-byte rule (va + i) & 0xFF for every low
+// address byte, lengths 0-600 and one page; the byte past the span stays.
+TEST(PageKernels, FillMatchesTheAddressByteRule) {
+  constexpr uint8_t kGuard = 0xA5;
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 600; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(kDefaultPageSize);
+  std::vector<uint8_t> bytes(kDefaultPageSize + 1);
+  std::vector<uint8_t> expected(kDefaultPageSize);
+  for (VirtAddr low = 0; low < 256; ++low) {
+    const VirtAddr va = 0x7f3a12340000ull + low;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      expected[i] = static_cast<uint8_t>((va + i) & 0xFF);
+    }
+    for (const size_t len : lengths) {
+      std::fill(bytes.begin(), bytes.end(), kGuard);
+      page_kernels::FillAddressBytes(std::span<uint8_t>(bytes.data(), len), va);
+      ASSERT_TRUE(std::equal(bytes.begin(), bytes.begin() + len, expected.begin()))
+          << "low byte " << low << " length " << len;
+      ASSERT_EQ(bytes[len], kGuard) << "low byte " << low << " length " << len;
+    }
   }
 }
 

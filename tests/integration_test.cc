@@ -74,6 +74,77 @@ TEST(Integration, MiniFigure7PagingInRatios) {
   }
 }
 
+// The simulator's event ledger per demand fault on a fig7-shaped run: three
+// self-paging domains with two frames each and 1:2:4 disk guarantees, reading
+// sequentially for 20 simulated seconds after a write pass. Every count is
+// deterministic, so each is pinned exactly; a change that moves one must say
+// why. In-place hops are the child entry and exit hops that run inside the
+// event that made them; a Step-driven run would queue each as an event.
+TEST(EventLedger, Fig7ShapedCountsPerFaultArePinned) {
+  System system;
+  AppDomain* apps[3];
+  const int64_t slices[3] = {25, 50, 100};
+  for (int i = 0; i < 3; ++i) {
+    apps[i] = system.CreateApp(PagedApp("app" + std::to_string(i), slices[i], 128));
+  }
+  bool primed[3] = {false, false, false};
+  for (int i = 0; i < 3; ++i) {
+    apps[i]->SpawnWorkload(SequentialPass(*apps[i], AccessType::kWrite, &primed[i]), "prime");
+  }
+  system.sim().RunUntil(Seconds(60));
+  ASSERT_TRUE(primed[0] && primed[1] && primed[2]);
+
+  struct Ledger {
+    uint64_t faults = 0;
+    uint64_t fired = 0;
+    uint64_t held = 0;
+    uint64_t in_place = 0;
+    uint64_t scheduled = 0;
+    uint64_t cancelled = 0;
+  };
+  auto take = [&] {
+    Ledger l;
+    for (AppDomain* app : apps) {
+      l.faults += app->vmem().faults_taken();
+    }
+    const Simulator& sim = system.sim();
+    l.fired = sim.events_executed();
+    l.held = sim.resumes_held();
+    l.in_place = sim.resumes_in_place();
+    l.scheduled = sim.events_scheduled();
+    l.cancelled = sim.events_cancelled();
+    return l;
+  };
+  const Ledger before = take();
+  uint64_t bytes[3] = {0, 0, 0};
+  bool ok[3] = {false, false, false};
+  const SimTime until = system.sim().Now() + Seconds(20);
+  for (int i = 0; i < 3; ++i) {
+    apps[i]->SpawnWorkload(
+        SequentialAccessLoop(*apps[i], AccessType::kRead, until, &bytes[i], &ok[i]), "loop");
+  }
+  system.sim().RunUntil(until);
+  const Ledger after = take();
+
+  const uint64_t faults = after.faults - before.faults;
+  const uint64_t fired = after.fired - before.fired;
+  const uint64_t held = after.held - before.held;
+  const uint64_t in_place = after.in_place - before.in_place;
+  const uint64_t scheduled = after.scheduled - before.scheduled;
+  const uint64_t cancelled = after.cancelled - before.cancelled;
+  // Per fault: 9.03 events fired (5.99 of them held resumes), 8.00 hops in
+  // place, 4.02 queue entries made and 0.98 cancelled. Every cancellation
+  // here is the USD's laxity timeout (Usd::ServiceLoop's
+  // arrival_cv_.WaitFor), armed and then cancelled by an arrival: the next
+  // count to cut. Fired plus in-place (17.03) is what Step() would fire.
+  EXPECT_EQ(faults, 12256u);
+  EXPECT_EQ(fired, 110681u);
+  EXPECT_EQ(held, 73470u);
+  EXPECT_EQ(in_place, 98039u);
+  EXPECT_EQ(scheduled, 49231u);
+  EXPECT_EQ(cancelled, 12020u);
+}
+
 TEST(Integration, BatchedUsdClientCoalescesAndStaysAuditClean) {
   // End-to-end batching inside a full System: a paged app shares the USD with
   // a deep-pipelined file-system client (the Figure 9 workload) that has

@@ -1126,6 +1126,7 @@ struct PingPongRun {
   std::vector<std::string> log;
   uint64_t events = 0;
   uint64_t held = 0;
+  uint64_t in_place = 0;
   uint64_t hooks = 0;
 };
 
@@ -1148,6 +1149,7 @@ PingPongRun RunPingPong(bool step) {
   }
   r.events = sim.events_executed();
   r.held = sim.resumes_held();
+  r.in_place = sim.resumes_in_place();
   EXPECT_EQ(sim.pending_events(), 0u);
   return r;
 }
@@ -1156,9 +1158,12 @@ TEST(Handoff, StepNeverHoldsAResume) {
   const PingPongRun stepped = RunPingPong(/*step=*/true);
   const PingPongRun ran = RunPingPong(/*step=*/false);
   EXPECT_EQ(stepped.held, 0u);
+  EXPECT_EQ(stepped.in_place, 0u);
   EXPECT_GT(ran.held, 0u);
+  EXPECT_GT(ran.in_place, 0u);
   EXPECT_EQ(ran.log, stepped.log);
-  EXPECT_EQ(ran.events, stepped.events);
+  // Every hop Run ran in place is an event Step queued.
+  EXPECT_EQ(ran.events + ran.in_place, stepped.events);
   EXPECT_EQ(ran.log.front(), "ping 0");
   EXPECT_EQ(ran.log.back(), "pong 4");
 }
@@ -1170,7 +1175,7 @@ TEST(Handoff, HeldResumesCountLikeQueuedOnes) {
   // whether it ran from the register or from the queue.
   EXPECT_EQ(ran.hooks, ran.events);
   EXPECT_EQ(stepped.hooks, stepped.events);
-  EXPECT_EQ(ran.events, stepped.events);
+  EXPECT_EQ(ran.events + ran.in_place, stepped.events);
 
   // pending_events() sees a held resume until it runs.
   Simulator sim;
@@ -1191,6 +1196,123 @@ TEST(Handoff, HeldResumesCountLikeQueuedOnes) {
   EXPECT_EQ(log, (std::vector<std::string>{"waiter"}));
 }
 
+// --- Child hops run in place --------------------------------------------------
+//
+// A child's entry or exit hop that ResumeNow would hold runs in place instead:
+// the awaiter transfers to the child (or back to the parent) inside the
+// running event. Step() never transfers, so a Step-driven run is the
+// all-queued reference: its events are Run's events plus Run's in-place hops.
+
+Task AppendThenReturn(std::vector<std::string>* log, std::string what) {
+  log->push_back(std::move(what));
+  co_return;
+}
+
+struct HopRun {
+  std::vector<std::string> log;
+  uint64_t events = 0;
+  uint64_t in_place = 0;
+};
+
+HopRun RunChildBehindQueuedEvent(bool step) {
+  HopRun r;
+  Simulator sim;
+  sim.Spawn(
+      [](Simulator& s, std::vector<std::string>* log) -> Task {
+        s.CallAfter(0, [log] { log->push_back("event"); });
+        // The event above is queued for Now(): the entry hop queues behind it.
+        co_await AppendThenReturn(log, "child");
+        log->push_back("parent back");
+      }(sim, &r.log),
+      "parent");
+  if (step) {
+    while (sim.Step()) {
+    }
+  } else {
+    sim.Run();
+  }
+  r.events = sim.events_executed();
+  r.in_place = sim.resumes_in_place();
+  return r;
+}
+
+TEST(Handoff, ChildEnteredBehindAQueuedEventStaysQueued) {
+  const HopRun ran = RunChildBehindQueuedEvent(/*step=*/false);
+  const HopRun stepped = RunChildBehindQueuedEvent(/*step=*/true);
+  EXPECT_EQ(ran.log, (std::vector<std::string>{"event", "child", "parent back"}));
+  EXPECT_EQ(ran.log, stepped.log);
+  // Only the exit hop ran in place: nothing was queued for Now() by then.
+  EXPECT_EQ(ran.in_place, 1u);
+  EXPECT_EQ(stepped.in_place, 0u);
+  EXPECT_EQ(ran.events + ran.in_place, stepped.events);
+}
+
+Task NestedChain(int depth, int* deepest) {
+  if (depth == 0) {
+    ++*deepest;
+    co_return;
+  }
+  co_await NestedChain(depth - 1, deepest);
+}
+
+TEST(Handoff, DeepChildChainRunsInPlaceWithinTheBound) {
+  // 100,000 nested children whose innermost returns at once: 200,000 hops at
+  // one timestamp. Past kMaxInPlaceHops hops in one event a hop is held, which
+  // unwinds the stack where symmetric transfer is not a tail call.
+  constexpr int kDepth = 100000;
+  constexpr uint64_t kHops = 2 * kDepth;
+  Simulator sim;
+  int deepest = 0;
+  TaskHandle h = sim.Spawn(NestedChain(kDepth, &deepest), "chain");
+  sim.Run();
+  EXPECT_TRUE(h.done());
+  EXPECT_EQ(deepest, 1);
+  EXPECT_EQ(sim.Now(), 0);
+  // Event 1 is the spawn's first resume; every later event is a held hop
+  // that starts a fresh run of in-place hops.
+  const uint64_t held_hops = sim.events_executed() - 1;
+  EXPECT_EQ(sim.resumes_held(), held_hops);
+  EXPECT_EQ(sim.resumes_in_place() + held_hops, kHops);
+  // The first event runs 64 hops in place, and each held hop runs itself
+  // and up to 64 more: ceil((200,000 - 64) / 65) held hops.
+  EXPECT_EQ(Simulator::kMaxInPlaceHops, 64u);
+  EXPECT_EQ(held_hops, 3076u);
+}
+
+TEST(Handoff, TaskKilledBeforeItsHopIsNotTransferredTo) {
+  for (const bool kill_in_child : {false, true}) {
+    Simulator sim;
+    std::vector<std::string> log;
+    bool frame_destroyed = false;
+    TaskHandle self;
+    self = sim.Spawn(
+        [](TaskHandle* me, std::vector<std::string>* l, bool in_child,
+           [[maybe_unused]] DestructionFlag flag) -> Task {
+          if (!in_child) {
+            me->Kill();  // before the entry hop
+          }
+          co_await [](TaskHandle* me2, std::vector<std::string>* l2, bool in_child2) -> Task {
+            l2->push_back("child");
+            if (in_child2) {
+              me2->Kill();  // before the exit hop
+            }
+            co_return;
+          }(me, l, in_child);
+          l->push_back("parent back");
+        }(&self, &log, kill_in_child, DestructionFlag(&frame_destroyed)),
+        "victim");
+    sim.Run();
+    EXPECT_TRUE(self.killed());
+    EXPECT_TRUE(frame_destroyed);
+    EXPECT_EQ(log, kill_in_child ? std::vector<std::string>{"child"}
+                                 : std::vector<std::string>{});
+    // The entry hop of the child that kills the task may run in place; the
+    // hop after a kill never does.
+    EXPECT_EQ(sim.resumes_in_place(), kill_in_child ? 1u : 0u);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
+}
+
 // --- Differential wake test ---------------------------------------------------
 //
 // Seeded random task programs over every wait kind the simulator offers run
@@ -1198,8 +1320,8 @@ TEST(Handoff, HeldResumesCountLikeQueuedOnes) {
 // Run() with the Gate's wake an explicit CallAfter(0, Resume), and (c) the
 // same as (b) but driven by Step(), which never holds a resume, so every
 // wakeup in the library (Condition, Mailbox, child hops, Spawn) is queued
-// too. All three must log the same steps at the same times and execute the
-// same number of events.
+// too. All three must log the same steps at the same times, and each Run's
+// events plus its in-place child hops must equal Step's events.
 
 class Gate {
  public:
@@ -1353,6 +1475,7 @@ struct DiffRun {
   std::vector<std::string> log;
   uint64_t events = 0;
   uint64_t held = 0;
+  uint64_t in_place = 0;
 };
 
 DiffRun RunDifferential(const std::vector<std::vector<Op>>& programs, bool resume_now,
@@ -1387,6 +1510,7 @@ DiffRun RunDifferential(const std::vector<std::vector<Op>>& programs, bool resum
   }
   r.events = sim.events_executed();
   r.held = sim.resumes_held();
+  r.in_place = sim.resumes_in_place();
   return r;
 }
 
@@ -1405,8 +1529,10 @@ TEST(Handoff, RandomProgramsMatchQueuedWakes) {
     ASSERT_EQ(held.log, queued.log) << "seed " << seed;
     ASSERT_EQ(held.log, stepped.log) << "seed " << seed;
     ASSERT_EQ(held.events, queued.events) << "seed " << seed;
-    ASSERT_EQ(held.events, stepped.events) << "seed " << seed;
+    ASSERT_EQ(held.events + held.in_place, stepped.events) << "seed " << seed;
+    ASSERT_EQ(queued.events + queued.in_place, stepped.events) << "seed " << seed;
     EXPECT_EQ(stepped.held, 0u);
+    EXPECT_EQ(stepped.in_place, 0u);
     held_total += held.held;
     events_total += held.events;
   }

@@ -15,9 +15,10 @@ Two layers of results go into the JSON:
 
   * "core": ns/op and items/s for every bench_core microbenchmark (plus
     ns_per_resume for BM_SimWakeChain, the cost of one same-time task
-    wakeup), and one speedup: held vs queued task wakeups
-    (BM_SimWakeChain RunLoop vs StepLoop), two modes of the live simulator
-    in the same binary. Benchmarks never run a retired implementation; the
+    wakeup, and ns_per_hop for BM_SimInlineChildChain, the cost of one
+    child entry or exit hop), and two speedups: held vs queued task wakeups
+    and in-place vs queued child hops (RunLoop vs StepLoop of each), two
+    modes of the live simulator in the same binary. Benchmarks never run a retired implementation; the
     last published speedups over the retired TLB and event-loop baselines
     are recorded in DESIGN.md.
   * "simulated": the Figure 7/8/9 shape checks (progress ratios and
@@ -87,11 +88,12 @@ QOS_RUNS = [
 
 # Golden byte-compare (--capture-golden / --check-golden): the figure
 # benches' stdout and side-channel trace CSVs, the scenario fuzzer's verdicts,
-# a 100-tenant storm's fault/revocation/kill counts and the pager ablations
-# (read-ahead, writeback batching, stream paging, CLOCK/RANDOM replacement —
-# the pager's opt-in paths the figures never take) must be byte-identical
-# run to run — host-side changes (the static-analysis layer, the NEM_*
-# annotations, hot-path optimizations) must never perturb simulated output.
+# the 100- and 1000-tenant storms' fault/revocation/kill counts and the pager
+# ablations (read-ahead, writeback batching, stream paging, CLOCK/RANDOM
+# replacement — the pager's opt-in paths the figures never take) must be
+# byte-identical run to run — host-side changes (the static-analysis layer,
+# the NEM_* annotations, hot-path optimizations) must never perturb simulated
+# output.
 # fig9 only writes its span trace under NEMESIS_OBS=1, so it runs a second
 # time with the env var set just to produce the CSV; the stdout compare
 # always uses the plain run (the observed run appends "written to ..." lines).
@@ -103,6 +105,8 @@ GOLDEN_RUNS = [
     ("scenario_fuzz", ["--seeds", "20"], "fuzz_seeds20.stdout", [], False),
     ("scenario_fuzz", ["--tenants", "100", "--seed", "3"],
      "storm_tenants100_seed3.stdout", [], False),
+    ("scenario_fuzz", ["--tenants", "1000", "--seed", "1"],
+     "storm_tenants1000_seed1.stdout", [], False),
     ("bench_ablation_pipeline", [], "ablation_pipeline.stdout", [], False),
     ("bench_ablation_streampaging", [], "ablation_streampaging.stdout", [], False),
     ("bench_ablation_replacement", [], "ablation_replacement.stdout", [], False),
@@ -115,6 +119,9 @@ SPEEDUP_PAIRS = [
     # Same-time task wakeups: every resume queued (Step-driven) vs. run from
     # the simulator's handoff register (Run-driven).
     ("BM_SimWakeChain", "StepLoop", "RunLoop"),
+    # Child entry and exit hops: every hop queued (Step-driven) vs. run in
+    # place (Run-driven).
+    ("BM_SimInlineChildChain", "StepLoop", "RunLoop"),
 ]
 
 
@@ -156,10 +163,12 @@ def run_bench_core(build_dir, min_time):
             "ns_per_op": b["real_time"],
             "items_per_second": b.get("items_per_second"),
         }
-        if "ns_per_resume" in b:
-            # BM_SimWakeChain's layer number: an inverted rate, which the
-            # JSON reporter gives in seconds per resume.
-            results[b["name"]]["ns_per_resume"] = round(b["ns_per_resume"] * 1e9, 2)
+        for counter in ("ns_per_resume", "ns_per_hop"):
+            if counter in b:
+                # BM_SimWakeChain's and BM_SimInlineChildChain's layer
+                # numbers: inverted rates, which the JSON reporter gives in
+                # seconds per resume or hop.
+                results[b["name"]][counter] = round(b[counter] * 1e9, 2)
     return report.get("context", {}), results
 
 
